@@ -136,6 +136,15 @@ class Aig:
         """Return AND node indices in topological (creation) order."""
         return [n for n in range(1, self.num_nodes) if not self._is_input[n]]
 
+    def node_arrays(self) -> Tuple[List[int], List[int], List[bool]]:
+        """The per-node arrays ``(fanin0, fanin1, is_input)``, indexed by node.
+
+        The fanin entries of the constant and input nodes are 0.  The lists
+        are the AIG's own, shared with the hot cone walks of the
+        optimisation passes, which must not modify them.
+        """
+        return self._fanin0, self._fanin1, self._is_input
+
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #

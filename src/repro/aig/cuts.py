@@ -6,39 +6,29 @@ can be expressed over the leaves alone.  The module also provides the cut
 function computation and the maximum-fanout-free-cone (MFFC) size used to
 estimate the gain of replacing a cone.
 
-Cut functions are memoised *across* AIGs: the truth table of a cone depends
-only on its local structure (how the cone's AND nodes wire the leaves
-together), so a structural descriptor of the cone serves as a cache key that
-keeps working between rewrite/refactor invocations and between genotype
-evaluations of the Phase II search, where the same small cones recur
-constantly.
+Cut functions are simulated afresh on every call, in one post-order walk
+over packed integers.  A cut-bounded cone has only a handful of AND nodes,
+so the walk costs no more than building a structural cache key would.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
+from .._bitops import mask_for, variable_pattern
 from ..logic.truthtable import TruthTable
-from .aig import Aig, is_complemented, node_of
+from .aig import Aig, node_of
 
-__all__ = ["enumerate_cuts", "cut_function", "mffc_size", "collect_cone_cut"]
+__all__ = [
+    "enumerate_cuts",
+    "simulate_cone",
+    "cut_function",
+    "mffc_size",
+    "collect_cone_cut",
+]
 
 Cut = FrozenSet[int]
-
-#: Structural cone descriptor -> packed truth-table bits of the cone output.
-#: Bounded: cleared wholesale when full (entries are cheap to recompute).
-_CONE_CACHE: Dict[Tuple, int] = {}
-_CONE_CACHE_LIMIT = 1 << 16
-
-
-def clear_cut_function_cache() -> None:
-    """Drop all memoised cone functions (mainly for tests/benchmarks)."""
-    _CONE_CACHE.clear()
-
-
-def cut_function_cache_size() -> int:
-    """Number of memoised cone functions currently held."""
-    return len(_CONE_CACHE)
 
 
 def enumerate_cuts(
@@ -81,27 +71,50 @@ def _is_dominated(candidate: Cut, existing: Sequence[Cut]) -> bool:
     return any(cut != candidate and cut <= candidate for cut in existing[1:])
 
 
-def _cone_topological_order(aig: Aig, root: int, cut: Cut) -> List[int]:
-    """AND nodes of the cone of ``root`` bounded by ``cut``, fanins first."""
-    order: List[int] = []
-    visited = set(cut)
-    stack: List[Tuple[int, bool]] = [(root, False)]
+@lru_cache(maxsize=16)
+def _projections(num_vars: int) -> Tuple[int, ...]:
+    """Packed truth tables of the ``num_vars`` projection functions."""
+    return tuple(variable_pattern(var, num_vars) for var in range(num_vars))
+
+
+def simulate_cone(aig: Aig, root: int, leaves: Sequence[int]) -> Tuple[int, int]:
+    """Simulate the cone of ``root`` bounded by ``leaves``.
+
+    Leaf ``i`` is variable ``i``.  Returns the packed truth table of
+    ``root`` over the leaves and the number of AND nodes in the cone.
+    Raises :class:`ValueError` when a node that is not an AND node is
+    reachable from ``root`` without passing through a leaf.
+    """
+    num_vars = len(leaves)
+    mask = mask_for(num_vars)
+    values: Dict[int, int] = dict(zip(leaves, _projections(num_vars)))
+    fanins0, fanins1, is_input = aig.node_arrays()
+    # Post-order walk: a node is evaluated once both fanins have values.
+    stack = [root]
     while stack:
-        node, emit = stack.pop()
-        if emit:
-            order.append(node)
+        node = stack[-1]
+        if node in values:
+            stack.pop()
             continue
-        if node in visited:
-            continue
-        visited.add(node)
-        if not aig.is_and_node(node):
+        if not node or is_input[node]:
             raise ValueError(f"node {node} is outside the cut cone but not a leaf")
-        fanin0, fanin1 = aig.fanins(node)
-        stack.append((node, True))
-        for fanin in (node_of(fanin1), node_of(fanin0)):
-            if fanin not in visited:
-                stack.append((fanin, False))
-    return order
+        fanin0 = fanins0[node]
+        fanin1 = fanins1[node]
+        value0 = values.get(fanin0 >> 1)
+        value1 = values.get(fanin1 >> 1)
+        if value0 is None or value1 is None:
+            if value1 is None:
+                stack.append(fanin1 >> 1)
+            if value0 is None:
+                stack.append(fanin0 >> 1)
+            continue
+        stack.pop()
+        if fanin0 & 1:
+            value0 ^= mask
+        if fanin1 & 1:
+            value1 ^= mask
+        values[node] = value0 & value1
+    return values[root], len(values) - num_vars
 
 
 def cut_function(aig: Aig, root: int, cut: Cut) -> Tuple[TruthTable, List[int]]:
@@ -109,53 +122,10 @@ def cut_function(aig: Aig, root: int, cut: Cut) -> Tuple[TruthTable, List[int]]:
 
     The leaves are ordered by node id; the returned list gives that order so
     the caller knows which truth-table variable corresponds to which leaf.
-    Results are memoised on the cone's local structure, so identical cones in
-    different AIGs (or in successive passes over the same design) share one
-    computation.
     """
     leaves = sorted(cut)
-    num_vars = len(leaves)
-    if root in cut:
-        index = leaves.index(root)
-        return TruthTable.variable(index, num_vars), leaves
-
-    order = _cone_topological_order(aig, root, cut)
-
-    # Structural descriptor: every cone node encoded by its two fanin slots,
-    # each slot a (position, complement) pair where position indexes the
-    # sorted leaves followed by the cone nodes in topological order.
-    position: Dict[int, int] = {leaf: index for index, leaf in enumerate(leaves)}
-    descriptor: List[Tuple[int, int]] = []
-    for node in order:
-        fanin0, fanin1 = aig.fanins(node)
-        slot0 = position[node_of(fanin0)] * 2 + (1 if is_complemented(fanin0) else 0)
-        slot1 = position[node_of(fanin1)] * 2 + (1 if is_complemented(fanin1) else 0)
-        descriptor.append((slot0, slot1))
-        position[node] = len(position)
-    key = (num_vars, tuple(descriptor))
-
-    bits = _CONE_CACHE.get(key)
-    if bits is not None:
-        return TruthTable(num_vars, bits), leaves
-
-    tables: Dict[int, TruthTable] = {
-        leaf: TruthTable.variable(index, num_vars) for index, leaf in enumerate(leaves)
-    }
-    for node in order:
-        fanin0, fanin1 = aig.fanins(node)
-        table0 = tables[node_of(fanin0)]
-        if is_complemented(fanin0):
-            table0 = ~table0
-        table1 = tables[node_of(fanin1)]
-        if is_complemented(fanin1):
-            table1 = ~table1
-        tables[node] = table0 & table1
-
-    result = tables[root]
-    if len(_CONE_CACHE) >= _CONE_CACHE_LIMIT:
-        _CONE_CACHE.clear()
-    _CONE_CACHE[key] = result.bits
-    return result, leaves
+    bits, _ = simulate_cone(aig, root, leaves)
+    return TruthTable(len(leaves), bits), leaves
 
 
 def mffc_size(aig: Aig, root: int, cut: Cut, reference_counts: Dict[int, int]) -> int:
@@ -166,7 +136,8 @@ def mffc_size(aig: Aig, root: int, cut: Cut, reference_counts: Dict[int, int]) -
     the cone.  ``reference_counts`` must be the current fanout counts of the
     AIG (they are not modified).
     """
-    local_refs = dict(reference_counts)
+    # Remaining reference counts of the nodes the walk has dereferenced.
+    remaining: Dict[int, int] = {}
     freed = 0
     stack = [root]
     first = True
@@ -176,7 +147,7 @@ def mffc_size(aig: Aig, root: int, cut: Cut, reference_counts: Dict[int, int]) -
             continue
         if not aig.is_and_node(node):
             continue
-        if not first and local_refs.get(node, 0) > 0:
+        if not first and remaining.get(node, reference_counts.get(node, 0)) > 0:
             continue
         freed += 1
         first = False
@@ -184,8 +155,9 @@ def mffc_size(aig: Aig, root: int, cut: Cut, reference_counts: Dict[int, int]) -
         for fanin in (node_of(fanin0), node_of(fanin1)):
             if fanin in cut or not aig.is_and_node(fanin):
                 continue
-            local_refs[fanin] = local_refs.get(fanin, 0) - 1
-            if local_refs[fanin] <= 0:
+            count = remaining.get(fanin, reference_counts.get(fanin, 0)) - 1
+            remaining[fanin] = count
+            if count <= 0:
                 stack.append(fanin)
     return freed
 

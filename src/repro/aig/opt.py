@@ -22,7 +22,7 @@ from ..logic.factoring import factor_table
 from ..logic.truthtable import TruthTable
 from .aig import FALSE_LIT, TRUE_LIT, Aig, is_complemented, negate, node_of
 from .build import build_expression
-from .cuts import collect_cone_cut, cut_function, enumerate_cuts, mffc_size
+from .cuts import collect_cone_cut, enumerate_cuts, mffc_size, simulate_cone
 
 __all__ = ["balance", "rewrite", "refactor", "strash", "apply_pass", "known_passes"]
 
@@ -121,14 +121,14 @@ def factored_form_cache_size() -> int:
 class _Resynthesizer:
     """Shared machinery: resynthesise a cut function and estimate its cost."""
 
-    def factored_form(self, table: TruthTable) -> Tuple[Expression, int]:
-        """Return the factored expression of ``table`` and its AND-node cost."""
-        key = (table.num_vars, table.bits)
+    def factored_form(self, num_vars: int, bits: int) -> Tuple[Expression, int]:
+        """Return the factored expression of a packed table and its AND-node cost."""
+        key = (num_vars, bits)
         cached = _FACTORED_FORM_CACHE.get(key)
         if cached is not None:
             return cached
-        expression = factor_table(table)
-        cost = self._count_cost(expression, table.num_vars)
+        expression = factor_table(TruthTable(num_vars, bits))
+        cost = self._count_cost(expression, num_vars)
         if len(_FACTORED_FORM_CACHE) >= _FACTORED_FORM_CACHE_LIMIT:
             _FACTORED_FORM_CACHE.clear()
         _FACTORED_FORM_CACHE[key] = (expression, cost)
@@ -207,10 +207,14 @@ def _plan_replacements(
         for cut in cuts.get(node, []):
             if len(cut) < 2 or node in cut:
                 continue
-            table, leaves = cut_function(aig, node, cut)
-            expression, cost = resynthesizer.factored_form(table)
-            freed = mffc_size(aig, node, cut, reference)
-            gain = freed - cost
+            leaves = sorted(cut)
+            bits, cone_ands = simulate_cone(aig, node, leaves)
+            expression, cost = resynthesizer.factored_form(len(leaves), bits)
+            # The MFFC lies inside the cut-bounded cone, so a cut whose whole
+            # cone cannot beat the best gain is skipped before the MFFC walk.
+            if cone_ands - cost <= best_gain:
+                continue
+            gain = mffc_size(aig, node, cut, reference) - cost
             if gain > best_gain:
                 best_gain = gain
                 best_plan = (expression, leaves)

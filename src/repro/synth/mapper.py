@@ -58,10 +58,22 @@ class _TreeMapper:
         self._library = library
         self._netlist = Netlist(name, library)
         self._reference = self._aig.reference_counts()
+        # Fanin literals of every AND node, and whether it is single-fanout
+        # (so it lies inside the tree of whichever root reaches it).
+        self._fanins: Dict[int, Tuple[int, int]] = {
+            node: self._aig.fanins(node) for node in self._aig.and_nodes()
+        }
+        self._tree_internal = {
+            node: self._reference.get(node, 0) <= 1 for node in self._fanins
+        }
+        self._inv_area = library["INV"].area
         # Net carrying each (node, phase); phase True = non-complemented.
         self._nets: Dict[Tuple[int, bool], str] = {}
         # Memoised DP cost of producing (literal) inside the current tree.
         self._cost_cache: Dict[int, float] = {}
+        # Memoised best direct cover (cost, cell, leaves) of (literal) inside
+        # the current tree.
+        self._cover_cache: Dict[int, Tuple[float, str, List[int]]] = {}
         self._roots: List[int] = []
 
     # -------------------------------------------------------------- #
@@ -95,71 +107,78 @@ class _TreeMapper:
                 roots.append(node)
         return roots
 
-    def _is_tree_internal(self, node: int, root: int) -> bool:
-        """True if ``node`` belongs to the tree hanging below ``root``."""
-        if node == root:
-            return True
-        return (
-            self._aig.is_and_node(node)
-            and self._reference.get(node, 0) <= 1
-        )
+    def _in_tree(self, node: int, root: int) -> bool:
+        """True if ``node`` is an AND node of the tree hanging below ``root``."""
+        return node == root or self._tree_internal.get(node, False)
 
     # -------------------------------------------------------------- #
     # DP cost model
     # -------------------------------------------------------------- #
-    def _collect_and_leaves(self, literal: int, root: int, limit: int) -> List[int]:
-        """Flatten the AND tree under a non-complemented literal (up to ``limit``)."""
-        leaves = [literal]
-        while len(leaves) < limit:
-            expanded = False
-            for index, leaf in enumerate(leaves):
-                node = node_of(leaf)
-                if is_complemented(leaf) or not self._aig.is_and_node(node):
-                    continue
-                if node != root and not self._is_tree_internal(node, root):
-                    continue
-                if node == root and leaf != Aig.lit(root):
-                    continue
-                fanin0, fanin1 = self._aig.fanins(node)
-                if len(leaves) + 1 > limit:
-                    continue
-                leaves = leaves[:index] + [fanin0, fanin1] + leaves[index + 1:]
-                expanded = True
-                break
-            if not expanded:
-                break
-        return leaves
+    def _leaf_lists(self, literal: int, root: int, or_tree: bool) -> List[List[int]]:
+        """Greedily flatten the AND (or OR) tree under ``literal``.
 
-    def _collect_or_leaves(self, literal: int, root: int, limit: int) -> List[int]:
-        """Flatten the OR tree: ``literal`` must be seen as an OR of the result."""
+        Each step expands the first expandable leaf into its two fanins and
+        the result lists the leaves after every step, so entry ``k`` has
+        ``k + 2`` leaves and is the cover of a ``k + 2``-input gate.  The AND
+        tree expands non-complemented leaves; the OR tree reads ``literal``
+        as an OR and expands complemented leaves into complemented fanins.
+        """
         leaves = [literal]
-        while len(leaves) < limit:
-            expanded = False
+        steps: List[List[int]] = []
+        while len(leaves) < _MAX_SIMPLE_GATE_INPUTS:
             for index, leaf in enumerate(leaves):
-                node = node_of(leaf)
-                if not is_complemented(leaf) or not self._aig.is_and_node(node):
+                if is_complemented(leaf) != or_tree or not self._in_tree(node_of(leaf), root):
                     continue
-                if not self._is_tree_internal(node, root) and node != root:
+                fanin0, fanin1 = self._fanins[node_of(leaf)]
+                if or_tree:
+                    fanin0, fanin1 = negate(fanin0), negate(fanin1)
+                leaves = leaves[:index] + [fanin0, fanin1] + leaves[index + 1:]
+                steps.append(leaves)
+                break
+            else:
+                break
+        return steps
+
+    def _best_cover(self, literal: int, root: int) -> Tuple[float, str, List[int]]:
+        """The cheapest direct gate cover ``(cost, cell, leaves)`` of ``literal``.
+
+        ``literal`` must lie inside the tree of ``root``.  Covers are tried
+        by width: AND then NOR for a positive literal, NAND then OR for a
+        complemented one; the first of equally cheap covers wins.
+        """
+        cached = self._cover_cache.get(literal)
+        if cached is not None:
+            return cached
+        if is_complemented(literal):
+            families = (
+                ("NAND", self._leaf_lists(negate(literal), root, False)),
+                ("OR", self._leaf_lists(literal, root, True)),
+            )
+        else:
+            families = (
+                ("AND", self._leaf_lists(literal, root, False)),
+                ("NOR", self._leaf_lists(negate(literal), root, True)),
+            )
+        best: Tuple[float, str, List[int]] = (float("inf"), "", [])
+        for step in range(_MAX_SIMPLE_GATE_INPUTS - 1):
+            for gate, steps in families:
+                if step >= len(steps):
                     continue
-                fanin0, fanin1 = self._aig.fanins(node)
-                leaves = (
-                    leaves[:index]
-                    + [negate(fanin0), negate(fanin1)]
-                    + leaves[index + 1:]
+                leaves = steps[step]
+                cell = f"{gate}{len(leaves)}"
+                cost = self._library[cell].area + sum(
+                    self._leaf_cost(leaf, root) for leaf in leaves
                 )
-                expanded = True
-                break
-            if not expanded:
-                break
-        return leaves
+                if cost < best[0]:
+                    best = (cost, cell, leaves)
+        self._cover_cache[literal] = best
+        return best
 
     def _leaf_cost(self, literal: int, root: int) -> float:
         """Cost of obtaining the signal of ``literal`` (recursive DP)."""
-        node = node_of(literal)
-        aig = self._aig
-        if not aig.is_and_node(node) or (node != root and not self._is_tree_internal(node, root)):
+        if not self._in_tree(node_of(literal), root):
             # Tree input: the positive phase already exists (PI or other root).
-            return 0.0 if not is_complemented(literal) else self._library["INV"].area
+            return self._inv_area if is_complemented(literal) else 0.0
         return self._signal_cost(literal, root)
 
     def _signal_cost(self, literal: int, root: int) -> float:
@@ -171,66 +190,34 @@ class _TreeMapper:
         self._cost_cache[literal] = float("inf")
         structural = self._structural_cost(literal, root)
         opposite = self._structural_cost(negate(literal), root)
-        cost = min(structural, opposite + self._library["INV"].area)
+        cost = min(structural, opposite + self._inv_area)
         self._cost_cache[literal] = cost
-        self._cost_cache.setdefault(negate(literal), min(opposite, structural + self._library["INV"].area))
+        self._cost_cache.setdefault(negate(literal), min(opposite, structural + self._inv_area))
         return cost
 
     def _structural_cost(self, literal: int, root: int) -> float:
         """Cost of the best direct gate cover for ``literal`` (no leading INV)."""
-        node = node_of(literal)
-        aig = self._aig
-        if not aig.is_and_node(node) or (node != root and not self._is_tree_internal(node, root)):
-            return 0.0 if not is_complemented(literal) else self._library["INV"].area
-        best = float("inf")
-        if not is_complemented(literal):
-            for width in range(2, _MAX_SIMPLE_GATE_INPUTS + 1):
-                leaves = self._collect_and_leaves(literal, root, width)
-                if len(leaves) < 2 or len(leaves) > width:
-                    continue
-                cost = self._library[f"AND{len(leaves)}"].area + sum(
-                    self._leaf_cost(leaf, root) for leaf in leaves
-                )
-                best = min(best, cost)
-                nor_leaves = self._collect_or_leaves(negate(literal), root, width)
-                if 2 <= len(nor_leaves) <= width:
-                    cost = self._library[f"NOR{len(nor_leaves)}"].area + sum(
-                        self._leaf_cost(leaf, root) for leaf in nor_leaves
-                    )
-                    best = min(best, cost)
-        else:
-            for width in range(2, _MAX_SIMPLE_GATE_INPUTS + 1):
-                leaves = self._collect_and_leaves(negate(literal), root, width)
-                if 2 <= len(leaves) <= width:
-                    cost = self._library[f"NAND{len(leaves)}"].area + sum(
-                        self._leaf_cost(leaf, root) for leaf in leaves
-                    )
-                    best = min(best, cost)
-                or_leaves = self._collect_or_leaves(literal, root, width)
-                if 2 <= len(or_leaves) <= width:
-                    cost = self._library[f"OR{len(or_leaves)}"].area + sum(
-                        self._leaf_cost(leaf, root) for leaf in or_leaves
-                    )
-                    best = min(best, cost)
-        return best
+        if not self._in_tree(node_of(literal), root):
+            return self._inv_area if is_complemented(literal) else 0.0
+        return self._best_cover(literal, root)[0]
 
     # -------------------------------------------------------------- #
     # Netlist emission
     # -------------------------------------------------------------- #
     def _emit_root(self, root: int) -> None:
         self._cost_cache = {}
+        self._cover_cache = {}
         self._emit_literal(Aig.lit(root), root)
 
     def _emit_literal(self, literal: int, root: int) -> str:
         """Emit cells to produce the signal of ``literal``; return its net."""
         node = node_of(literal)
-        aig = self._aig
         phase = not is_complemented(literal)
         existing = self._nets.get((node, phase))
         if existing is not None:
             return existing
 
-        if not aig.is_and_node(node) or (node != root and not self._is_tree_internal(node, root)):
+        if not self._in_tree(node, root):
             # Tree input: positive net must exist already (PIs seeded, other
             # roots emitted earlier in topological order).
             positive = self._nets.get((node, True))
@@ -249,56 +236,17 @@ class _TreeMapper:
 
         structural = self._structural_cost(literal, root)
         opposite = self._structural_cost(negate(literal), root)
-        if structural <= opposite + self._library["INV"].area:
-            net = self._emit_structural(literal, root)
+        if structural <= opposite + self._inv_area:
+            _, cell, leaves = self._best_cover(literal, root)
+            if not cell:
+                raise MappingError(f"no gate cover found for literal {literal}")
+            input_nets = [self._emit_literal(leaf, root) for leaf in leaves]
+            net = self._netlist.add_instance(cell, input_nets).output
         else:
             source = self._emit_literal(negate(literal), root)
             net = self._netlist.add_instance("INV", [source]).output
         self._nets[(node, phase)] = net
         return net
-
-    def _emit_structural(self, literal: int, root: int) -> str:
-        """Emit the best direct gate cover chosen by :meth:`_structural_cost`."""
-        node = node_of(literal)
-        best_cost = float("inf")
-        best_cell = ""
-        best_leaves: List[int] = []
-        positive = not is_complemented(literal)
-        for width in range(2, _MAX_SIMPLE_GATE_INPUTS + 1):
-            if positive:
-                and_leaves = self._collect_and_leaves(literal, root, width)
-                if 2 <= len(and_leaves) <= width:
-                    cost = self._library[f"AND{len(and_leaves)}"].area + sum(
-                        self._leaf_cost(leaf, root) for leaf in and_leaves
-                    )
-                    if cost < best_cost:
-                        best_cost, best_cell, best_leaves = cost, f"AND{len(and_leaves)}", and_leaves
-                nor_leaves = self._collect_or_leaves(negate(literal), root, width)
-                if 2 <= len(nor_leaves) <= width:
-                    cost = self._library[f"NOR{len(nor_leaves)}"].area + sum(
-                        self._leaf_cost(leaf, root) for leaf in nor_leaves
-                    )
-                    if cost < best_cost:
-                        best_cost, best_cell, best_leaves = cost, f"NOR{len(nor_leaves)}", nor_leaves
-            else:
-                nand_leaves = self._collect_and_leaves(negate(literal), root, width)
-                if 2 <= len(nand_leaves) <= width:
-                    cost = self._library[f"NAND{len(nand_leaves)}"].area + sum(
-                        self._leaf_cost(leaf, root) for leaf in nand_leaves
-                    )
-                    if cost < best_cost:
-                        best_cost, best_cell, best_leaves = cost, f"NAND{len(nand_leaves)}", nand_leaves
-                or_leaves = self._collect_or_leaves(literal, root, width)
-                if 2 <= len(or_leaves) <= width:
-                    cost = self._library[f"OR{len(or_leaves)}"].area + sum(
-                        self._leaf_cost(leaf, root) for leaf in or_leaves
-                    )
-                    if cost < best_cost:
-                        best_cost, best_cell, best_leaves = cost, f"OR{len(or_leaves)}", or_leaves
-        if not best_cell:
-            raise MappingError(f"no gate cover found for literal {literal}")
-        input_nets = [self._emit_literal(leaf, root) for leaf in best_leaves]
-        return self._netlist.add_instance(best_cell, input_nets).output
 
     def _connect_outputs(self) -> None:
         aig = self._aig

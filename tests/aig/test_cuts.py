@@ -1,9 +1,19 @@
 """Unit tests for cut enumeration, cut functions, and MFFC computation."""
 
+import random
+
 import pytest
 
-from repro.aig import Aig, collect_cone_cut, cut_function, enumerate_cuts, mffc_size
-from repro.logic import TruthTable
+from repro.aig import (
+    Aig,
+    aig_from_function,
+    collect_cone_cut,
+    cut_function,
+    enumerate_cuts,
+    mffc_size,
+)
+from repro.logic import BoolFunction, TruthTable
+from repro.sboxes import present_sbox
 
 
 @pytest.fixture
@@ -71,6 +81,55 @@ class TestCutFunction:
         root = chain_aig.and_nodes()[-1]
         with pytest.raises(ValueError):
             cut_function(chain_aig, root, frozenset({Aig.node(chain_aig.input_literal(0))}))
+
+    def test_trivial_cut_returns_projection(self):
+        aig = aig_from_function(present_sbox()).compact()
+        node = aig.and_nodes()[0]
+        table, leaves = cut_function(aig, node, frozenset({node}))
+        assert leaves == [node]
+        assert table.num_vars == 1
+        assert table.bits == 0b10
+
+
+def _random_aig(seed):
+    """The strashed AIG of a seeded random function of 3-6 inputs."""
+    rng = random.Random(seed)
+    num_inputs = 3 + seed % 4
+    outputs = [
+        TruthTable(num_inputs, rng.getrandbits(1 << num_inputs))
+        for _ in range(1 + seed % 3)
+    ]
+    return aig_from_function(BoolFunction(outputs, name=f"random{seed}")).compact()
+
+
+def _reference_cut_function(aig, root, leaves):
+    """Simulate the cone of ``root`` with TruthTable objects, leaves free."""
+    tables = {
+        leaf: TruthTable.variable(index, len(leaves)) for index, leaf in enumerate(leaves)
+    }
+
+    def literal_table(literal):
+        node = Aig.node(literal)
+        if node not in tables:
+            fanin0, fanin1 = aig.fanins(node)
+            tables[node] = literal_table(fanin0) & literal_table(fanin1)
+        return ~tables[node] if Aig.is_negated(literal) else tables[node]
+
+    return literal_table(Aig.lit(root))
+
+
+class TestCutFunctionReference:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_enumerated_and_refactor_cut(self, seed):
+        aig = _random_aig(seed)
+        cuts = {node: list(node_cuts) for node, node_cuts in enumerate_cuts(aig).items()}
+        for node in aig.and_nodes():
+            cuts[node].append(collect_cone_cut(aig, node, max_leaves=8))
+        for node, node_cuts in cuts.items():
+            for cut in node_cuts:
+                table, leaves = cut_function(aig, node, cut)
+                assert leaves == sorted(cut)
+                assert table == _reference_cut_function(aig, node, leaves)
 
 
 class TestMffc:

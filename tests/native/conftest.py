@@ -1,18 +1,24 @@
 """Shared guards for the native-backend differential harness.
 
 Every test in this directory needs the compiled extension; when it is not
-built the whole directory skips cleanly (the pure backend is covered by
-the ordinary suite).
+built the directory skips cleanly (the pure backend is covered by the
+ordinary suite).
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import pytest
 
 from repro.backend import native_import_error, native_module
 
+HERE = Path(__file__).resolve().parent
+
 
 def pytest_collection_modifyitems(config, items):
+    # pytest calls this hook with every item of the session, not only the
+    # ones collected here, so the skip is limited to this directory.
     if native_module() is not None:
         return
     marker = pytest.mark.skip(
@@ -23,4 +29,5 @@ def pytest_collection_modifyitems(config, items):
         )
     )
     for item in items:
-        item.add_marker(marker)
+        if HERE in Path(item.path).resolve().parents:
+            item.add_marker(marker)

@@ -5,6 +5,7 @@ import pytest
 from repro.logic import differential_uniformity, is_optimal_4bit_sbox, linearity
 from repro.sboxes import (
     DES_SBOX_ROWS,
+    OPTIMAL_SBOXES,
     NUM_DES_SBOXES,
     PRESENT_SBOX,
     des_sbox,
@@ -47,6 +48,12 @@ class TestOptimalSet:
         assert len(tables) == 16
         assert len({tuple(table) for table in tables}) == 16
         for table in tables:
+            assert is_optimal_4bit_sbox(table)
+
+    def test_pinned_tables_are_the_seeded_search_output(self):
+        generated = find_optimal_sboxes(15, seed=2017, exclude=[PRESENT_SBOX])
+        assert OPTIMAL_SBOXES[1:] == generated
+        for table in OPTIMAL_SBOXES:
             assert is_optimal_4bit_sbox(table)
 
     def test_first_is_present(self):

@@ -8,12 +8,6 @@ import pytest
 
 from repro._bitops import popcount
 from repro.aig.build import aig_from_function
-from repro.aig.cuts import (
-    clear_cut_function_cache,
-    cut_function,
-    cut_function_cache_size,
-    enumerate_cuts,
-)
 from repro.aig.opt import clear_factored_form_cache, factored_form_cache_size
 from repro.sboxes import optimal_sboxes, present_sbox
 from repro.synth.script import SynthesisEffort, _apply_pass, optimize_aig, synthesize
@@ -29,36 +23,6 @@ class TestPopcount:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             popcount(-1)
-
-
-class TestCutFunctionMemo:
-    def test_cold_and_warm_results_agree(self):
-        aig = aig_from_function(present_sbox()).compact()
-        cuts = enumerate_cuts(aig, max_leaves=4)
-
-        clear_cut_function_cache()
-        cold = {}
-        for node, node_cuts in cuts.items():
-            for cut in node_cuts:
-                if node in cut:
-                    continue
-                table, leaves = cut_function(aig, node, cut)
-                cold[(node, cut)] = (table.num_vars, table.bits, leaves)
-        assert cut_function_cache_size() > 0
-
-        # Second pass is served from the cache and must be identical.
-        for (node, cut), (num_vars, bits, leaves) in cold.items():
-            table, warm_leaves = cut_function(aig, node, cut)
-            assert (table.num_vars, table.bits) == (num_vars, bits)
-            assert warm_leaves == leaves
-
-    def test_trivial_cut_returns_projection(self):
-        aig = aig_from_function(present_sbox()).compact()
-        node = aig.and_nodes()[0]
-        table, leaves = cut_function(aig, node, frozenset({node}))
-        assert leaves == [node]
-        assert table.num_vars == 1
-        assert table.bits == 0b10
 
 
 class TestFactoredFormCache:
