@@ -1,19 +1,17 @@
 """Native-vs-pure backend benchmark (compiled twin speedups).
 
-The compiled cores (``repro._native._core``) claim two things: transcript
+The compiled core (``repro._native._core``) claims two things: transcript
 identity with the pure-Python reference and a large constant-factor
-speedup.  This benchmark measures both on three workloads:
+speedup.  This benchmark measures both on two workloads:
 
 * raw CDCL propagation on a hard random 3-SAT instance (the solver's
   inner loop with no Python framing around it),
 * the oracle-guided DIP-loop attack (the paper's adversary, end to end:
-  miter construction in Python, solving in whichever backend is active),
-* packed lane evaluation over a random netlist (the simulator's inner
-  loop behind the fuzz-before-SAT pre-filters).
+  miter construction in Python, solving in whichever backend is active).
 
 Every measurement first asserts that both backends produced *identical*
 transcripts (same verdicts, models, conflict/decision/propagation
-counts, same lanes) — a speedup over a different search is meaningless.
+counts) — a speedup over a different search is meaningless.
 The whole module skips cleanly when the extension is not built.
 """
 
@@ -29,7 +27,6 @@ from repro.backend import native_import_error, native_module
 from repro.flow import obfuscate_with_assignment
 from repro.sat.solver import SatSolver
 from repro.sboxes import optimal_sboxes
-from repro.sim import NetlistSimulator, PatternBatch
 
 pytestmark = pytest.mark.skipif(
     native_module() is None,
@@ -191,66 +188,4 @@ def test_backend_dip_loop_attack(benchmark, record, bench_json,
     assert speedup >= MIN_ATTACK_SPEEDUP, (
         f"native DIP-loop speedup {speedup:.2f}x is below the "
         f"{MIN_ATTACK_SPEEDUP:.0f}x acceptance floor"
-    )
-
-
-def test_backend_packed_simulation(benchmark, record, bench_json):
-    """Packed lane evaluation: uint64 word arrays vs Python bigint lanes.
-
-    The workload is shaped like the fuzz-before-SAT pre-filters — many
-    small batches (256 patterns) over a mid-sized netlist — which is the
-    regime the compiled evaluator targets.  (Very large batches stay on
-    the pure bigint path by design; see ``_NATIVE_MAX_PATTERNS``.)
-    """
-    from repro.netlist.generate import random_netlist
-    from repro.netlist.library import standard_cell_library
-
-    netlist = random_netlist(
-        13, standard_cell_library(), num_inputs=12, num_cells=400, num_outputs=8
-    )
-    batch = PatternBatch.random(12, 256, seed=5)
-    pure_sim = NetlistSimulator(netlist, backend="pure")
-    native_sim = NetlistSimulator(netlist, backend="native")
-    rounds = 1000
-
-    def sweep(simulator):
-        start = time.perf_counter()
-        for _ in range(rounds):
-            lanes = simulator.net_lanes(batch)
-        return lanes, time.perf_counter() - start
-
-    sweep(pure_sim)
-    sweep(native_sim)
-    pure_lanes, pure_seconds = sweep(pure_sim)
-
-    def native_run():
-        return sweep(native_sim)
-
-    native_lanes, native_seconds = benchmark.pedantic(
-        native_run, rounds=1, iterations=1
-    )
-
-    assert native_lanes == pure_lanes, "packed lanes diverged between backends"
-    speedup = pure_seconds / native_seconds if native_seconds else float("inf")
-    patterns = batch.num_patterns * rounds
-    benchmark.extra_info["speedup"] = speedup
-    bench_json(
-        "backend_sim",
-        {
-            "num_cells": netlist.num_instances(),
-            "num_patterns": batch.num_patterns,
-            "rounds": rounds,
-            "pure_seconds": pure_seconds,
-            "native_seconds": native_seconds,
-            "pure_patterns_per_second": patterns / pure_seconds,
-            "native_patterns_per_second": patterns / native_seconds,
-            "speedup": speedup,
-        },
-    )
-    record(
-        "backend_sim",
-        f"{netlist.num_instances()} cells x {batch.num_patterns} patterns "
-        f"x {rounds} rounds\n"
-        f"pure={pure_seconds:.3f}s native={native_seconds:.3f}s "
-        f"speedup={speedup:.1f}x",
     )

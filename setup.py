@@ -5,9 +5,9 @@ PEP 660 editable installs (which build a wheel) are unavailable.  Keeping a
 ``setup.py`` lets ``pip install -e .`` fall back to the legacy
 ``setup.py develop`` path, which works offline.
 
-The optional C extension ``repro._native._core`` (compiled CDCL core and
-packed lane evaluation) is declared ``optional=True``: a missing compiler
-must never break the pure-Python install.  Build it in place with::
+The optional C extension ``repro._native._core`` (the compiled CDCL solver
+core) is declared ``optional=True``: a missing compiler must never break
+the pure-Python install.  Build it in place with::
 
     python setup.py build_ext --inplace
 

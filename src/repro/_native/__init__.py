@@ -1,9 +1,9 @@
-"""Optional compiled cores (CDCL inner loop, packed lane evaluation).
+"""Optional compiled CDCL solver core.
 
 The extension module :mod:`repro._native._core` is built by ``setup.py``
 (``python setup.py build_ext --inplace`` or ``pip install -e .``) and is
-entirely optional: when the import fails the pure-Python implementations
-remain the reference backend and :data:`IMPORT_ERROR` records why, so
+entirely optional: when the import fails the pure-Python solver remains
+the reference backend and :data:`IMPORT_ERROR` records why, so
 ``repro doctor`` can explain the fallback.
 """
 

@@ -1,23 +1,16 @@
-/* Compiled twin of the pure-Python hot cores.
+/* Compiled twin of the pure-Python CDCL solver core.
  *
- * Two things live here, both dispatched to by ``repro.backend`` when this
- * module imports cleanly:
- *
- * 1. ``SolverCore`` — the CDCL inner core (watched-literal unit propagation,
- *    1-UIP conflict analysis with clause learning, the VSIDS order-heap,
- *    geometric/Luby restarts, learned-clause reduction, solve budgets, and
- *    LBD clause forgetting).  Every algorithmic step mirrors
- *    ``repro/sat/solver.py`` exactly — the same watcher-list append and
- *    swap-remove order, the same lazy heap with IEEE-double activity keys,
- *    the same literal orders in learned clauses — so decisions, conflicts,
- *    propagation counts, models, and UNSAT verdicts are identical to the
- *    pure backend on every input.  The differential harness in
- *    ``tests/native/`` enforces this.
- *
- * 2. ``run_netlist`` / ``run_aig`` — packed lane evaluation over fixed-width
- *    uint64 word arrays, replacing the per-net Python-bigint operations of
- *    ``repro/sim/engine.py`` on the hot path.  Results are bit-identical by
- *    construction (the same OR-of-minterms expansion over the same bits).
+ * ``SolverCore``, dispatched to by ``repro.backend`` when this module
+ * imports cleanly, is the CDCL inner core (watched-literal unit
+ * propagation, 1-UIP conflict analysis with clause learning, the VSIDS
+ * order-heap, geometric/Luby restarts, learned-clause reduction, solve
+ * budgets, and LBD clause forgetting).  Every algorithmic step mirrors
+ * ``repro/sat/solver.py`` exactly — the same watcher-list append and
+ * swap-remove order, the same lazy heap with IEEE-double activity keys,
+ * the same literal orders in learned clauses — so decisions, conflicts,
+ * propagation counts, models, and UNSAT verdicts are identical to the
+ * pure backend on every input.  The differential harness in
+ * ``tests/native/`` enforces this.
  *
  * The module is optional: the build is declared ``optional=True`` in
  * setup.py and the pure implementations remain the always-available
@@ -1173,289 +1166,14 @@ static PyTypeObject SolverCoreType = {
 };
 
 /* ------------------------------------------------------------------ */
-/* Packed lane evaluation                                              */
-/* ------------------------------------------------------------------ */
-
-/* Evaluate one packed truth table over word-array lanes; mirrors
- * repro.sim.engine.evaluate_table_lanes (same on-set/off-set expansion,
- * so the resulting words are identical to the pure bigint path). */
-static void eval_table_words(const uint8_t *bits, Py_ssize_t bits_len, int arity,
-                             const uint64_t **ins, const uint64_t *mask,
-                             uint64_t *out, Py_ssize_t nwords, uint64_t *term)
-{
-    if (arity == 0) {
-        int bit = bits_len > 0 ? (bits[0] & 1) : 0;
-        if (bit)
-            memcpy(out, mask, (size_t)nwords * 8);
-        else
-            memset(out, 0, (size_t)nwords * 8);
-        return;
-    }
-    long rows = 1L << arity;
-    long ones = 0;
-    for (long r = 0; r < rows; r++) {
-        if ((r >> 3) < bits_len && ((bits[r >> 3] >> (r & 7)) & 1))
-            ones++;
-    }
-    if (ones == 0) {
-        memset(out, 0, (size_t)nwords * 8);
-        return;
-    }
-    if (ones == rows) {
-        memcpy(out, mask, (size_t)nwords * 8);
-        return;
-    }
-    int invert = (ones * 2 > rows);
-    memset(out, 0, (size_t)nwords * 8);
-    for (long r = 0; r < rows; r++) {
-        int bit = (r >> 3) < bits_len ? ((bits[r >> 3] >> (r & 7)) & 1) : 0;
-        if (invert)
-            bit = !bit;
-        if (!bit)
-            continue;
-        memcpy(term, mask, (size_t)nwords * 8);
-        uint64_t any = 1;
-        for (int v = 0; v < arity; v++) {
-            const uint64_t *lane = ins[v];
-            any = 0;
-            if ((r >> v) & 1) {
-                for (Py_ssize_t w = 0; w < nwords; w++) {
-                    term[w] &= lane[w];
-                    any |= term[w];
-                }
-            } else {
-                for (Py_ssize_t w = 0; w < nwords; w++) {
-                    term[w] &= lane[w] ^ mask[w];
-                    any |= term[w];
-                }
-            }
-            if (!any)
-                break;
-        }
-        if (any) {
-            for (Py_ssize_t w = 0; w < nwords; w++)
-                out[w] |= term[w];
-        }
-    }
-    if (invert) {
-        for (Py_ssize_t w = 0; w < nwords; w++)
-            out[w] ^= mask[w];
-    }
-}
-
-static int buffer_as_int32(Py_buffer *view, const int32_t **out, Py_ssize_t *count)
-{
-    if (view->len % 4 != 0) {
-        PyErr_SetString(PyExc_ValueError, "int32 buffer length not a multiple of 4");
-        return -1;
-    }
-    *out = (const int32_t *)view->buf;
-    *count = view->len / 4;
-    return 0;
-}
-
-/* run_netlist(num_nets, nwords, mask, input_idx, input_lanes, out_idx,
- *             arities, in_offsets, in_flat, funcs) -> bytes */
-static PyObject *native_run_netlist(PyObject *module, PyObject *args)
-{
-    (void)module;
-    Py_ssize_t num_nets, nwords;
-    Py_buffer mask_buf, input_idx_buf, out_idx_buf, arity_buf, offsets_buf, flat_buf;
-    PyObject *input_lanes, *funcs;
-    if (!PyArg_ParseTuple(args, "nny*y*Oy*y*y*y*O", &num_nets, &nwords,
-                          &mask_buf, &input_idx_buf, &input_lanes, &out_idx_buf,
-                          &arity_buf, &offsets_buf, &flat_buf, &funcs))
-        return NULL;
-
-    PyObject *result = NULL;
-    uint64_t *lanes = NULL, *scratch = NULL, *term = NULL;
-    const uint64_t **ins = NULL;
-
-    const int32_t *input_idx, *out_idx, *arities, *offsets, *flat;
-    Py_ssize_t num_inputs, num_instances, arity_count, offsets_count, flat_count;
-    if (buffer_as_int32(&input_idx_buf, &input_idx, &num_inputs) < 0 ||
-        buffer_as_int32(&out_idx_buf, &out_idx, &num_instances) < 0 ||
-        buffer_as_int32(&arity_buf, &arities, &arity_count) < 0 ||
-        buffer_as_int32(&offsets_buf, &offsets, &offsets_count) < 0 ||
-        buffer_as_int32(&flat_buf, &flat, &flat_count) < 0)
-        goto done;
-    if (arity_count != num_instances || offsets_count != num_instances + 1 ||
-        mask_buf.len != nwords * 8 || num_nets < 2) {
-        PyErr_SetString(PyExc_ValueError, "inconsistent netlist program");
-        goto done;
-    }
-    if (!PyList_Check(input_lanes) || PyList_GET_SIZE(input_lanes) != num_inputs ||
-        !PyList_Check(funcs) || PyList_GET_SIZE(funcs) != num_instances) {
-        PyErr_SetString(PyExc_ValueError, "inconsistent lane/function lists");
-        goto done;
-    }
-
-    int max_arity = 0;
-    for (Py_ssize_t j = 0; j < num_instances; j++)
-        if (arities[j] > max_arity)
-            max_arity = arities[j];
-
-    lanes = (uint64_t *)calloc((size_t)num_nets * (size_t)nwords, 8);
-    scratch = (uint64_t *)malloc((size_t)nwords * 8);
-    term = (uint64_t *)malloc((size_t)nwords * 8);
-    ins = (const uint64_t **)malloc((size_t)(max_arity ? max_arity : 1) * sizeof(uint64_t *));
-    if (lanes == NULL || scratch == NULL || term == NULL || ins == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    const uint64_t *mask = (const uint64_t *)mask_buf.buf;
-    /* net 1 is CONST1 = the all-ones mask lane; net 0 (CONST0) stays 0 */
-    memcpy(lanes + nwords, mask, (size_t)nwords * 8);
-    for (Py_ssize_t i = 0; i < num_inputs; i++) {
-        PyObject *item = PyList_GET_ITEM(input_lanes, i);
-        char *data;
-        Py_ssize_t len;
-        if (PyBytes_AsStringAndSize(item, &data, &len) < 0)
-            goto done;
-        if (len != nwords * 8 || input_idx[i] < 0 || input_idx[i] >= num_nets) {
-            PyErr_SetString(PyExc_ValueError, "bad input lane");
-            goto done;
-        }
-        memcpy(lanes + (size_t)input_idx[i] * nwords, data, (size_t)len);
-    }
-    for (Py_ssize_t j = 0; j < num_instances; j++) {
-        int arity = arities[j];
-        int32_t off = offsets[j];
-        if (off < 0 || offsets[j + 1] - off != arity || offsets[j + 1] > flat_count) {
-            PyErr_SetString(PyExc_ValueError, "bad instance pin table");
-            goto done;
-        }
-        for (int v = 0; v < arity; v++) {
-            int32_t net = flat[off + v];
-            if (net < 0 || net >= num_nets) {
-                PyErr_SetString(PyExc_ValueError, "bad instance input net");
-                goto done;
-            }
-            ins[v] = lanes + (size_t)net * nwords;
-        }
-        PyObject *func = PyList_GET_ITEM(funcs, j);
-        char *bits;
-        Py_ssize_t bits_len;
-        if (PyBytes_AsStringAndSize(func, &bits, &bits_len) < 0)
-            goto done;
-        eval_table_words((const uint8_t *)bits, bits_len, arity, ins, mask,
-                         scratch, nwords, term);
-        if (out_idx[j] < 0 || out_idx[j] >= num_nets) {
-            PyErr_SetString(PyExc_ValueError, "bad instance output net");
-            goto done;
-        }
-        memcpy(lanes + (size_t)out_idx[j] * nwords, scratch, (size_t)nwords * 8);
-    }
-    result = PyBytes_FromStringAndSize((const char *)lanes,
-                                       (Py_ssize_t)((size_t)num_nets * (size_t)nwords * 8));
-
-done:
-    free(lanes);
-    free(scratch);
-    free(term);
-    free(ins);
-    PyBuffer_Release(&mask_buf);
-    PyBuffer_Release(&input_idx_buf);
-    PyBuffer_Release(&out_idx_buf);
-    PyBuffer_Release(&arity_buf);
-    PyBuffer_Release(&offsets_buf);
-    PyBuffer_Release(&flat_buf);
-    return result;
-}
-
-/* run_aig(num_nodes, nwords, mask, input_nodes, input_lanes, fanin0,
- *         fanin1, is_and) -> bytes */
-static PyObject *native_run_aig(PyObject *module, PyObject *args)
-{
-    (void)module;
-    Py_ssize_t num_nodes, nwords;
-    Py_buffer mask_buf, input_nodes_buf, fanin0_buf, fanin1_buf, is_and_buf;
-    PyObject *input_lanes;
-    if (!PyArg_ParseTuple(args, "nny*y*Oy*y*y*", &num_nodes, &nwords, &mask_buf,
-                          &input_nodes_buf, &input_lanes, &fanin0_buf,
-                          &fanin1_buf, &is_and_buf))
-        return NULL;
-
-    PyObject *result = NULL;
-    uint64_t *lanes = NULL;
-    const int32_t *input_nodes, *fanin0, *fanin1;
-    Py_ssize_t num_inputs, f0_count, f1_count;
-    if (buffer_as_int32(&input_nodes_buf, &input_nodes, &num_inputs) < 0 ||
-        buffer_as_int32(&fanin0_buf, &fanin0, &f0_count) < 0 ||
-        buffer_as_int32(&fanin1_buf, &fanin1, &f1_count) < 0)
-        goto done;
-    if (f0_count != num_nodes || f1_count != num_nodes ||
-        is_and_buf.len != num_nodes || mask_buf.len != nwords * 8 ||
-        !PyList_Check(input_lanes) || PyList_GET_SIZE(input_lanes) != num_inputs) {
-        PyErr_SetString(PyExc_ValueError, "inconsistent AIG program");
-        goto done;
-    }
-    const uint8_t *is_and = (const uint8_t *)is_and_buf.buf;
-    const uint64_t *mask = (const uint64_t *)mask_buf.buf;
-    lanes = (uint64_t *)calloc((size_t)num_nodes * (size_t)nwords, 8);
-    if (lanes == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t i = 0; i < num_inputs; i++) {
-        PyObject *item = PyList_GET_ITEM(input_lanes, i);
-        char *data;
-        Py_ssize_t len;
-        if (PyBytes_AsStringAndSize(item, &data, &len) < 0)
-            goto done;
-        if (len != nwords * 8 || input_nodes[i] < 0 || input_nodes[i] >= num_nodes) {
-            PyErr_SetString(PyExc_ValueError, "bad input lane");
-            goto done;
-        }
-        memcpy(lanes + (size_t)input_nodes[i] * nwords, data, (size_t)len);
-    }
-    for (Py_ssize_t node = 1; node < num_nodes; node++) {
-        if (!is_and[node])
-            continue;
-        int32_t f0 = fanin0[node];
-        int32_t f1 = fanin1[node];
-        if ((f0 >> 1) >= node || (f1 >> 1) >= node || f0 < 0 || f1 < 0) {
-            PyErr_SetString(PyExc_ValueError, "bad AIG fanin");
-            goto done;
-        }
-        const uint64_t *l0 = lanes + (size_t)(f0 >> 1) * nwords;
-        const uint64_t *l1 = lanes + (size_t)(f1 >> 1) * nwords;
-        uint64_t *out = lanes + (size_t)node * nwords;
-        uint64_t c0 = (uint64_t)0 - (uint64_t)(f0 & 1);
-        uint64_t c1 = (uint64_t)0 - (uint64_t)(f1 & 1);
-        for (Py_ssize_t w = 0; w < nwords; w++)
-            out[w] = (l0[w] ^ (mask[w] & c0)) & (l1[w] ^ (mask[w] & c1));
-    }
-    result = PyBytes_FromStringAndSize((const char *)lanes,
-                                       (Py_ssize_t)((size_t)num_nodes * (size_t)nwords * 8));
-
-done:
-    free(lanes);
-    PyBuffer_Release(&mask_buf);
-    PyBuffer_Release(&input_nodes_buf);
-    PyBuffer_Release(&fanin0_buf);
-    PyBuffer_Release(&fanin1_buf);
-    PyBuffer_Release(&is_and_buf);
-    return result;
-}
-
-/* ------------------------------------------------------------------ */
 /* Module                                                              */
 /* ------------------------------------------------------------------ */
-static PyMethodDef module_methods[] = {
-    {"run_netlist", native_run_netlist, METH_VARARGS,
-     "Packed topological netlist pass over uint64 word lanes."},
-    {"run_aig", native_run_aig, METH_VARARGS,
-     "Packed AIG pass over uint64 word lanes."},
-    {NULL, NULL, 0, NULL},
-};
-
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT,
     "repro._native._core",
-    "Compiled solver and simulator cores (optional twin of the pure backend).",
+    "Compiled CDCL solver core (optional twin of the pure backend).",
     -1,
-    module_methods,
+    NULL,
     NULL,
     NULL,
     NULL,

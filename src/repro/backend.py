@@ -1,11 +1,10 @@
-"""Backend dispatch between the pure-Python cores and the compiled twin.
+"""Backend dispatch between the pure-Python solver core and its compiled twin.
 
-The repository ships two implementations of its hottest loops: the
-always-available pure-Python reference (``repro.sat.solver``,
-``repro.sim.engine``) and an optional C extension
-(``repro._native._core``) that mirrors them instruction-for-instruction
-— same decisions, same conflict/propagation counts, same packed lanes.
-This module decides which one runs:
+The repository ships two implementations of its CDCL inner loop: the
+always-available pure-Python reference (``repro.sat.solver``) and an
+optional C extension (``repro._native._core``) that mirrors it
+instruction-for-instruction — same decisions, same conflict/propagation
+counts.  This module decides which one runs:
 
 * ``REPRO_BACKEND`` unset (or ``auto``): use ``native`` when the
   extension imports cleanly, ``pure`` otherwise.
@@ -14,8 +13,8 @@ This module decides which one runs:
   :class:`BackendUnavailable` (with the original import error text) if
   it is not built.
 
-Constructors (`SatSolver`, `NetlistSimulator`, `AigSimulator`) also take
-an explicit ``backend=`` argument which wins over the environment.
+`SatSolver` also takes an explicit ``backend=`` argument which wins over
+the environment.
 """
 
 from __future__ import annotations

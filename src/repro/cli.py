@@ -322,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Diagnose the backend dispatch: which backend REPRO_BACKEND "
             "requests, whether the compiled extension (repro._native._core) "
-            "imports, which backend new solvers/simulators will actually "
-            "use, and — when the native core is unavailable — the import "
-            "error and the build command that fixes it.  --check runs a "
+            "imports, which backend new solvers will actually use, and — "
+            "when the native core is unavailable — the import error and "
+            "the build command that fixes it.  --check runs a "
             "quick pure-vs-native differential cross-check on top."
         ),
     )
@@ -914,18 +914,7 @@ def _doctor_check(report: dict) -> dict:
             return {"status": "FAILED", "detail": "solver verdict/model mismatch"}
         if pure.stats() != native.stats():
             return {"status": "FAILED", "detail": "solver stats transcript mismatch"}
-
-    from .netlist.generate import random_netlist
-    from .netlist.library import standard_cell_library
-    from .sim import NetlistSimulator, PatternBatch
-
-    netlist = random_netlist(7, standard_cell_library(), num_inputs=6, num_cells=24)
-    batch = PatternBatch.random(6, 256, seed=3)
-    pure_sim = NetlistSimulator(netlist, backend="pure")
-    native_sim = NetlistSimulator(netlist, backend="native")
-    if pure_sim.net_lanes(batch) != native_sim.net_lanes(batch):
-        return {"status": "FAILED", "detail": "simulator lane mismatch"}
-    return {"status": "OK", "detail": "solver + simulator transcripts identical"}
+    return {"status": "OK", "detail": "solver transcripts identical"}
 
 
 def _command_trace(args: argparse.Namespace) -> int:

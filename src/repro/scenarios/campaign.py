@@ -1009,30 +1009,28 @@ def _portable_exception(exc: BaseException) -> Optional[BaseException]:
 def _execute_job_task(task: Tuple) -> JobResult:
     """Worker task: run one campaign job (module-level so it pickles).
 
+    ``task`` is ``(job, task_jobs, capture_errors, budget_spec,
+    traceparent)``.
+
     With ``capture_errors`` a failure becomes an "error" JobResult (a sweep
     with on-disk state must record its siblings); without it the exception
     propagates, which is how fail-fast wrappers abort a sweep immediately.
 
-    The optional fourth tuple element is a solve-budget spec
-    (:meth:`~repro.sat.solver.SolveBudget.to_spec`): it is installed in the
-    executing process's environment for the duration of the job, which is
-    how the runner escalates budgets per retry attempt without touching the
-    job's fingerprinted parameters.
+    ``budget_spec`` is a solve-budget spec
+    (:meth:`~repro.sat.solver.SolveBudget.to_spec`), or ``""`` for none: it
+    is installed in the executing process's environment for the duration
+    of the job, which is how the runner escalates budgets per retry attempt
+    without touching the job's fingerprinted parameters.
 
-    The optional fifth element is a ``traceparent``: with tracing active
-    the attempt runs inside an ``attempt`` span parented under the job's
-    deterministic span, so attempts recorded by any process — local pool
-    worker or remote fleet agent — stitch into one trace.  The span's
-    start record is flushed *before* the chaos kill hook runs: a
-    SIGKILLed attempt stays visible in the trace as an unfinished span.
+    ``traceparent`` is the job span's W3C traceparent, or ``""`` for none:
+    with tracing active the attempt runs inside an ``attempt`` span
+    parented under the job's deterministic span, so attempts recorded by
+    any process — local pool worker or remote fleet agent — stitch into
+    one trace.  The span's start record is flushed *before* the chaos kill
+    hook runs: a SIGKILLed attempt stays visible in the trace as an
+    unfinished span.
     """
-    budget_spec, traceparent = "", ""
-    if len(task) == 3:
-        job, task_jobs, capture_errors = task
-    elif len(task) == 4:
-        job, task_jobs, capture_errors, budget_spec = task
-    else:
-        job, task_jobs, capture_errors, budget_spec, traceparent = task
+    job, task_jobs, capture_errors, budget_spec, traceparent = task
     with attach_context(traceparent):
         with obs_trace.span("attempt", job=job.job_id, kind=job.kind):
             if faults_enabled():

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from typing import Any, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "SERVICE_ROOT_ENV_VAR",
     "SERVICE_POLL_ENV_VAR",
     "DEFAULT_POLL_SECONDS",
+    "poll_from_environment",
     "ServiceError",
     "campaign_fingerprint",
     "cache_fingerprint",
@@ -57,6 +59,15 @@ SERVICE_POLL_ENV_VAR = "REPRO_SERVICE_POLL"
 
 #: Default poll interval: SSE snapshot cadence and worker claim backoff.
 DEFAULT_POLL_SECONDS = 0.25
+
+
+def poll_from_environment() -> float:
+    """The ``REPRO_SERVICE_POLL`` interval, or the default when unset or invalid."""
+    raw = os.environ.get(SERVICE_POLL_ENV_VAR, "").strip()
+    try:
+        return float(raw) if raw else DEFAULT_POLL_SECONDS
+    except ValueError:
+        return DEFAULT_POLL_SECONDS
 
 
 class ServiceError(RuntimeError):

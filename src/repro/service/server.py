@@ -69,24 +69,41 @@ from ..scenarios.campaign import (
     JobResult,
 )
 from .protocol import (
-    DEFAULT_POLL_SECONDS,
-    SERVICE_POLL_ENV_VAR,
     SERVICE_ROOT_ENV_VAR,
     ServiceError,
     cache_fingerprint,
     campaign_fingerprint,
+    poll_from_environment,
     sse_event,
 )
 
 __all__ = ["CampaignHandle", "CampaignService", "ServiceThread"]
 
 
-def _poll_from_environment() -> float:
-    raw = os.environ.get(SERVICE_POLL_ENV_VAR, "").strip()
-    try:
-        return float(raw) if raw else DEFAULT_POLL_SECONDS
-    except ValueError:
-        return DEFAULT_POLL_SECONDS
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _completion_fields(
+    data: Dict[str, Any]
+) -> Tuple[float, Dict[str, Any], Optional[Dict[str, float]]]:
+    """``(seconds, payload, cache)`` of a complete request, checked up front.
+
+    A malformed upload is a 400 before the lease or the state file is
+    touched, so the job stays claimed and the worker can still commit it.
+    """
+    seconds = data.get("seconds", 0.0)
+    payload = data.get("payload", {})
+    cache = data.get("cache")
+    if not _is_number(seconds):
+        raise ServiceError(400, f"seconds must be a number, got {seconds!r}")
+    if not isinstance(payload, dict):
+        raise ServiceError(400, "payload must be a JSON object")
+    if cache is not None and not (
+        isinstance(cache, dict) and all(map(_is_number, cache.values()))
+    ):
+        raise ServiceError(400, "cache must be null or an object of numbers")
+    return float(seconds), payload, cache
 
 
 class CampaignHandle:
@@ -371,8 +388,8 @@ class CampaignHandle:
             job_id=job_id,
             kind=job.kind,
             status="ok",
-            seconds=float(seconds),
-            payload=dict(payload),
+            seconds=seconds,
+            payload=payload,
             attempts=attempts,
             owner=store.owner,
         )
@@ -697,7 +714,7 @@ class CampaignService:
             raise ServiceError(500, "a service root directory is required")
         self.root = root
         self.lease_ttl = lease_ttl
-        self.poll = poll if poll is not None else _poll_from_environment()
+        self.poll = poll if poll is not None else poll_from_environment()
         self.retry_policy = retry_policy
         self.solve_budget = solve_budget
         self.campaigns_dir = os.path.join(root, "campaigns")
@@ -916,13 +933,10 @@ class CampaignService:
                 if rest[2] == "heartbeat":
                     return self._ok(handle.heartbeat(worker, job_id))
                 if rest[2] == "complete":
+                    seconds, payload, cache = _completion_fields(data)
                     return self._ok(
                         handle.complete_job(
-                            worker,
-                            job_id,
-                            float(data.get("seconds", 0.0)),
-                            dict(data.get("payload", {})),
-                            cache=data.get("cache"),
+                            worker, job_id, seconds, payload, cache=cache
                         )
                     )
                 if rest[2] == "fail":
@@ -976,7 +990,16 @@ class CampaignService:
                 name, _, value = line.partition(":")
                 if _:
                     headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or 0)
+            try:
+                length = int(headers.get("content-length", "0") or 0)
+            except ValueError:
+                await self._write_response(
+                    writer,
+                    400,
+                    "application/json",
+                    b'{"error": "Content-Length must be an integer"}',
+                )
+                return
             body = await reader.readexactly(length) if length > 0 else b""
 
             event_parts = [part for part in path.split("/") if part]

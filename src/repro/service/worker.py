@@ -37,11 +37,7 @@ from ..obs.log import get_logger
 from ..scenarios.campaign import CampaignJob, _execute_job_task
 from .cache import CACHE_URL_ENV_VAR, RemoteCacheTier
 from .client import ServiceClient
-from .protocol import (
-    DEFAULT_POLL_SECONDS,
-    SERVICE_POLL_ENV_VAR,
-    ServiceError,
-)
+from .protocol import ServiceError, poll_from_environment
 
 __all__ = ["WorkerAgent", "main"]
 
@@ -68,13 +64,7 @@ class WorkerAgent:
                 f"{socket.gethostname()}:{os.getpid()}:{os.urandom(3).hex()}"
             )
         self.worker_id = worker_id
-        if poll is None:
-            raw = os.environ.get(SERVICE_POLL_ENV_VAR, "").strip()
-            try:
-                poll = float(raw) if raw else DEFAULT_POLL_SECONDS
-            except ValueError:
-                poll = DEFAULT_POLL_SECONDS
-        self.poll = poll
+        self.poll = poll if poll is not None else poll_from_environment()
         self.task_jobs = max(1, int(task_jobs))
         if log is _DEFAULT_LOG:
             log = get_logger("worker")

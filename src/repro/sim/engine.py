@@ -17,8 +17,7 @@ camouflage select space into a single packed pass (patterns range over
 
 from __future__ import annotations
 
-from array import array
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .._bitops import mask_for, popcount, variable_pattern
 from ..aig.aig import Aig, is_complemented, node_of
@@ -83,41 +82,6 @@ def _word_from_lanes(lanes: Sequence[int], position: int) -> int:
     return word
 
 
-#: Widest cell the native lane evaluator accepts (a 2**16-row table is 8 KiB;
-#: anything wider falls back to the pure bigint path for that simulator).
-_NATIVE_MAX_ARITY = 16
-
-#: Largest batch routed to the native evaluator.  Small batches — the
-#: fuzz-before-SAT pre-filters simulate 64-256 patterns per call — are
-#: dominated by per-lane Python overhead, which the compiled core removes
-#: (4-5x).  On very large batches CPython's bigint kernels already run the
-#: word loops at native speed and the per-net pack/unpack would make the
-#: extension a net loss, so those stay on the pure path (both paths are
-#: bit-identical; this is purely a throughput heuristic).
-_NATIVE_MAX_PATTERNS = 8192
-
-
-def _resolve_sim_backend(requested: Optional[str]) -> Tuple[str, Optional[Any]]:
-    """Resolve the simulator backend to ("pure"|"native", core module)."""
-    from .. import backend as backend_mod
-
-    active = backend_mod.active_backend(requested)
-    if active == "native":
-        return active, backend_mod.native_module()
-    return active, None
-
-
-def _table_bytes(bits: int, arity: int) -> bytes:
-    """Packed little-endian truth-table bytes for the native evaluator."""
-    rows = 1 << arity
-    bits &= (1 << rows) - 1
-    return bits.to_bytes(max(1, (rows + 7) >> 3), "little")
-
-
-def _lane_bytes(lane: int, nwords: int) -> bytes:
-    return lane.to_bytes(nwords * 8, "little")
-
-
 class NetlistSimulator:
     """Word-parallel simulator for a :class:`~repro.netlist.netlist.Netlist`.
 
@@ -135,7 +99,6 @@ class NetlistSimulator:
         self,
         netlist: Netlist,
         cell_functions: Optional[Mapping[str, TruthTable]] = None,
-        backend: Optional[str] = None,
     ):
         self._netlist = netlist
         self._order = netlist.topological_order()
@@ -146,51 +109,6 @@ class NetlistSimulator:
                 (instance.name, function, tuple(instance.inputs), instance.output)
             )
         self._cell_functions = dict(cell_functions) if cell_functions else None
-        self.backend, self._core = _resolve_sim_backend(backend)
-        self._program = self._build_native_program() if self._core else None
-        self._func_bytes: Dict[Tuple[int, int], bytes] = {}
-        self._default_funcs: Optional[List[bytes]] = None
-
-    def _build_native_program(self):
-        """Compile the topological pass into flat index arrays for the core.
-
-        Returns ``None`` when the netlist is outside the native evaluator's
-        envelope (over-wide cells, or an instance reading an undriven net —
-        the pure path raises ``KeyError`` for those, and falling back keeps
-        that behaviour identical).
-        """
-        netlist = self._netlist
-        net_index: Dict[str, int] = {CONST0_NET: 0, CONST1_NET: 1}
-        for net in netlist.primary_inputs:
-            if net not in net_index:
-                net_index[net] = len(net_index)
-        input_idx = array("i", (net_index[net] for net in netlist.primary_inputs))
-        out_idx = array("i")
-        arities = array("i")
-        in_offsets = array("i", [0])
-        in_flat = array("i")
-        for _, function, inputs, output_net in self._base_functions:
-            if len(inputs) > _NATIVE_MAX_ARITY:
-                return None
-            for net in inputs:
-                index = net_index.get(net)
-                if index is None:
-                    return None
-                in_flat.append(index)
-            in_offsets.append(len(in_flat))
-            if output_net not in net_index:
-                net_index[output_net] = len(net_index)
-            out_idx.append(net_index[output_net])
-            arities.append(len(inputs))
-        return {
-            "net_index": net_index,
-            "num_nets": len(net_index),
-            "input_idx": input_idx,
-            "out_idx": out_idx,
-            "arities": arities,
-            "in_offsets": in_offsets,
-            "in_flat": in_flat,
-        }
 
     @property
     def netlist(self) -> Netlist:
@@ -231,15 +149,6 @@ class NetlistSimulator:
                 f"{len(netlist.primary_inputs)}"
             )
         mask = batch.mask
-        if (
-            self._program is not None
-            and 0 < batch.num_patterns <= _NATIVE_MAX_PATTERNS
-        ):
-            lanes = self._net_lanes_native(batch, cell_functions)
-            if lanes is not None:
-                obs_metrics.counter("repro_sim_batches_total")
-                obs_metrics.counter("repro_sim_patterns_total", batch.num_patterns)
-                return lanes
         lanes: Dict[str, int] = {CONST0_NET: 0, CONST1_NET: mask}
         for index, net in enumerate(netlist.primary_inputs):
             lanes[net] = batch.lane(index)
@@ -257,65 +166,6 @@ class NetlistSimulator:
             )
         obs_metrics.counter("repro_sim_batches_total")
         obs_metrics.counter("repro_sim_patterns_total", batch.num_patterns)
-        return lanes
-
-    def _net_lanes_native(
-        self, batch: PatternBatch, cell_functions
-    ) -> Optional[Dict[str, int]]:
-        """Packed pass through the compiled core (bit-identical to pure).
-
-        Returns ``None`` when a per-call override is outside the native
-        envelope (over-wide table), deferring to the pure path.
-        """
-        program = self._program
-        if cell_functions is None and self._default_funcs is not None:
-            funcs = self._default_funcs
-        else:
-            funcs = []
-            cache = self._func_bytes
-            for name, nominal, inputs, _ in self._base_functions:
-                function = self._resolve(name, nominal, cell_functions)
-                if function.num_vars != len(inputs):
-                    raise NetlistError(
-                        f"cell function override for instance {name!r} has "
-                        f"{function.num_vars} variables but the instance has "
-                        f"{len(inputs)} pins"
-                    )
-                if function.num_vars > _NATIVE_MAX_ARITY:
-                    return None
-                key = (function.num_vars, function.bits)
-                packed = cache.get(key)
-                if packed is None:
-                    packed = _table_bytes(function.bits, function.num_vars)
-                    cache[key] = packed
-                funcs.append(packed)
-            if cell_functions is None:
-                # The resolved tables are fixed after construction; reuse
-                # the packed list on every override-free call.
-                self._default_funcs = funcs
-        nwords = (batch.num_patterns + 63) >> 6
-        mask = batch.mask
-        raw = self._core.run_netlist(
-            program["num_nets"],
-            nwords,
-            _lane_bytes(mask, nwords),
-            program["input_idx"],
-            [
-                _lane_bytes(batch.lane(index), nwords)
-                for index in range(batch.num_inputs)
-            ],
-            program["out_idx"],
-            program["arities"],
-            program["in_offsets"],
-            program["in_flat"],
-            funcs,
-        )
-        stride = nwords * 8
-        lanes: Dict[str, int] = {}
-        for net, index in program["net_index"].items():
-            lanes[net] = int.from_bytes(
-                raw[index * stride : (index + 1) * stride], "little"
-            )
         return lanes
 
     def output_lanes(
@@ -370,34 +220,8 @@ class NetlistSimulator:
 class AigSimulator:
     """Word-parallel simulator for an :class:`~repro.aig.aig.Aig`."""
 
-    def __init__(self, aig: Aig, backend: Optional[str] = None):
+    def __init__(self, aig: Aig):
         self._aig = aig
-        self.backend, self._core = _resolve_sim_backend(backend)
-        self._program = self._build_native_program() if self._core else None
-
-    def _build_native_program(self):
-        """Flatten the AIG into fanin index arrays for the compiled core."""
-        aig = self._aig
-        num_nodes = aig.num_nodes
-        input_nodes = array(
-            "i", (node_of(aig.input_literal(index)) for index in range(aig.num_inputs))
-        )
-        fanin0 = array("i", [0]) * num_nodes
-        fanin1 = array("i", [0]) * num_nodes
-        is_and = bytearray(num_nodes)
-        for node in range(1, num_nodes):
-            if aig.is_input_node(node):
-                continue
-            literal0, literal1 = aig.fanins(node)
-            fanin0[node] = literal0
-            fanin1[node] = literal1
-            is_and[node] = 1
-        return {
-            "input_nodes": input_nodes,
-            "fanin0": fanin0,
-            "fanin1": fanin1,
-            "is_and": bytes(is_and),
-        }
 
     @property
     def aig(self) -> Aig:
@@ -413,30 +237,6 @@ class AigSimulator:
                 f"{aig.num_inputs}"
             )
         mask = batch.mask
-        if (
-            self._program is not None
-            and 0 < batch.num_patterns <= _NATIVE_MAX_PATTERNS
-        ):
-            program = self._program
-            nwords = (batch.num_patterns + 63) >> 6
-            raw = self._core.run_aig(
-                aig.num_nodes,
-                nwords,
-                _lane_bytes(mask, nwords),
-                program["input_nodes"],
-                [
-                    _lane_bytes(batch.lane(index), nwords)
-                    for index in range(aig.num_inputs)
-                ],
-                program["fanin0"],
-                program["fanin1"],
-                program["is_and"],
-            )
-            stride = nwords * 8
-            return [
-                int.from_bytes(raw[node * stride : (node + 1) * stride], "little")
-                for node in range(aig.num_nodes)
-            ]
         lanes = [0] * aig.num_nodes
         for index in range(aig.num_inputs):
             lanes[node_of(aig.input_literal(index))] = batch.lane(index)

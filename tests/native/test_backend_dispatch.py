@@ -11,7 +11,6 @@ import pytest
 
 from repro import _native, backend
 from repro.sat.solver import SatSolver
-from repro.sim.engine import NetlistSimulator
 
 
 class TestActiveBackend:
@@ -80,15 +79,3 @@ class TestBackendReport:
         assert report["native_available"] is False
         assert report["active"] == "unavailable"
         assert "boom: missing .so" in report["fallback_reason"]
-
-
-class TestSimulatorDispatch:
-    def test_simulator_reports_backend(self, make_random_netlist, monkeypatch):
-        monkeypatch.delenv(backend.BACKEND_ENV_VAR, raising=False)
-        netlist = make_random_netlist(3, num_inputs=3, num_outputs=1, num_cells=6)
-        simulator = NetlistSimulator(netlist)
-        assert simulator.backend == "native"
-        assert simulator._program is not None
-        pure_simulator = NetlistSimulator(netlist, backend="pure")
-        assert pure_simulator.backend == "pure"
-        assert pure_simulator._program is None

@@ -8,13 +8,17 @@ discard results instead of double-writing, and the artifacts a service
 campaign produces are byte-identical to a local run of the same spec.
 """
 
+import http.client
 import json
+import os
 import threading
 import time
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro.jobstore import JobStore, RetryPolicy
+from repro.sat.solver import BUDGET_ENV_VAR, SolveBudget, SolveBudgetExceeded
 from repro.scenarios.campaign import (
     JOB_KINDS,
     CampaignJob,
@@ -249,6 +253,42 @@ class TestWorkerExecution:
             assert flaky_state["attempts"] == 2
             assert flaky_state["owner"].startswith("remote:")
 
+    def test_budget_escalates_per_retry_then_times_out(
+        self, tmp_path, monkeypatch
+    ):
+        """Service twin of the local chaos test of the same name.
+
+        The coordinator doubles the solve budget on every retry and, when
+        attempts run out, finishes the job ``timed_out`` with the same
+        robustness counters a local run records.
+        """
+        budgets_seen = []
+
+        def _too_hard(params, task_jobs):
+            budgets_seen.append(os.environ.get(BUDGET_ENV_VAR, ""))
+            raise SolveBudgetExceeded("miter did not resolve in budget")
+
+        monkeypatch.setitem(JOB_KINDS, "hard", _too_hard)
+        spec = CampaignSpec(name="hard", jobs=[CampaignJob("hard", "hard", {})])
+        with ServiceThread(
+            root=str(tmp_path),
+            poll=0.02,
+            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.01),
+            solve_budget=SolveBudget(max_conflicts=100),
+        ) as service:
+            client = ServiceClient(service.url)
+            campaign_id = client.submit(spec.to_dict())["campaign"]
+            counters = run_worker(service.url, campaign=campaign_id)
+            status = client.status(campaign_id)
+        assert budgets_seen == ["conflicts=100", "conflicts=200", "conflicts=400"]
+        assert counters == {"executed": 0, "failed": 3, "discarded": 0}
+        assert status["complete"] is True
+        assert status["counts"] == {"timed_out": 1}
+        robustness = status["robustness"]
+        assert robustness["retries"] == 2
+        assert robustness["timed_out"] == 1
+        assert robustness["failures_transient"] == 3
+
     def test_permanent_failure_finishes_terminally(self, tmp_path, monkeypatch):
         def _bad_parameters(params, task_jobs):
             raise ValueError("bad parameters")
@@ -358,6 +398,77 @@ class TestLeaseSafety:
             with pytest.raises(ServiceError) as info:
                 client.heartbeat(campaign_id, job_id, "a")
             assert info.value.status == 409
+
+
+class TestMalformedUploads:
+    """A malformed completion is a 400, not a dropped connection.
+
+    The coordinator must answer with a JSON error before it touches the
+    lease or the state file, so the job stays claimed and the same worker
+    can still commit it.
+    """
+
+    @staticmethod
+    def _post(url, path, body, content_length=None):
+        address = urlsplit(url)
+        connection = http.client.HTTPConnection(
+            address.hostname, address.port, timeout=10
+        )
+        try:
+            connection.putrequest("POST", path)
+            connection.putheader("Content-Type", "application/json")
+            if content_length is None:
+                content_length = str(len(body))
+            connection.putheader("Content-Length", content_length)
+            connection.endheaders()
+            # The coordinator answers a bad Content-Length without reading
+            # the body; bytes left unread would turn its close into a reset.
+            if content_length.isdigit():
+                connection.send(body)
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
+    def test_each_bad_field_is_a_400_and_the_job_stays_claimed(self, tmp_path):
+        spec = probe_spec(count=1, name="malformed")
+        with ServiceThread(root=str(tmp_path), poll=0.02) as service:
+            client = ServiceClient(service.url)
+            campaign_id = client.submit(spec.to_dict())["campaign"]
+            job_id = spec.jobs[0].job_id
+            assert client.claim(campaign_id, "a")["job"]["job_id"] == job_id
+            path = f"/campaigns/{campaign_id}/jobs/{job_id}/complete"
+            bad_bodies = [
+                {"worker": "a", "seconds": "abc", "payload": {"value": 0}},
+                {"worker": "a", "seconds": 0.1, "payload": [1, 2]},
+                {"worker": "a", "seconds": 0.1, "payload": {}, "cache": [1]},
+                {"worker": "a", "seconds": 0.1, "payload": {}, "cache": {"x": "y"}},
+            ]
+            for bad in bad_bodies:
+                body = json.dumps(bad).encode("utf-8")
+                status, reply = self._post(service.url, path, body)
+                assert status == 400, bad
+                assert reply["error"], bad
+            good = json.dumps(
+                {"worker": "a", "seconds": 0.1, "payload": {"value": 0}}
+            ).encode("utf-8")
+            status, reply = self._post(
+                service.url, path, good, content_length="x"
+            )
+            assert status == 400
+            assert reply["error"]
+
+            status = client.status(campaign_id)
+            assert status["states"] == {job_id: "running"}
+            assert "lease_lost_discards" not in status["robustness"]
+            state_dir = tmp_path / "campaigns" / campaign_id / "state"
+            assert not (state_dir / f"{job_id}.json").exists()
+
+            committed = client.complete(
+                campaign_id, job_id, "a", seconds=0.1, payload={"value": 0}
+            )
+            assert committed == {"committed": True, "attempts": 1}
+            assert client.status(campaign_id)["complete"] is True
 
 
 class TestRestart:
