@@ -21,9 +21,37 @@ from repro.attacks import PlausibleFunctionOracle, random_camouflage_experiment
 from repro.attacks.oracle_guided import attack_mapping
 from repro.flow import obfuscate_with_assignment
 from repro.flow.report import SolverStatsRow, format_solver_stats
-from repro.sat.solver import BUDGET_ENV_VAR, SolveBudget
+from repro.sat.solver import (
+    BUDGET_ENV_VAR,
+    FORGET_ENV_VAR,
+    RESTART_ENV_VAR,
+    SolveBudget,
+)
 from repro.sboxes import optimal_sboxes
 from repro.synth import synthesize
+
+# Exact solver transcripts of the two tests below under the default search
+# (geometric restarts, no clause forgetting, no budget).  The search is
+# deterministic, so a drift in any count means it changed, not only its
+# speed.  Summed, they are the solver counts of perfbench's
+# ``attack_present2`` workload traced at seed 1.
+ORACLE_TRANSCRIPT = {
+    "solve_calls": 2,
+    "conflicts": 3890,
+    "decisions": 12425,
+    "propagations": 199822,
+    "learned_clauses": 1979,
+    "restarts": 10,
+}
+DIP_LOOP_QUERIES = 16
+DIP_LOOP_TRANSCRIPT = {
+    "solve_calls": 18,
+    "conflicts": 31166,
+    "decisions": 166061,
+    "propagations": 2151306,
+    "learned_clauses": 4714,
+    "restarts": 66,
+}
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +61,19 @@ def obfuscated_pair():
     return functions, result
 
 
-def test_attack_proposed_flow_keeps_all_viable_functions(benchmark, record, bench_json, obfuscated_pair):
+@pytest.fixture
+def default_search(monkeypatch):
+    """Unset the knobs that change the pinned transcripts."""
+    for variable in (RESTART_ENV_VAR, FORGET_ENV_VAR, BUDGET_ENV_VAR):
+        monkeypatch.delenv(variable, raising=False)
+
+
+def _transcript(stats, keys):
+    return {key: stats[key] for key in keys}
+
+
+def test_attack_proposed_flow_keeps_all_viable_functions(benchmark, record, bench_json,
+                                                         obfuscated_pair, default_search):
     functions, result = obfuscated_pair
     oracle = PlausibleFunctionOracle.from_mapping(result.mapping)
     views = result.assignment.apply(list(functions))
@@ -44,6 +84,7 @@ def test_attack_proposed_flow_keeps_all_viable_functions(benchmark, record, benc
     verdicts = benchmark.pedantic(adversary_checks, rounds=1, iterations=1)
     assert verdicts == [True, True], "a viable function became distinguishable"
     stats = oracle.solver_stats()
+    assert _transcript(stats, ORACLE_TRANSCRIPT) == ORACLE_TRANSCRIPT
     benchmark.extra_info["plausible"] = verdicts
     benchmark.extra_info["solver"] = stats
     bench_json("attack_proposed_flow", {"plausible": verdicts, "solver": dict(stats)})
@@ -60,7 +101,8 @@ def test_attack_proposed_flow_keeps_all_viable_functions(benchmark, record, benc
     )
 
 
-def test_attack_oracle_guided_dip_loop(benchmark, record, bench_json, obfuscated_pair):
+def test_attack_oracle_guided_dip_loop(benchmark, record, bench_json, obfuscated_pair,
+                                      default_search):
     """The stronger (oracle-equipped) adversary: the incremental DIP loop.
 
     ``presample=0`` explicitly: this benchmark tracks the pure DIP-loop
@@ -75,6 +117,8 @@ def test_attack_oracle_guided_dip_loop(benchmark, record, bench_json, obfuscated
 
     outcome = benchmark.pedantic(run_attack, rounds=1, iterations=1)
     assert outcome.success, "the oracle-guided adversary failed to recover the function"
+    assert outcome.num_queries == DIP_LOOP_QUERIES
+    assert _transcript(outcome.solver_stats, DIP_LOOP_TRANSCRIPT) == DIP_LOOP_TRANSCRIPT
     benchmark.extra_info["num_queries"] = outcome.num_queries
     benchmark.extra_info["solver"] = outcome.solver_stats
     bench_json(

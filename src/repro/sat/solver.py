@@ -52,6 +52,7 @@ Statistics are kept both cumulatively on the solver (``solver.conflicts``,
 from __future__ import annotations
 
 import heapq
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -151,8 +152,8 @@ class SolveBudget:
     def __post_init__(self):
         for name in ("max_conflicts", "max_propagations", "max_seconds"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @property
     def unbounded(self) -> bool:
@@ -192,7 +193,12 @@ class SolveBudget:
 
     @classmethod
     def from_spec(cls, spec: str) -> "SolveBudget":
-        """Parse ``"conflicts=20000,propagations=5e6,seconds=2.5"``."""
+        """Parse ``"conflicts=20000,propagations=5e6,seconds=2.5"``.
+
+        Every value must be finite, and the two counts whole numbers
+        (``5e6`` is fine, ``2.7`` is not); a bad entry raises a
+        :class:`ValueError` that names it.
+        """
         limits: Dict[str, float] = {}
         for part in spec.split(","):
             part = part.strip()
@@ -205,12 +211,22 @@ class SolveBudget:
                     f"bad solve-budget entry {part!r}; expected "
                     "conflicts=N, propagations=N, or seconds=X"
                 )
-            limits[key] = float(value)
+            try:
+                number = float(value)
+            except ValueError:
+                raise ValueError(f"bad solve-budget entry {part!r}; not a number") from None
+            if not math.isfinite(number):
+                raise ValueError(f"bad solve-budget entry {part!r}; must be finite")
+            if key != "seconds":
+                if not number.is_integer():
+                    raise ValueError(
+                        f"bad solve-budget entry {part!r}; must be a whole number"
+                    )
+                number = int(number)
+            limits[key] = number
         return cls(
-            max_conflicts=int(limits["conflicts"]) if "conflicts" in limits else None,
-            max_propagations=(
-                int(limits["propagations"]) if "propagations" in limits else None
-            ),
+            max_conflicts=limits.get("conflicts"),
+            max_propagations=limits.get("propagations"),
             max_seconds=limits.get("seconds"),
         )
 
@@ -470,95 +486,136 @@ class SatSolver:
             return False
         variable = abs(literal)
         self._assign[variable] = _TRUE if literal > 0 else _FALSE
-        self._level[variable] = self._decision_level()
+        self._level[variable] = len(self._trail_lim)
         self._reason[variable] = reason
         self._phase[variable] = literal > 0
         self._trail.append(literal)
         return True
 
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
     # -------------------------------------------------------------- #
     # Unit propagation with two watched literals
     # -------------------------------------------------------------- #
     def _propagate(self) -> Optional[int]:
-        while self._queue_head < len(self._trail):
-            literal = self._trail[self._queue_head]
-            self._queue_head += 1
-            self.propagations += 1
-            falsified = -literal
-            watchers = self._watches.get(falsified, [])
+        """Propagate the queued trail literals; return a conflict or None.
+
+        The hot loop of the solver, written against locals: a literal's
+        value is ``assign[l]`` for ``l > 0`` and ``-assign[-l]`` otherwise,
+        and units are enqueued inline at the current decision level.
+        Swaps move the clause's own literal objects, never a freshly
+        negated int, so clauses keep sharing the ints they were built from.
+        """
+        trail = self._trail
+        assign = self._assign
+        clauses = self._clauses
+        watches = self._watches
+        level = self._level
+        reason = self._reason
+        phase = self._phase
+        current_level = len(self._trail_lim)
+        start = head = self._queue_head
+        while head < len(trail):
+            falsified = -trail[head]
+            head += 1
+            watchers = watches.get(falsified)
+            if watchers is None:
+                continue
             index = 0
-            while index < len(watchers):
+            end = len(watchers)
+            while index < end:
                 clause_index = watchers[index]
-                clause = self._clauses[clause_index]
+                clause = clauses[clause_index]
                 # Ensure the falsified literal is in position 1.
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._literal_value(first) == _TRUE:
+                if first == falsified:
+                    first = clause[1]
+                    clause[0], clause[1] = first, clause[0]
+                value = assign[first] if first > 0 else -assign[-first]
+                if value == _TRUE:
                     index += 1
                     continue
                 # Look for a new literal to watch.
-                found = False
                 for position in range(2, len(clause)):
                     candidate = clause[position]
-                    if self._literal_value(candidate) != _FALSE:
-                        clause[1], clause[position] = clause[position], clause[1]
-                        self._watches.setdefault(candidate, []).append(clause_index)
-                        watchers[index] = watchers[-1]
+                    if (assign[candidate] if candidate > 0 else -assign[-candidate]) != _FALSE:
+                        clause[1], clause[position] = candidate, clause[1]
+                        moved = watches.get(candidate)
+                        if moved is None:
+                            watches[candidate] = [clause_index]
+                        else:
+                            moved.append(clause_index)
+                        end -= 1
+                        watchers[index] = watchers[end]
                         watchers.pop()
-                        found = True
                         break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                if self._literal_value(first) == _FALSE:
-                    return clause_index
-                self._enqueue(first, clause_index)
-                index += 1
+                else:
+                    # Clause is unit or conflicting.
+                    if value == _FALSE:
+                        self._queue_head = head
+                        self.propagations += head - start
+                        return clause_index
+                    variable = first if first > 0 else -first
+                    assign[variable] = _TRUE if first > 0 else _FALSE
+                    level[variable] = current_level
+                    reason[variable] = clause_index
+                    phase[variable] = first > 0
+                    trail.append(first)
+                    index += 1
+        self._queue_head = head
+        self.propagations += head - start
         return None
 
     # -------------------------------------------------------------- #
     # Conflict analysis (first UIP)
     # -------------------------------------------------------------- #
     def _analyze(self, conflict_index: int) -> Tuple[List[int], int, int]:
+        clauses = self._clauses
+        trail = self._trail
+        level = self._level
+        reason = self._reason
+        activity = self._activity
+        increment = self._activity_increment
         learned: List[int] = [0]  # placeholder for the asserting literal
         seen = [False] * (self._num_vars + 1)
         counter = 0
         literal = 0
-        clause = self._clauses[conflict_index]
-        trail_index = len(self._trail) - 1
-        current_level = self._decision_level()
+        clause = clauses[conflict_index]
+        trail_index = len(trail) - 1
+        current_level = len(self._trail_lim)
 
         while True:
             for clause_literal in clause:
                 # Skip the literal we are resolving on (the implied literal of
                 # the reason clause); everything else is examined.
-                if literal != 0 and clause_literal == literal:
+                if clause_literal == literal:
                     continue
-                variable = abs(clause_literal)
-                if seen[variable] or self._level[variable] == 0:
+                variable = clause_literal if clause_literal > 0 else -clause_literal
+                if seen[variable]:
+                    continue
+                variable_level = level[variable]
+                if variable_level == 0:
                     continue
                 seen[variable] = True
-                self._bump_activity(variable)
-                if self._level[variable] == current_level:
+                bumped = activity[variable] + increment
+                activity[variable] = bumped
+                if bumped > 1e100:
+                    self._rescale_activities()
+                    increment = self._activity_increment
+                if variable_level == current_level:
                     counter += 1
                 else:
                     learned.append(clause_literal)
             # Find the next literal of the current level on the trail.
-            while not seen[abs(self._trail[trail_index])]:
+            while True:
+                literal = trail[trail_index]
                 trail_index -= 1
-            literal = self._trail[trail_index]
-            variable = abs(literal)
+                variable = literal if literal > 0 else -literal
+                if seen[variable]:
+                    break
             seen[variable] = False
-            trail_index -= 1
             counter -= 1
             if counter == 0:
                 break
-            reason_index = self._reason[variable]
-            clause = self._clauses[reason_index]
+            clause = clauses[reason[variable]]
 
         learned[0] = -literal
         if len(learned) == 1:
@@ -567,26 +624,29 @@ class SatSolver:
             # Move the highest-level literal (other than the asserting one)
             # to position 1 so it can be watched.
             best = 1
+            best_level = level[abs(learned[1])]
             for position in range(2, len(learned)):
-                if self._level[abs(learned[position])] > self._level[abs(learned[best])]:
+                position_level = level[abs(learned[position])]
+                if position_level > best_level:
                     best = position
+                    best_level = position_level
             learned[1], learned[best] = learned[best], learned[1]
-            backtrack_level = self._level[abs(learned[1])]
+            backtrack_level = best_level
         lbd = 0
         if self._forget_limit:
             # Literal block distance: distinct decision levels among the
             # learned literals, measured before backtracking.
-            lbd = len({self._level[abs(literal)] for literal in learned})
+            lbd = len({level[abs(literal)] for literal in learned})
         return learned, backtrack_level, lbd
 
-    def _bump_activity(self, variable: int) -> None:
-        self._activity[variable] += self._activity_increment
-        if self._activity[variable] > 1e100:
-            for index in range(1, self._num_vars + 1):
-                self._activity[index] *= 1e-100
-            self._activity_increment *= 1e-100
-            # Every heap key is stale after rescaling.
-            self._rebuild_order_heap()
+    def _rescale_activities(self) -> None:
+        """Scale every activity and the increment down by 1e100."""
+        activity = self._activity
+        for index in range(1, self._num_vars + 1):
+            activity[index] *= 1e-100
+        self._activity_increment *= 1e-100
+        # Every heap key is stale after rescaling.
+        self._rebuild_order_heap()
 
     def _rebuild_order_heap(self) -> None:
         self._order_heap = [
@@ -596,29 +656,40 @@ class SatSolver:
         ]
         heapq.heapify(self._order_heap)
 
-    def _decay_activities(self) -> None:
-        self._activity_increment /= self._activity_decay
-
     # -------------------------------------------------------------- #
     # Backtracking / restarts
     # -------------------------------------------------------------- #
     def _backtrack(self, level: int) -> None:
-        if self._decision_level() <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        boundary = self._trail_lim[level]
-        for literal in reversed(self._trail[boundary:]):
-            variable = abs(literal)
-            self._assign[variable] = _UNASSIGNED
-            self._reason[variable] = None
-            heapq.heappush(self._order_heap, (-self._activity[variable], variable))
-        del self._trail[boundary:]
-        del self._trail_lim[level:]
-        self._queue_head = len(self._trail)
+        trail = self._trail
+        assign = self._assign
+        reason = self._reason
+        activity = self._activity
+        heap = self._order_heap
+        push = heapq.heappush
+        boundary = trail_lim[level]
+        for index in range(len(trail) - 1, boundary - 1, -1):
+            literal = trail[index]
+            variable = literal if literal > 0 else -literal
+            assign[variable] = _UNASSIGNED
+            reason[variable] = None
+            push(heap, (-activity[variable], variable))
+        del trail[boundary:]
+        del trail_lim[level:]
+        self._queue_head = boundary
 
     def _reduce_learned(self, keep_fraction: float = 0.5) -> None:
-        """Drop long, inactive learned clauses (simple size-based policy)."""
+        """Halve the long learned clauses (a size-based policy).
+
+        Every problem clause and every learned clause of at most four
+        literals is kept; of the longer learned clauses only the newest
+        ``keep_fraction`` survives.  Runs at decision level 0 once 2000
+        learned clauses have accumulated.
+        """
         # Only safe at decision level 0 with no active reasons.
-        if self._decision_level() != 0:
+        if self._trail_lim:
             return
         if self._num_learned < 2000:
             return
@@ -630,18 +701,14 @@ class SatSolver:
         kept_lbd: List[int] = []
         long_clauses: List[List[int]] = []
         long_lbd: List[int] = []
-        for index, clause in enumerate(self._clauses):
-            if not self._learned_flags[index]:
+        for clause, learned, lbd in zip(self._clauses, self._learned_flags, self._clause_lbd):
+            if not learned or len(clause) <= 4:
                 kept_clauses.append(clause)
-                kept_flags.append(False)
-                kept_lbd.append(self._clause_lbd[index])
-            elif len(clause) <= 4:
-                kept_clauses.append(clause)
-                kept_flags.append(True)
-                kept_lbd.append(self._clause_lbd[index])
+                kept_flags.append(learned)
+                kept_lbd.append(lbd)
             else:
                 long_clauses.append(clause)
-                long_lbd.append(self._clause_lbd[index])
+                long_lbd.append(lbd)
         keep_count = int(len(long_clauses) * keep_fraction)
         if keep_count:
             kept_clauses.extend(long_clauses[-keep_count:])
@@ -661,7 +728,7 @@ class SatSolver:
         age: newer clauses survive).  The trigger limit grows geometrically
         after every reduction attempt, so forgetting stays amortised.
         """
-        if self._decision_level() != 0:
+        if self._trail_lim:
             return
         if self._num_learned < self._forget_limit:
             return
@@ -718,14 +785,25 @@ class SatSolver:
         self._forget_limit += self._forget_limit // 2
 
     def _rebuild_watches_and_reasons(self) -> None:
-        self._watches = {}
+        # Every stored clause has at least two literals (units are enqueued,
+        # never attached); each watch list names its clauses in index order.
+        # The old lists are dropped first so both sets never coexist, which
+        # would raise the peak memory of a long attack.
+        self._watches = watches = {}
+        get = watches.get
         for index, clause in enumerate(self._clauses):
-            if len(clause) >= 2:
-                self._watches.setdefault(clause[0], []).append(index)
-                self._watches.setdefault(clause[1], []).append(index)
-        for variable in range(1, self._num_vars + 1):
-            if self._reason[variable] is not None:
-                self._reason[variable] = None
+            first, second = clause[0], clause[1]
+            watchers = get(first)
+            if watchers is None:
+                watches[first] = [index]
+            else:
+                watchers.append(index)
+            watchers = get(second)
+            if watchers is None:
+                watches[second] = [index]
+            else:
+                watchers.append(index)
+        self._reason[1:] = [None] * self._num_vars
 
     # -------------------------------------------------------------- #
     # Decisions
@@ -737,15 +815,14 @@ class SatSolver:
         if len(self._order_heap) > 64 + 4 * self._num_vars:
             self._rebuild_order_heap()
         heap = self._order_heap
+        assign = self._assign
+        activity = self._activity
+        pop = heapq.heappop
         while heap:
             negated_activity, variable = heap[0]
-            if (
-                self._assign[variable] != _UNASSIGNED
-                or -negated_activity != self._activity[variable]
-            ):
-                heapq.heappop(heap)
-                continue
-            return variable
+            if assign[variable] == _UNASSIGNED and -negated_activity == activity[variable]:
+                return variable
+            pop(heap)
         return None
 
     # -------------------------------------------------------------- #
@@ -804,20 +881,25 @@ class SatSolver:
         # Knuth's (u, v) sequence 1 1 2 1 1 2 4 ... scaled by LUBY_BASE,
         # revisiting short limits forever instead of committing to ever
         # longer runs.
+        luby = self.restart_strategy == "luby"
         luby_u, luby_v = 1, 1
-        if self.restart_strategy == "luby":
-            restart_limit = self.LUBY_BASE * luby_v
-        else:
-            restart_limit = 100
+        restart_limit = self.LUBY_BASE * luby_v if luby else 100
         conflicts_since_restart = 0
         assumption_queue = list(assumptions)
+        trail = self._trail
+        trail_lim = self._trail_lim
+        assign = self._assign
+        level = self._level
+        reason = self._reason
+        phase = self._phase
+        propagate = self._propagate
 
         while True:
-            conflict = self._propagate()
+            conflict = propagate()
             if conflict is not None:
                 self.conflicts += 1
                 conflicts_since_restart += 1
-                if self._decision_level() == 0:
+                if not trail_lim:
                     self._trivially_unsat = True
                     return self._unsat_result(stats_base)
                 if budget is not None and self._budget_exhausted(
@@ -835,11 +917,11 @@ class SatSolver:
                 else:
                     clause_index = self._attach_clause(learned, learned=True, lbd=lbd)
                     self._enqueue(learned[0], clause_index)
-                self._decay_activities()
+                self._activity_increment /= self._activity_decay
                 if conflicts_since_restart >= restart_limit:
                     conflicts_since_restart = 0
                     self.restarts += 1
-                    if self.restart_strategy == "luby":
+                    if luby:
                         if (luby_u & -luby_u) == luby_v:
                             luby_u += 1
                             luby_v = 1
@@ -856,14 +938,15 @@ class SatSolver:
                 continue
 
             # Apply pending assumptions as decisions.
-            if len(self._trail_lim) < len(assumption_queue):
-                literal = assumption_queue[len(self._trail_lim)]
+            decision_level = len(trail_lim)
+            if decision_level < len(assumption_queue):
+                literal = assumption_queue[decision_level]
                 value = self._literal_value(literal)
                 if value == _FALSE:
                     # Failed under the assumptions only; the clause database
                     # may well be satisfiable under other assumptions.
                     return self._unsat_result(stats_base)
-                self._trail_lim.append(len(self._trail))
+                trail_lim.append(len(trail))
                 if value == _UNASSIGNED:
                     self._enqueue(literal, None)
                 continue
@@ -872,9 +955,17 @@ class SatSolver:
             if variable is None:
                 return self._sat_result(stats_base)
             self.decisions += 1
-            self._trail_lim.append(len(self._trail))
-            phase = self._phase[variable]
-            self._enqueue(variable if phase else -variable, None)
+            trail_lim.append(len(trail))
+            # The variable is unassigned, so deciding it on its saved phase
+            # leaves that phase as it is.
+            if phase[variable]:
+                assign[variable] = _TRUE
+                trail.append(variable)
+            else:
+                assign[variable] = _FALSE
+                trail.append(-variable)
+            level[variable] = decision_level + 1
+            reason[variable] = None
 
     def _solve_native(
         self,

@@ -13,7 +13,8 @@ Two encoders are provided:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Mapping, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..logic.isop import isop
 from ..logic.truthtable import TruthTable
@@ -41,6 +42,21 @@ def add_exactly_one(cnf: Cnf, literals: Sequence[int]) -> None:
         cnf.add_clause([-first, -second])
 
 
+@lru_cache(maxsize=1024)
+def _cover_cubes(num_vars: int, bits: int) -> Tuple[tuple, tuple]:
+    """The ISOP cubes of a function's on-set and off-set.
+
+    Each cube is a tuple of ``(variable, positive)`` literal pairs.  An
+    attack encodes the same few cell functions once per circuit copy and
+    candidate configuration, so their covers are derived once per process.
+    """
+    function = TruthTable(num_vars, bits)
+    return (
+        tuple(tuple(cube.literals()) for cube in isop(function)),
+        tuple(tuple(cube.literals()) for cube in isop(~function)),
+    )
+
+
 def encode_guarded_function(
     cnf: Cnf,
     selector: Optional[int],
@@ -65,18 +81,14 @@ def encode_guarded_function(
     if function.is_constant_one():
         cnf.add_clause(guard + [output_literal])
         return
-    for cube in isop(function):
-        clause = list(guard) + [output_literal]
-        for variable, positive in cube.literals():
-            literal = input_literals[variable]
-            clause.append(-literal if positive else literal)
-        cnf.add_clause(clause)
-    for cube in isop(~function):
-        clause = list(guard) + [-output_literal]
-        for variable, positive in cube.literals():
-            literal = input_literals[variable]
-            clause.append(-literal if positive else literal)
-        cnf.add_clause(clause)
+    onset, offset = _cover_cubes(function.num_vars, function.bits)
+    for cubes, head in ((onset, output_literal), (offset, -output_literal)):
+        for cube in cubes:
+            clause = guard + [head]
+            for variable, positive in cube:
+                literal = input_literals[variable]
+                clause.append(-literal if positive else literal)
+            cnf.add_clause(clause)
 
 
 def encode_function(

@@ -1,5 +1,7 @@
 """Tests for solve budgets: the UNKNOWN verdict and its client contracts."""
 
+import math
+import re
 import time
 
 import pytest
@@ -48,6 +50,29 @@ class TestSolveBudget:
         with pytest.raises(ValueError):
             SolveBudget.from_spec("gremlins=9")
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["seconds=nan", "seconds=inf", "conflicts=inf", "propagations=-inf",
+         "conflicts=2.7", "propagations=-0.5", "seconds=soon"],
+    )
+    def test_spec_rejects_non_finite_and_fractional_values(self, spec):
+        # Each error names the offending entry.
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            SolveBudget.from_spec(spec)
+
+    def test_spec_accepts_whole_counts_in_exponent_form(self):
+        budget = SolveBudget.from_spec("conflicts=1e4,propagations=2.0")
+        assert budget.max_conflicts == 10 ** 4
+        assert budget.max_propagations == 2
+        assert isinstance(budget.max_conflicts, int)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_validation_rejects_non_finite_limits(self, value):
+        with pytest.raises(ValueError):
+            SolveBudget(max_seconds=value)
+        with pytest.raises(ValueError):
+            SolveBudget(max_conflicts=value)
+
     def test_scaled(self):
         budget = SolveBudget(max_conflicts=100, max_seconds=1.0)
         doubled = budget.scaled(2.0)
@@ -62,6 +87,9 @@ class TestSolveBudget:
         assert SolveBudget.from_environment().max_conflicts == 42
         monkeypatch.setenv(BUDGET_ENV_VAR, "  ")
         assert SolveBudget.from_environment() is None
+        monkeypatch.setenv(BUDGET_ENV_VAR, "conflicts=inf")
+        with pytest.raises(ValueError, match="conflicts=inf"):
+            SolveBudget.from_environment()
 
 
 class TestBudgetedSolve:

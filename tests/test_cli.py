@@ -69,6 +69,18 @@ class TestParser:
             _campaign_robustness_kwargs(args)
         assert "invalid --solve-budget" in str(info.value)
 
+    @pytest.mark.parametrize("spec", ["conflicts=inf", "seconds=nan", "conflicts=2.7"])
+    def test_campaign_unusable_solve_budget_value_is_clean_error(self, spec):
+        # Non-finite and fractional values are refused with the usage error,
+        # not a traceback, and the message names the entry.
+        from repro.cli import _campaign_robustness_kwargs
+
+        args = build_parser().parse_args(["campaign", "--solve-budget", spec])
+        with pytest.raises(SystemExit) as info:
+            _campaign_robustness_kwargs(args)
+        assert "invalid --solve-budget" in str(info.value)
+        assert spec in str(info.value)
+
 
 class TestCommands:
     def test_obfuscate_writes_outputs(self, tmp_path, capsys):
