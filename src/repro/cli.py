@@ -638,11 +638,17 @@ def _command_campaign(args: argparse.Namespace) -> int:
             print(f"  {name:<10} {get_family(name).description}")
         return 0
 
+    if args.submit:
+        # The coordinator's fleet runs on the coordinator's settings, and
+        # window jobs re-read a BLIF path remote workers cannot see.
+        defaults = build_parser().parse_args(["campaign"])
+        for flag in ("--blif", "--state-dir", "--limit", "--jobs",
+                     "--lease-ttl", "--retries", "--solve-budget"):
+            name = flag[2:].replace("-", "_")
+            if getattr(args, name) != getattr(defaults, name):
+                raise SystemExit(f"--submit does not support {flag}")
+
     if args.blif:
-        if args.submit:
-            # Window jobs re-read the BLIF source by path; remote workers
-            # have no shared filesystem to find it on.
-            raise SystemExit("--submit does not support --blif campaigns")
         return _command_campaign_windowed(args)
 
     profile = get_workload_profile(args.profile)

@@ -37,15 +37,15 @@ import os
 import pickle
 import threading
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..faults import corrupt_text, faults_enabled, fired_counts, maybe_kill_process
 from ..jobstore import JobStore, Lease, LeaseLost, RetryPolicy, classify_failure
 from ..obs import trace as obs_trace
 from ..obs.trace import (
     attach_context,
-    current_traceparent,
     format_traceparent,
     job_span_id,
     tracing_enabled,
@@ -58,6 +58,7 @@ __all__ = [
     "CampaignError",
     "CampaignJob",
     "CampaignSpec",
+    "JobBook",
     "JobResult",
     "CampaignResult",
     "CampaignRunner",
@@ -1073,34 +1074,35 @@ def _execute_job_task(task: Tuple) -> JobResult:
 
 
 class _LeaseKeeper:
-    """Background heartbeat for the leases a runner currently holds.
+    """Background heartbeat for the leases a runner or worker agent holds.
 
-    A daemon thread refreshes every registered lease each TTL/3, so a lease
-    only goes stale after three consecutive missed heartbeats — i.e. when
-    the owning process is genuinely wedged or dead, not merely busy.  A
-    lease that comes back :class:`LeaseLost` (stolen after an expiry the
-    heartbeat was too late to prevent) is dropped, counted, *and flagged*:
-    the runner consults :meth:`is_lost` before committing the job's result,
-    so work finished under a stolen lease is discarded instead of
-    double-written over the thief's state.
+    ``held`` maps each job id to what ``beat`` refreshes: a :class:`Lease`
+    of the runner's :class:`JobStore`, or the job id the service worker
+    agent heartbeats over HTTP.  A daemon thread beats every held lease
+    each ``interval`` (TTL/3), so a lease only goes stale after three
+    consecutive missed heartbeats — i.e. when the owning process is
+    genuinely wedged or dead, not merely busy.  A lease whose beat raises
+    :class:`LeaseLost` (stolen after an expiry the heartbeat was too late
+    to prevent) is dropped *and flagged*: the holder consults
+    :meth:`is_lost` before committing the job's result, so work finished
+    under a stolen lease is discarded instead of double-written over the
+    thief's state.
     """
 
-    def __init__(self, store: JobStore):
-        self._store = store
-        self._leases: Dict[str, Lease] = {}
+    def __init__(
+        self, beat: Callable[[Any], Any], interval: float, held: Dict[str, Any]
+    ):
+        self._beat = beat
+        self._interval = interval
+        self._held = dict(held)
         self._lost_jobs: set = set()
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self.lost = 0
-
-    def add(self, lease: Lease) -> None:
-        with self._lock:
-            self._leases[lease.job_id] = lease
 
     def remove(self, job_id: str) -> None:
         with self._lock:
-            self._leases.pop(job_id, None)
+            self._held.pop(job_id, None)
 
     def is_lost(self, job_id: str) -> bool:
         """Did a heartbeat on this job's lease fail since it was added?"""
@@ -1115,92 +1117,69 @@ class _LeaseKeeper:
     def __exit__(self, *exc_info) -> None:
         self._stop.set()
         if self._thread is not None:
-            self._thread.join(timeout=self._store.lease_ttl)
+            self._thread.join(timeout=3 * self._interval)
 
     def _run(self) -> None:
-        interval = self._store.lease_ttl / 3.0
-        while not self._stop.wait(interval):
+        while not self._stop.wait(self._interval):
             with self._lock:
-                leases = list(self._leases.values())
-            for lease in leases:
+                held = list(self._held.items())
+            for job_id, handle in held:
                 try:
-                    self._store.heartbeat(lease)
+                    self._beat(handle)
                 except LeaseLost:
-                    self.lost += 1
                     with self._lock:
-                        self._lost_jobs.add(lease.job_id)
-                    self.remove(lease.job_id)
+                        self._lost_jobs.add(job_id)
+                    self.remove(job_id)
                 except OSError:
                     pass  # transient I/O: the next beat retries
 
 
-class CampaignRunner:
-    """Execute a :class:`CampaignSpec` over the worker pool, resumably.
+class JobBook:
+    """The per-job lifecycle of one campaign, shared by runner and service.
 
-    With a ``state_dir`` every successful job writes
-    ``<state_dir>/<job_id>.json`` (atomic rename); a later run loads those
-    files, verifies the parameter fingerprint, and skips matching jobs.
-    Failed jobs are never persisted, so they retry on the next run.
-
-    A ``state_dir`` also turns the directory into a lease-based
-    :class:`~repro.jobstore.JobStore`: several concurrent runner processes
-    can share it and every pending job is executed exactly once — claiming
-    is atomic, held leases are heartbeated, and a crashed peer's lease is
-    reclaimed so its job re-runs from the last persisted state.
-
-    Transient failures (crashed workers, exhausted solve budgets, I/O
-    errors) are retried under ``retry_policy`` with capped exponential
-    backoff; a solve budget (``solve_budget`` or ``REPRO_SOLVE_BUDGET``)
-    is doubled on every retry and a job still timing out when attempts run
-    out finishes as ``"timed_out"`` instead of looping forever.
+    The local :class:`CampaignRunner` and the service coordinator make
+    every per-job decision here, so a spec runs the same way on both:
+    which jobs are finished (by this run, or by a state file whose
+    fingerprint matches), each attempt's number and solve budget (doubled
+    per failure), whether a failure retries after backoff or ends the job
+    as ``"error"`` / ``"timed_out"``, the robustness counters and the job
+    spans.  Each side keeps its transport: leases, execution, progress.
     """
-
-    STATE_SUFFIX = ".json"
-
-    #: Poll interval while every remaining job is leased by a live peer.
-    PEER_POLL_SECONDS = 0.1
 
     def __init__(
         self,
         spec: CampaignSpec,
         state_dir: Optional[str] = None,
-        jobs: Optional[int] = None,
-        progress: Optional[Callable[[str], None]] = None,
         retry_policy: Optional[RetryPolicy] = None,
         solve_budget: Optional[SolveBudget] = None,
-        lease_ttl: Optional[float] = None,
-        oversubscribe: bool = False,
     ):
         self.spec = spec
         self.state_dir = state_dir
-        self.jobs = resolve_jobs(jobs)
-        self._progress = progress or (lambda message: None)
         self.retry_policy = retry_policy or RetryPolicy.from_environment()
-        self._solve_budget = (
+        self.solve_budget = (
             solve_budget if solve_budget is not None else SolveBudget.from_environment()
         )
-        self._lease_ttl = lease_ttl
-        #: Spawn ``jobs`` worker processes even beyond the CPU count.  Off
-        #: by default (extra workers only duplicate compute); wait-heavy
-        #: sweeps and crash-isolation (a dying worker must not be this
-        #: process) justify turning it on.
-        self.oversubscribe = oversubscribe
-        # Trace bookkeeping (inert unless REPRO_TRACE is set).
-        self._trace_id = ""
-        self._job_started: Dict[str, float] = {}
+        #: Robustness counters (see :attr:`CampaignResult.robustness`).
+        self.counters: Dict[str, float] = {}
+        #: The trace and campaign span job spans join ("" = untraced).
+        self.trace_id = ""
+        self.campaign_span_id = ""
+        self._results: Dict[str, JobResult] = {}
+        self._failures: Dict[str, int] = {}
+        self._not_before: Dict[str, float] = {}
+        self._started: Dict[str, float] = {}
+
+    def bump(self, key: str, amount: float = 1) -> None:
+        self.counters[key] = self.counters.get(key, 0) + amount
 
     # -------------------------------------------------------------- #
-    # State files
+    # State files: <state_dir>/<job_id>.json, written atomically
     # -------------------------------------------------------------- #
-    def _state_path(self, job: CampaignJob) -> str:
-        assert self.state_dir is not None
-        return os.path.join(self.state_dir, f"{job.job_id}{self.STATE_SUFFIX}")
-
-    def _load_state(self, job: CampaignJob) -> Optional[JobResult]:
+    def load(self, job: CampaignJob) -> Optional[JobResult]:
         """Restore a completed job from disk (None = must run)."""
         if self.state_dir is None:
             return None
-        path = self._state_path(job)
+        path = os.path.join(self.state_dir, f"{job.job_id}.json")
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
@@ -1226,7 +1205,7 @@ class CampaignRunner:
             owner=str(data.get("owner", "")),
         )
 
-    def _save_state(self, job: CampaignJob, result: JobResult) -> None:
+    def save(self, job: CampaignJob, result: JobResult) -> None:
         if self.state_dir is None or not result.ok:
             return
         document = {
@@ -1243,15 +1222,177 @@ class CampaignRunner:
         if faults_enabled():
             # Chaos hook: a matching ``torn_state`` fault persists only the
             # first half of the document — the partial flush a crash
-            # mid-write would leave.  ``_load_state`` must reject it and
+            # mid-write would leave.  :meth:`load` must reject it and
             # re-run exactly this job on the next invocation.
             text = corrupt_text("torn_state", text, job.job_id)
-        _atomic_write(self._state_path(job), text)
+        _atomic_write(os.path.join(self.state_dir, f"{job.job_id}.json"), text)
+
+    # -------------------------------------------------------------- #
+    # Lifecycle
+    # -------------------------------------------------------------- #
+    def finished(self, job: CampaignJob) -> Optional[JobResult]:
+        """The job's final result — this run's or its state file's — or None."""
+        result = self._results.get(job.job_id)
+        if result is None:
+            result = self.load(job)
+            if result is not None:
+                self._results[job.job_id] = result
+        return result
+
+    def backoff(self, job_id: str) -> float:
+        """Seconds until ``job_id`` may be attempted again (0 = now)."""
+        return max(0.0, self._not_before.get(job_id, 0.0) - time.monotonic())
+
+    def begin(self, job_id: str) -> Tuple[int, str]:
+        """Start an attempt: its number and its solve-budget spec ("" = none)."""
+        self._started.setdefault(job_id, time.time())
+        failures = self._failures.get(job_id, 0)
+        if self.solve_budget is None:
+            return failures + 1, ""
+        budget = self.solve_budget
+        if failures:
+            budget = budget.scaled(2.0 ** failures)
+        return failures + 1, budget.to_spec()
+
+    def succeed(self, job: CampaignJob, result: JobResult, owner: str = "") -> None:
+        """Commit a successful attempt: persist its state, finish the job."""
+        result.attempts = self._failures.get(job.job_id, 0) + 1
+        result.owner = owner
+        self.save(job, result)
+        self._finish(job.job_id, result)
+
+    def fail(
+        self, job: CampaignJob, result: JobResult, owner: str = ""
+    ) -> Optional[float]:
+        """Account a failed attempt: the retry delay, or None when terminal.
+
+        ``result.attempts`` becomes this attempt's number.  A terminal
+        ``result`` is the job's final result.
+        """
+        job_id = job.job_id
+        attempt = self._failures[job_id] = self._failures.get(job_id, 0) + 1
+        result.attempts = attempt
+        verdict = classify_failure(result.exception, result.error)
+        self.bump(f"failures_{verdict}")
+        if verdict == "transient" and self.retry_policy.should_retry(attempt):
+            delay = self.retry_policy.delay(job_id, attempt)
+            self._not_before[job_id] = time.monotonic() + delay
+            self.bump("retries")
+            if self.trace_id:
+                with attach_context(self.job_traceparent(job_id)):
+                    obs_trace.event(
+                        "retry",
+                        job=job_id,
+                        attempt=attempt + 1,
+                        delay=round(delay, 4),
+                        error=result.error,
+                    )
+            return delay
+        result.owner = owner
+        if (
+            isinstance(result.exception, SolveBudgetExceeded)
+            or result.error.split(":", 1)[0].strip() == "SolveBudgetExceeded"
+        ):
+            result.status = "timed_out"
+            self.bump("timed_out")
+        self._finish(job_id, result)
+        return None
+
+    def _finish(self, job_id: str, result: JobResult) -> None:
+        """Record the job's final result and emit its span."""
+        self._results[job_id] = result
+        started = self._started.pop(job_id, None)
+        if self.trace_id and started is not None:
+            obs_trace.record_span(
+                "job",
+                span_id=job_span_id(self.trace_id, job_id),
+                start=started,
+                duration=max(0.0, time.time() - started),
+                parent=self.campaign_span_id,
+                trace_id=self.trace_id,
+                job=job_id,
+                status=result.status,
+            )
+
+    def job_traceparent(self, job_id: str) -> str:
+        """The traceparent attempt spans for ``job_id`` parent under."""
+        if not self.trace_id:
+            return ""
+        return format_traceparent(self.trace_id, job_span_id(self.trace_id, job_id))
+
+    def results(self) -> List[JobResult]:
+        """Every job's result in spec order (unfinished jobs are pending)."""
+        return [
+            self.finished(job)
+            or JobResult(job_id=job.job_id, kind=job.kind, status="pending")
+            for job in self.spec.jobs
+        ]
+
+    def robustness(self, stores: Iterable[JobStore] = ()) -> Dict[str, float]:
+        """The non-zero counters, plus the lease traffic of ``stores``."""
+        counters = Counter(self.counters)
+        for store in stores:
+            counters.update(
+                lease_claims=store.claims,
+                lease_conflicts=store.claim_conflicts,
+                lease_reclaims=store.reclaims,
+            )
+        return {key: value for key, value in sorted(counters.items()) if value}
+
+
+class CampaignRunner:
+    """Execute a :class:`CampaignSpec` over the worker pool, resumably.
+
+    With a ``state_dir`` every successful job writes
+    ``<state_dir>/<job_id>.json`` (atomic rename); a later run loads those
+    files, verifies the parameter fingerprint, and skips matching jobs.
+    Failed jobs are never persisted, so they retry on the next run.
+
+    A ``state_dir`` also turns the directory into a lease-based
+    :class:`~repro.jobstore.JobStore`: several concurrent runner processes
+    can share it and every pending job is executed exactly once — claiming
+    is atomic, held leases are heartbeated, and a crashed peer's lease is
+    reclaimed so its job re-runs from the last persisted state.
+
+    Transient failures (crashed workers, exhausted solve budgets, I/O
+    errors) are retried under ``retry_policy`` with capped exponential
+    backoff; a solve budget (``solve_budget`` or ``REPRO_SOLVE_BUDGET``)
+    is doubled on every retry and a job still timing out when attempts run
+    out finishes as ``"timed_out"`` instead of looping forever (see
+    :class:`JobBook`).
+    """
+
+    #: Poll interval while every remaining job is leased by a live peer.
+    PEER_POLL_SECONDS = 0.1
+
+    def __init__(
+        self,
+        spec: CampaignSpec,
+        state_dir: Optional[str] = None,
+        jobs: Optional[int] = None,
+        progress: Optional[Callable[[str], None]] = None,
+        retry_policy: Optional[RetryPolicy] = None,
+        solve_budget: Optional[SolveBudget] = None,
+        lease_ttl: Optional[float] = None,
+        oversubscribe: bool = False,
+    ):
+        self.spec = spec
+        self.state_dir = state_dir
+        self.jobs = resolve_jobs(jobs)
+        self._progress = progress or (lambda message: None)
+        self._retry_policy = retry_policy
+        self._solve_budget = solve_budget
+        self._lease_ttl = lease_ttl
+        #: Spawn ``jobs`` worker processes even beyond the CPU count.  Off
+        #: by default (extra workers only duplicate compute); wait-heavy
+        #: sweeps and crash-isolation (a dying worker must not be this
+        #: process) justify turning it on.
+        self.oversubscribe = oversubscribe
 
     # -------------------------------------------------------------- #
     # Tracing
     # -------------------------------------------------------------- #
-    def _campaign_span(self):
+    def _campaign_span(self, book: JobBook):
         """This invocation's campaign span, joined to the persisted trace.
 
         With a ``state_dir`` the first traced invocation persists its
@@ -1275,7 +1416,7 @@ class CampaignRunner:
         span = obs_trace.span(
             "campaign", parent=parent, campaign=self.spec.name, jobs=self.jobs
         )
-        self._trace_id = span.trace_id
+        book.trace_id, book.campaign_span_id = span.trace_id, span.span_id
         if trace_path is not None and not parent:
             _atomic_write(
                 trace_path,
@@ -1290,49 +1431,9 @@ class CampaignRunner:
             )
         return span
 
-    def _job_traceparent(self, job_id: str) -> str:
-        """The traceparent attempt spans for ``job_id`` parent under."""
-        if not tracing_enabled() or not self._trace_id:
-            return ""
-        return format_traceparent(
-            self._trace_id, job_span_id(self._trace_id, job_id)
-        )
-
-    def _finish_job_span(self, job_id: str, status: str) -> None:
-        """Emit the job's span once it reaches a terminal state."""
-        if not tracing_enabled() or not self._trace_id:
-            return
-        started = self._job_started.get(job_id)
-        if started is None:
-            return
-        obs_trace.record_span(
-            "job",
-            span_id=job_span_id(self._trace_id, job_id),
-            start=started,
-            duration=max(0.0, time.time() - started),
-            trace_id=self._trace_id,
-            job=job_id,
-            status=status,
-        )
-
     # -------------------------------------------------------------- #
     # Execution
     # -------------------------------------------------------------- #
-    def _attempt_budget_spec(self, prior_failures: int) -> str:
-        """Solve-budget spec for the next attempt (doubled per failure)."""
-        if self._solve_budget is None:
-            return ""
-        if prior_failures <= 0:
-            return self._solve_budget.to_spec()
-        return self._solve_budget.scaled(2.0 ** prior_failures).to_spec()
-
-    @staticmethod
-    def _is_timeout(result: JobResult) -> bool:
-        """Did this error result come from an exhausted solve budget?"""
-        if isinstance(result.exception, SolveBudgetExceeded):
-            return True
-        return result.error.split(":", 1)[0].strip() == "SolveBudgetExceeded"
-
     def run(
         self, limit: Optional[int] = None, fail_fast: bool = False
     ) -> CampaignResult:
@@ -1356,35 +1457,26 @@ class CampaignRunner:
         remain; jobs leased by peers are polled until the peer's state
         lands (adopted as cached) or its lease goes stale (reclaimed).
         """
-        with self._campaign_span():
-            return self._run_traced(limit=limit, fail_fast=fail_fast)
+        book = JobBook(
+            self.spec, self.state_dir, self._retry_policy, self._solve_budget
+        )
+        with self._campaign_span(book):
+            return self._run_traced(book, limit=limit, fail_fast=fail_fast)
 
     def _run_traced(
-        self, limit: Optional[int] = None, fail_fast: bool = False
+        self, book: JobBook, limit: Optional[int] = None, fail_fast: bool = False
     ) -> CampaignResult:
         """The body of :meth:`run` (inside this invocation's trace span)."""
         start = time.perf_counter()
-        slots: Dict[str, JobResult] = {}
         pending: List[CampaignJob] = []
         for job in self.spec.jobs:
-            restored = self._load_state(job)
-            if restored is not None:
-                slots[job.job_id] = restored
+            if book.finished(job) is not None:
                 self._progress(f"{job.job_id}: cached (state matches)")
             else:
                 pending.append(job)
 
         if limit is not None and limit >= 0:
-            for job in pending[limit:]:
-                slots[job.job_id] = JobResult(
-                    job_id=job.job_id, kind=job.kind, status="pending"
-                )
             pending = pending[:limit]
-
-        robustness: Dict[str, float] = {}
-
-        def bump(key: str, amount: float = 1) -> None:
-            robustness[key] = robustness.get(key, 0) + amount
 
         store: Optional[JobStore] = None
         if self.state_dir is not None and pending:
@@ -1394,53 +1486,41 @@ class CampaignRunner:
             with WorkerPool(
                 _execute_job_task, jobs=self.jobs, oversubscribe=self.oversubscribe
             ) as pool:
-                self._run_rounds(
-                    pending, slots, pool, store, fail_fast=fail_fast, bump=bump
-                )
-            bump("worker_crashes", pool.worker_crashes)
-            bump("pool_restarts", pool.pool_restarts)
+                self._run_rounds(book, pending, pool, store, fail_fast=fail_fast)
+            book.bump("worker_crashes", pool.worker_crashes)
+            book.bump("pool_restarts", pool.pool_restarts)
 
-        if store is not None:
-            bump("lease_claims", store.claims)
-            bump("lease_conflicts", store.claim_conflicts)
-            bump("lease_reclaims", store.reclaims)
         if faults_enabled():
             for point, count in sorted(fired_counts().items()):
-                bump(f"fault_{point}", count)
+                book.bump(f"fault_{point}", count)
 
-        ordered = [slots[job.job_id] for job in self.spec.jobs]
         return CampaignResult(
             name=self.spec.name,
-            results=ordered,
+            results=book.results(),
             total_seconds=time.perf_counter() - start,
             jobs=self.jobs,
-            robustness={key: value for key, value in robustness.items() if value},
+            robustness=book.robustness([store] if store is not None else []),
         )
 
     def _run_rounds(
         self,
+        book: JobBook,
         pending: List[CampaignJob],
-        slots: Dict[str, JobResult],
         pool: WorkerPool,
         store: Optional[JobStore],
         fail_fast: bool,
-        bump: Callable[..., None],
     ) -> None:
         """Drive ``pending`` to completion through claim/execute rounds."""
         capture_errors = not fail_fast
-        failures: Dict[str, int] = {}
-        not_before: Dict[str, float] = {}
+        owner = store.owner if store is not None else ""
         remaining: List[CampaignJob] = list(pending)
 
         while remaining:
-            now = time.monotonic()
             # A peer sharing the store may have finished some jobs since the
             # last round: adopt their persisted state instead of re-claiming.
             if store is not None:
                 for job in list(remaining):
-                    restored = self._load_state(job)
-                    if restored is not None:
-                        slots[job.job_id] = restored
+                    if book.finished(job) is not None:
                         remaining.remove(job)
                         self._progress(
                             f"{job.job_id}: cached (completed by a peer)"
@@ -1451,12 +1531,12 @@ class CampaignRunner:
             runnable: List[CampaignJob] = []
             leases: Dict[str, Lease] = {}
             for job in remaining:
-                if not_before.get(job.job_id, 0.0) > now:
+                if book.backoff(job.job_id):
                     continue  # still backing off
                 if store is not None:
                     # Claim under the job's trace context so a reclaim of a
                     # dead owner's lease is recorded under the job's span.
-                    with attach_context(self._job_traceparent(job.job_id)):
+                    with attach_context(book.job_traceparent(job.job_id)):
                         lease = store.claim(job.job_id)
                     if lease is None:
                         continue  # a live peer holds it; poll again later
@@ -1467,9 +1547,9 @@ class CampaignRunner:
                 # Everything left is backed off or peer-held: sleep until
                 # the earliest backoff expires (or one poll interval).
                 waits = [
-                    not_before[job.job_id] - now
-                    for job in remaining
-                    if not_before.get(job.job_id, 0.0) > now
+                    wait
+                    for wait in (book.backoff(job.job_id) for job in remaining)
+                    if wait
                 ]
                 if waits:
                     time.sleep(min(max(min(waits), 0.01), self.PEER_POLL_SECONDS))
@@ -1485,15 +1565,13 @@ class CampaignRunner:
             if parallel:
                 for job in runnable:
                     self._progress(f"{job.job_id}: queued (jobs={self.jobs})")
-            for job in runnable:
-                self._job_started.setdefault(job.job_id, time.time())
             tasks = [
                 (
                     job,
                     task_jobs,
                     capture_errors,
-                    self._attempt_budget_spec(failures.get(job.job_id, 0)),
-                    self._job_traceparent(job.job_id),
+                    book.begin(job.job_id)[1],
+                    book.job_traceparent(job.job_id),
                 )
                 for job in runnable
             ]
@@ -1501,21 +1579,22 @@ class CampaignRunner:
             completed: Dict[str, JobResult] = {}
             crashed: Optional[WorkerCrashed] = None
             crashed_position = -1
-            keeper = _LeaseKeeper(store) if store is not None else None
+            keeper = (
+                _LeaseKeeper(store.heartbeat, store.lease_ttl / 3.0, leases)
+                if store is not None
+                else None
+            )
             released: set = set()
 
             def let_go(job_id: str, status: str) -> None:
                 if store is None or job_id in released:
                     return
                 released.add(job_id)
-                if keeper is not None:
-                    keeper.remove(job_id)
+                keeper.remove(job_id)
                 store.release(leases[job_id], status=status)
 
             try:
                 if keeper is not None:
-                    for lease in leases.values():
-                        keeper.add(lease)
                     keeper.__enter__()
                 # Results stream back in job order and each is checkpointed
                 # as it lands, so an interrupted run — serial or parallel,
@@ -1546,25 +1625,21 @@ class CampaignRunner:
                         # Discard the work; the job stays in ``remaining``
                         # and the thief's result is adopted (or the job is
                         # re-claimed) next round.
-                        lost = (
-                            keeper is not None and keeper.is_lost(job.job_id)
-                        ) or not store.holds(leases[job.job_id])
+                        lost = keeper.is_lost(job.job_id) or not store.holds(
+                            leases[job.job_id]
+                        )
                         if lost:
-                            bump("lease_lost_discards")
+                            book.bump("lease_lost_discards")
                             let_go(job.job_id, "requeued")
                             self._progress(
                                 f"{job.job_id}: lease lost mid-run; "
                                 f"discarding result (peer owns the job)"
                             )
                             continue
-                    result.attempts = failures.get(job.job_id, 0) + 1
-                    result.owner = store.owner if store is not None else ""
                     if result.ok:
-                        self._save_state(job, result)
-                        slots[job.job_id] = result
+                        book.succeed(job, result, owner)
                         remaining.remove(job)
                         let_go(job.job_id, "ok")
-                        self._finish_job_span(job.job_id, "ok")
                     completed[job.job_id] = result
                     self._progress(
                         f"{job.job_id}: {result.status} ({result.seconds:.1f}s)"
@@ -1602,37 +1677,16 @@ class CampaignRunner:
                         # counted against it.
                         let_go(job.job_id, "requeued")
                         continue
-                failures[job.job_id] = failures.get(job.job_id, 0) + 1
-                verdict = classify_failure(result.exception, result.error)
-                bump(f"failures_{verdict}")
-                attempt = failures[job.job_id]
-                if verdict == "transient" and self.retry_policy.should_retry(attempt):
-                    delay = self.retry_policy.delay(job.job_id, attempt)
-                    not_before[job.job_id] = time.monotonic() + delay
+                delay = book.fail(job, result, owner)
+                if delay is not None:
                     let_go(job.job_id, "retry")
-                    bump("retries")
-                    if tracing_enabled():
-                        obs_trace.event(
-                            "retry",
-                            job=job.job_id,
-                            attempt=attempt + 1,
-                            delay=round(delay, 4),
-                            error=result.error,
-                        )
                     self._progress(
                         f"{job.job_id}: retrying in {delay:.2f}s "
-                        f"(attempt {attempt + 1}, {verdict}: {result.error})"
+                        f"(attempt {result.attempts + 1}, transient: {result.error})"
                     )
                     continue
-                result.attempts = attempt
-                result.owner = store.owner if store is not None else ""
-                if self._is_timeout(result):
-                    result.status = "timed_out"
-                    bump("timed_out")
-                slots[job.job_id] = result
                 remaining.remove(job)
                 let_go(job.job_id, result.status)
-                self._finish_job_span(job.job_id, result.status)
 
 
 def run_campaign(

@@ -32,7 +32,9 @@ Environment knobs (all optional):
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 from typing import Any, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
@@ -185,17 +187,18 @@ def normalized_artifact_json(text: str) -> str:
 
 
 def normalized_artifact_csv(text: str) -> str:
-    """Campaign CSV with the ``seconds`` and ``cached`` columns zeroed."""
-    lines = text.splitlines()
-    if not lines:
+    """Campaign CSV with the ``seconds`` and ``cached`` columns zeroed.
+
+    Parsed as CSV: a quoted cell such as a window's ``camo_blif`` spans lines.
+    """
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
         return ""
-    header = lines[0].split(",")
-    seconds_column = header.index("seconds")
-    cached_column = header.index("cached")
-    normalized = [lines[0]]
-    for line in lines[1:]:
-        cells = line.split(",")
-        cells[seconds_column] = "0"
-        cells[cached_column] = "0"
-        normalized.append(",".join(cells))
-    return "\n".join(normalized)
+    seconds_column = rows[0].index("seconds")
+    cached_column = rows[0].index("cached")
+    for row in rows[1:]:
+        row[seconds_column] = "0"
+        row[cached_column] = "0"
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()[:-1]

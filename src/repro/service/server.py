@@ -44,7 +44,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..ga.pinopt import SynthesisDiskCache
-from ..jobstore import JobStore, Lease, LeaseLost, RetryPolicy, classify_failure
+from ..jobstore import JobStore, Lease, LeaseLost, RetryPolicy
 from ..obs import metrics as obs_metrics
 from ..obs.log import get_logger
 from ..obs.trace import (
@@ -64,9 +64,10 @@ from ..scenarios.campaign import (
     CampaignError,
     CampaignJob,
     CampaignResult,
-    CampaignRunner,
     CampaignSpec,
+    JobBook,
     JobResult,
+    _atomic_write,
 )
 from .protocol import (
     SERVICE_ROOT_ENV_VAR,
@@ -109,12 +110,15 @@ def _completion_fields(
 class CampaignHandle:
     """Coordinator-side state of one submitted campaign.
 
-    The handle reuses the campaign runner's fingerprinted state files for
-    persistence and one :class:`JobStore` per remote worker for lease
-    arbitration — the coordinator *is* the filesystem the workers no
-    longer need.  Scheduling metadata that is cheap to rebuild (backoff
-    deadlines, failure counts) lives in memory; everything a restart must
-    not lose (spec, finished job state, attempt history) is on disk.
+    The job lifecycle — finished jobs and their state files, attempt
+    budgets, retry-or-terminal verdicts, robustness counters, job spans —
+    is the campaign runner's :class:`~repro.scenarios.campaign.JobBook`;
+    the handle adds the HTTP side: one :class:`JobStore` per remote worker
+    for lease arbitration (the coordinator *is* the filesystem the workers
+    no longer need), cancellation and the SSE views.  Scheduling metadata
+    that is cheap to rebuild (backoff deadlines, failure counts) lives in
+    memory; everything a restart must not lose (spec, finished job state,
+    attempt history) is on disk.
     """
 
     def __init__(
@@ -132,14 +136,7 @@ class CampaignHandle:
         self.state_dir = os.path.join(directory, "state")
         os.makedirs(self.state_dir, exist_ok=True)
         self.lease_ttl = lease_ttl
-        self.retry_policy = retry_policy or RetryPolicy.from_environment()
-        self._solve_budget = (
-            solve_budget
-            if solve_budget is not None
-            else SolveBudget.from_environment()
-        )
-        #: State-file I/O only; the runner's worker pool is never started.
-        self.runner = CampaignRunner(spec, state_dir=self.state_dir, jobs=1)
+        self.book = JobBook(spec, self.state_dir, retry_policy, solve_budget)
         #: Read-only store for lease/attempt inspection (never claims).
         self.inspector = JobStore(
             self.state_dir, owner=f"inspector:{campaign_id}", lease_ttl=lease_ttl
@@ -147,20 +144,13 @@ class CampaignHandle:
         self._jobs = {job.job_id: job for job in spec.jobs}
         self._stores: Dict[str, JobStore] = {}
         self._leases: Dict[str, Tuple[str, Lease]] = {}
-        self._failures: Dict[str, int] = {}
-        self._not_before: Dict[str, float] = {}
-        self._terminal: Dict[str, Dict[str, Any]] = {}
-        self.counters: Dict[str, float] = {}
         self._started = time.monotonic()
         self._cancel_path = os.path.join(directory, "cancelled.json")
         self.cancelled = os.path.exists(self._cancel_path)
         self._trace_path = os.path.join(directory, "trace.json")
-        self._trace_id = ""
-        self._campaign_span_id = ""
         self._campaign_parent = ""
         self._trace_started = time.time()
         self._trace_finished = False
-        self._job_started: Dict[str, float] = {}
         if tracing_enabled():
             self._init_trace()
 
@@ -174,6 +164,7 @@ class CampaignHandle:
         that trace; otherwise a fresh trace id is minted.  The context is
         persisted next to the spec so a coordinator restart — and every
         worker attempt — keeps stitching into the same trace."""
+        book = self.book
         try:
             with open(self._trace_path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -181,71 +172,39 @@ class CampaignHandle:
         except (OSError, ValueError):
             payload, persisted = {}, None
         if persisted is not None:
-            self._trace_id, self._campaign_span_id = persisted
+            book.trace_id, book.campaign_span_id = persisted
             self._campaign_parent = str(payload.get("parent", ""))
             started = payload.get("started")
             if isinstance(started, (int, float)):
                 self._trace_started = float(started)
             return
         client = parse_traceparent(current_traceparent())
-        self._trace_id = client[0] if client is not None else new_trace_id()
+        book.trace_id = client[0] if client is not None else new_trace_id()
         self._campaign_parent = client[1] if client is not None else ""
-        self._campaign_span_id = job_span_id(
-            self._trace_id, f"campaign:{self.campaign_id}"
+        book.campaign_span_id = job_span_id(
+            book.trace_id, f"campaign:{self.campaign_id}"
         )
         payload = {
-            "traceparent": format_traceparent(
-                self._trace_id, self._campaign_span_id
-            ),
+            "traceparent": format_traceparent(book.trace_id, book.campaign_span_id),
             "parent": self._campaign_parent,
             "started": self._trace_started,
         }
-        temp_path = f"{self._trace_path}.tmp.{os.getpid()}"
         try:
-            with open(temp_path, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-                handle.write("\n")
-            os.replace(temp_path, self._trace_path)
+            _atomic_write(self._trace_path, json.dumps(payload, sort_keys=True) + "\n")
         except OSError:
             pass
 
-    def _job_traceparent(self, job_id: str) -> str:
-        """The deterministic job-span context claim tickets hand workers."""
-        if not self._trace_id:
-            return ""
-        return format_traceparent(
-            self._trace_id, job_span_id(self._trace_id, job_id)
-        )
-
-    def _finish_job_span(self, job_id: str, status: str) -> None:
-        if not self._trace_id:
-            return
-        started = self._job_started.pop(job_id, None)
-        if started is None:
-            return
-        record_span(
-            "job",
-            span_id=job_span_id(self._trace_id, job_id),
-            start=started,
-            duration=time.time() - started,
-            parent=self._campaign_span_id,
-            trace_id=self._trace_id,
-            job=job_id,
-            status=status,
-            campaign=self.campaign_id,
-        )
-
     def _finish_campaign_span(self, status: str) -> None:
-        if not self._trace_id or self._trace_finished:
+        if not self.book.trace_id or self._trace_finished:
             return
         self._trace_finished = True
         record_span(
             "campaign",
-            span_id=self._campaign_span_id,
+            span_id=self.book.campaign_span_id,
             start=self._trace_started,
             duration=time.time() - self._trace_started,
             parent=self._campaign_parent,
-            trace_id=self._trace_id,
+            trace_id=self.book.trace_id,
             campaign=self.campaign_id,
             status=status,
             jobs=len(self.spec.jobs),
@@ -254,9 +213,6 @@ class CampaignHandle:
     # -------------------------------------------------------------- #
     # Bookkeeping
     # -------------------------------------------------------------- #
-    def bump(self, key: str, amount: float = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + amount
-
     def job(self, job_id: str) -> CampaignJob:
         try:
             return self._jobs[job_id]
@@ -272,16 +228,6 @@ class CampaignHandle:
             self._stores[worker] = store
         return store
 
-    def _budget_spec(self, prior_failures: int) -> str:
-        """Per-attempt solve budget, doubled per prior failure (mirrors
-        :meth:`CampaignRunner._attempt_budget_spec` so service retries
-        escalate exactly like local ones)."""
-        if self._solve_budget is None:
-            return ""
-        if prior_failures <= 0:
-            return self._solve_budget.to_spec()
-        return self._solve_budget.scaled(2.0 ** prior_failures).to_spec()
-
     # -------------------------------------------------------------- #
     # Worker protocol
     # -------------------------------------------------------------- #
@@ -291,45 +237,39 @@ class CampaignHandle:
             raise ServiceError(400, "claim requires a worker id")
         if self.cancelled:
             return {"done": True, "cancelled": True}
-        now = time.time()
         store = self.store_for(worker)
         obs_metrics.counter(
             "repro_service_claims_total", campaign=self.campaign_id
         )
         for job in self.spec.jobs:
             job_id = job.job_id
-            if job_id in self._terminal:
-                continue
-            if self.runner._load_state(job) is not None:
-                continue
-            if self._not_before.get(job_id, 0.0) > now:
+            if self.book.finished(job) is not None or self.book.backoff(job_id):
                 continue
             # Claim under the job-span context so the jobstore's reclaim
             # evidence lands inside this campaign's trace.
-            with attach_context(self._job_traceparent(job_id)):
+            with attach_context(self.book.job_traceparent(job_id)):
                 lease = store.claim(job_id)
             if lease is None:
                 continue  # a live worker holds it
             previous = self._leases.get(job_id)
             if previous is not None and previous[1].path == lease.path:
                 # The claim reclaimed a dead worker's expired lease.
-                self.bump("worker_reclaims")
+                self.book.bump("worker_reclaims")
                 obs_metrics.counter(
                     "repro_service_reclaims_total", campaign=self.campaign_id
                 )
             self._leases[job_id] = (worker, lease)
-            self._job_started.setdefault(job_id, time.time())
-            prior = self._failures.get(job_id, 0)
+            attempt, budget = self.book.begin(job_id)
             return {
                 "job": {
                     "job_id": job_id,
                     "kind": job.kind,
                     "params": job.params,
                 },
-                "attempt": prior + 1,
+                "attempt": attempt,
                 "lease_ttl": store.lease_ttl,
-                "budget": self._budget_spec(prior),
-                "traceparent": self._job_traceparent(job_id),
+                "budget": budget,
+                "traceparent": self.book.job_traceparent(job_id),
             }
         if self.complete():
             self._finish_campaign_span("complete")
@@ -381,23 +321,23 @@ class CampaignHandle:
                     409, f"lease on {job_id!r} was reclaimed; result discarded"
                 )
         except ServiceError:
-            self.bump("lease_lost_discards")
+            self.book.bump("lease_lost_discards")
             raise
-        attempts = self._failures.get(job_id, 0) + 1
+        # The coordinator runs no job itself: an uploaded result is served
+        # like one restored from the campaign state, as cached.
         result = JobResult(
             job_id=job_id,
             kind=job.kind,
             status="ok",
             seconds=seconds,
             payload=payload,
-            attempts=attempts,
-            owner=store.owner,
+            cached=True,
         )
-        self.runner._save_state(job, result)
+        self.book.succeed(job, result, owner=store.owner)
         store.release(lease, status="ok")
         self._leases.pop(job_id, None)
         for key, value in (cache or {}).items():
-            self.bump(f"remote_cache_{key}", value)
+            self.book.bump(f"remote_cache_{key}", value)
         obs_metrics.counter(
             "repro_service_jobs_total", campaign=self.campaign_id, status="ok"
         )
@@ -410,60 +350,29 @@ class CampaignHandle:
                 )
             except ValueError:
                 pass  # malformed worker telemetry never fails a commit
-        self._finish_job_span(job_id, "ok")
         if self.complete():
             self._finish_campaign_span("complete")
-        return {"committed": True, "attempts": attempts}
+        return {"committed": True, "attempts": result.attempts}
 
     def fail_job(self, worker: str, job_id: str, error: str) -> Dict[str, Any]:
         """Record a failure: schedule a retry or finish the job terminally."""
-        self.job(job_id)
+        job = self.job(job_id)
         store, lease = self._held_lease(worker, job_id)
-        self._failures[job_id] = self._failures.get(job_id, 0) + 1
-        attempt = self._failures[job_id]
-        verdict = classify_failure(None, error)
-        self.bump(f"failures_{verdict}")
-        if verdict == "transient" and self.retry_policy.should_retry(attempt):
-            delay = self.retry_policy.delay(job_id, attempt)
-            self._not_before[job_id] = time.time() + delay
-            store.release(lease, status="retry")
-            self._leases.pop(job_id, None)
-            self.bump("retries")
+        result = JobResult(job_id=job_id, kind=job.kind, status="error", error=error)
+        delay = self.book.fail(job, result, owner=store.owner)
+        store.release(lease, status=result.status if delay is None else "retry")
+        self._leases.pop(job_id, None)
+        if delay is not None:
             obs_metrics.counter(
                 "repro_service_retries_total", campaign=self.campaign_id
             )
-            if self._trace_id:
-                with attach_context(self._job_traceparent(job_id)):
-                    trace_event(
-                        "retry",
-                        job=job_id,
-                        attempt=attempt,
-                        delay=round(delay, 4),
-                        error=error,
-                    )
-            return {"retry": True, "delay": delay, "attempt": attempt}
-        status = (
-            "timed_out"
-            if error.split(":", 1)[0].strip() == "SolveBudgetExceeded"
-            else "error"
-        )
-        if status == "timed_out":
-            self.bump("timed_out")
-        self._terminal[job_id] = {
-            "status": status,
-            "error": error,
-            "attempts": attempt,
-            "owner": store.owner,
-        }
-        store.release(lease, status=status)
-        self._leases.pop(job_id, None)
+            return {"retry": True, "delay": delay, "attempt": result.attempts}
         obs_metrics.counter(
-            "repro_service_jobs_total", campaign=self.campaign_id, status=status
+            "repro_service_jobs_total", campaign=self.campaign_id, status=result.status
         )
-        self._finish_job_span(job_id, status)
         if self.complete():
             self._finish_campaign_span("complete")
-        return {"terminal": status}
+        return {"terminal": result.status}
 
     def cancel(self) -> Dict[str, Any]:
         """Stop handing out work: claims drain with ``done`` from now on.
@@ -473,21 +382,20 @@ class CampaignHandle:
         their lease); no new claims succeed."""
         if not self.cancelled:
             self.cancelled = True
-            temp_path = f"{self._cancel_path}.tmp.{os.getpid()}"
             try:
-                with open(temp_path, "w", encoding="utf-8") as handle:
-                    json.dump({"cancelled_at": time.time()}, handle)
-                    handle.write("\n")
-                os.replace(temp_path, self._cancel_path)
+                _atomic_write(
+                    self._cancel_path,
+                    json.dumps({"cancelled_at": time.time()}) + "\n",
+                )
             except OSError:
                 pass
-            self.bump("cancelled")
+            self.book.bump("cancelled")
             obs_metrics.counter(
                 "repro_service_cancels_total", campaign=self.campaign_id
             )
-            if self._trace_id:
+            if self.book.trace_id:
                 with attach_context(
-                    format_traceparent(self._trace_id, self._campaign_span_id)
+                    format_traceparent(self.book.trace_id, self.book.campaign_span_id)
                 ):
                     trace_event("cancel", campaign=self.campaign_id)
             self._finish_campaign_span("cancelled")
@@ -501,14 +409,10 @@ class CampaignHandle:
     # Observation
     # -------------------------------------------------------------- #
     def job_state(self, job_id: str) -> Tuple[str, str]:
-        """Current ``(status, owner)`` of one job, read from disk."""
-        job = self.job(job_id)
-        restored = self.runner._load_state(job)
-        if restored is not None:
-            return "done", restored.owner
-        terminal = self._terminal.get(job_id)
-        if terminal is not None:
-            return terminal["status"], terminal["owner"]
+        """Current ``(status, owner)`` of one job."""
+        result = self.book.finished(self.job(job_id))
+        if result is not None:
+            return ("done" if result.ok else result.status), result.owner
         holder = self.inspector._read_lease(self.inspector.lease_path(job_id))
         if holder is not None:
             return "running", str(holder.get("owner", ""))
@@ -516,25 +420,10 @@ class CampaignHandle:
 
     def complete(self) -> bool:
         """Every job finished (successfully or terminally)?"""
-        for job in self.spec.jobs:
-            if job.job_id in self._terminal:
-                continue
-            if self.runner._load_state(job) is None:
-                return False
-        return True
+        return all(self.book.finished(job) is not None for job in self.spec.jobs)
 
     def robustness(self) -> Dict[str, float]:
-        counters = dict(self.counters)
-
-        def add(key: str, amount: float) -> None:
-            if amount:
-                counters[key] = counters.get(key, 0) + amount
-
-        for store in self._stores.values():
-            add("lease_claims", store.claims)
-            add("lease_conflicts", store.claim_conflicts)
-            add("lease_reclaims", store.reclaims)
-        return {key: value for key, value in sorted(counters.items()) if value}
+        return self.book.robustness(self._stores.values())
 
     def status(self) -> Dict[str, Any]:
         counts: Dict[str, int] = {}
@@ -556,31 +445,9 @@ class CampaignHandle:
 
     def result(self) -> CampaignResult:
         """The campaign's current results, runner-artifact compatible."""
-        results: List[JobResult] = []
-        for job in self.spec.jobs:
-            restored = self.runner._load_state(job)
-            if restored is not None:
-                results.append(restored)
-                continue
-            terminal = self._terminal.get(job.job_id)
-            if terminal is not None:
-                results.append(
-                    JobResult(
-                        job_id=job.job_id,
-                        kind=job.kind,
-                        status=terminal["status"],
-                        error=terminal["error"],
-                        attempts=terminal["attempts"],
-                        owner=terminal["owner"],
-                    )
-                )
-                continue
-            results.append(
-                JobResult(job_id=job.job_id, kind=job.kind, status="pending")
-            )
         return CampaignResult(
             name=self.spec.name,
-            results=results,
+            results=self.book.results(),
             total_seconds=time.monotonic() - self._started,
             jobs=1,
             robustness=self.robustness(),
@@ -654,14 +521,13 @@ class CampaignHandle:
             if state == "done" and prev[0] != "done":
                 frames.append(sse_event("done", {"job": job_id, "owner": owner}))
             elif state in ("error", "timed_out") and prev[0] != state:
-                terminal = self._terminal.get(job_id, {})
                 frames.append(
                     sse_event(
                         "failed",
                         {
                             "job": job_id,
                             "status": state,
-                            "error": str(terminal.get("error", "")),
+                            "error": self.book.finished(job).error,
                         },
                     )
                 )
@@ -781,12 +647,10 @@ class CampaignService:
                 "jobs": len(existing.spec.jobs),
             }
         directory = os.path.join(self.campaigns_dir, campaign_id)
-        os.makedirs(directory, exist_ok=True)
-        spec_path = os.path.join(directory, "spec.json")
-        temp_path = f"{spec_path}.tmp.{os.getpid()}"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            json.dump(spec.to_dict(), handle, indent=2, sort_keys=True)
-        os.replace(temp_path, spec_path)
+        _atomic_write(
+            os.path.join(directory, "spec.json"),
+            json.dumps(spec.to_dict(), indent=2, sort_keys=True),
+        )
         self._handles[campaign_id] = self._handle_for(campaign_id, spec)
         return {"campaign": campaign_id, "created": True, "jobs": len(spec.jobs)}
 
@@ -876,7 +740,7 @@ class CampaignService:
     def _route(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, str, bytes]:
-        parts = [part for part in path.split("?", 1)[0].split("/") if part]
+        parts = [part for part in path.split("/") if part]
         obs_metrics.counter(
             "repro_service_requests_total",
             route=parts[0] if parts else "root",
@@ -1002,6 +866,8 @@ class CampaignService:
                 return
             body = await reader.readexactly(length) if length > 0 else b""
 
+            # Routes match on the path alone: drop any query string.
+            path = path.split("?", 1)[0]
             event_parts = [part for part in path.split("/") if part]
             if (
                 method == "GET"

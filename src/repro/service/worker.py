@@ -8,7 +8,7 @@ The agent needs **no shared filesystem**: jobs arrive as JSON
 (:class:`~repro.scenarios.campaign.CampaignJob` kind + params), execute
 through the exact same :func:`~repro.scenarios.campaign._execute_job_task`
 the local campaign runner fans over its worker pool, and finished payloads
-are uploaded back.  Lease safety mirrors the local runner: a daemon thread
+are uploaded back.  Lease safety is the local runner's: its lease keeper
 heartbeats the claimed job every TTL/3, and when a heartbeat comes back
 409 — the coordinator reclaimed the lease — the computed result is
 *discarded*, never uploaded, because a peer may already own the job.
@@ -29,12 +29,12 @@ from __future__ import annotations
 import argparse
 import os
 import socket
-import threading
 import time
 from typing import Dict, Optional
 
+from ..jobstore import LeaseLost
 from ..obs.log import get_logger
-from ..scenarios.campaign import CampaignJob, _execute_job_task
+from ..scenarios.campaign import CampaignJob, _execute_job_task, _LeaseKeeper
 from .cache import CACHE_URL_ENV_VAR, RemoteCacheTier
 from .client import ServiceClient
 from .protocol import ServiceError, poll_from_environment
@@ -169,34 +169,24 @@ class WorkerAgent:
             attempt=ticket.get("attempt", 1),
         )
 
-        lost = threading.Event()
-        stop = threading.Event()
+        def beat(job_id: str) -> None:
+            try:
+                self.client.heartbeat(campaign_id, job_id, self.worker_id)
+            except ServiceError as exc:
+                if exc.status == 409:
+                    raise LeaseLost(exc.message) from exc
+                # Transient (network, coordinator restart): retry on the
+                # next beat; the lease survives two more misses.
 
-        def beat() -> None:
-            interval = lease_ttl / 3.0
-            while not stop.wait(interval):
-                try:
-                    self.client.heartbeat(campaign_id, job.job_id, self.worker_id)
-                except ServiceError as exc:
-                    if exc.status == 409:
-                        lost.set()
-                        return
-                    # Transient (network, coordinator restart): retry on
-                    # the next beat; the lease survives two more misses.
-
-        keeper = threading.Thread(target=beat, daemon=True)
-        keeper.start()
+        keeper = _LeaseKeeper(beat, lease_ttl / 3.0, {job.job_id: job.job_id})
         tier = RemoteCacheTier.active()
         cache_before = tier.remote_stats() if tier is not None else {}
-        try:
+        with keeper:
             result = _execute_job_task(
                 (job, self.task_jobs, True, budget, traceparent)
             )
-        finally:
-            stop.set()
-        keeper.join(timeout=lease_ttl)
 
-        if lost.is_set():
+        if keeper.is_lost(job.job_id):
             # Lost-lease safety, worker side: the coordinator reclaimed the
             # job (we looked dead); a peer may be re-running it, so this
             # result must never be uploaded.

@@ -11,8 +11,8 @@ from repro.scenarios.campaign import (
     JOB_KINDS,
     CampaignError,
     CampaignJob,
-    CampaignRunner,
     CampaignSpec,
+    JobBook,
     run_campaign,
 )
 
@@ -192,13 +192,13 @@ class TestRunnerMechanics:
         state = tmp_path / "state"
         saves = []
 
-        real_save = CampaignRunner._save_state
+        real_save = JobBook.save
 
         def _spy_save(self, job, result):
             real_save(self, job, result)
             saves.append((job.job_id, sorted(p.name for p in state.iterdir())))
 
-        monkeypatch.setattr(CampaignRunner, "_save_state", _spy_save)
+        monkeypatch.setattr(JobBook, "save", _spy_save)
         outcome = run_campaign(_echo_spec([1, 2, 3]), state_dir=str(state), jobs=4)
         assert outcome.all_ok
         # Each job's state landed on disk before the next result was

@@ -1,4 +1,4 @@
-"""One job lifecycle, run through both campaign drivers.
+"""One job lifecycle, run through the local runner and the service.
 
 Each row of ``LIFECYCLE`` is one job behaviour under the same retry policy
 and solve budget.  Every case runs through the local campaign runner (with
@@ -17,6 +17,13 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 
 from repro.jobstore import JobStore, RetryPolicy
+from repro.obs.trace import (
+    TRACE_DIR_ENV_VAR,
+    TRACE_ENV_VAR,
+    job_span_id,
+    load_trace,
+    reset_trace_state,
+)
 from repro.sat.solver import BUDGET_ENV_VAR, SolveBudget, SolveBudgetExceeded
 from repro.scenarios.campaign import (
     JOB_KINDS,
@@ -161,7 +168,8 @@ def run_service(spec: CampaignSpec, root, seen: List[str], case: Case) -> Run:
     assert status["states"] == {"subject": subject_state, "steady": "done"}
     assert status["robustness"] == outcome.robustness
     if ok:
-        assert ("done", {"job": "subject", "owner": outcome.result_for("subject").owner}) in events
+        owner = outcome.result_for("subject").owner
+        assert ("done", {"job": "subject", "owner": owner}) in events
     else:
         (failed,) = [data for event, data in events if event == "failed"]
         assert failed["job"] == "subject" and failed["status"] == case.status
@@ -227,5 +235,62 @@ def test_lifecycle_table(name, tmp_path, budgets_seen):
     check_run(service, case, remote=True)
     assert service.outcome.robustness == local.outcome.robustness
     for run in (stateless, service):
-        assert normalized_artifact_json(run.json) == normalized_artifact_json(local.json)
+        assert normalized_artifact_json(run.json) == (
+            normalized_artifact_json(local.json)
+        )
         assert normalized_artifact_csv(run.csv) == normalized_artifact_csv(local.csv)
+
+
+def test_traced_runs_record_the_same_retries_and_job_spans(
+    tmp_path, monkeypatch, budgets_seen
+):
+    """Either side records each retry under the job's span, numbered as
+    the next attempt, and one job span per job under the campaign span."""
+    name = "budget_rescued"
+    spec = case_spec(name, tmp_path / "unused.marker")
+    monkeypatch.setenv(TRACE_ENV_VAR, "1")
+    traces = {}
+    try:
+        for side in ("local", "service"):
+            monkeypatch.setenv(TRACE_DIR_ENV_VAR, str(tmp_path / side))
+            reset_trace_state()
+            if side == "local":
+                run_local(spec, str(tmp_path / "state"), budgets_seen)
+            else:
+                run_service(spec, tmp_path / "root", budgets_seen, LIFECYCLE[name])
+            traces[side] = load_trace(str(tmp_path / side))
+    finally:
+        monkeypatch.delenv(TRACE_ENV_VAR)
+        reset_trace_state()
+
+    error = "SolveBudgetExceeded: budget too small"
+    expected_retries = [
+        {
+            "job": "subject",
+            "attempt": attempt,
+            "delay": round(POLICY.delay("subject", attempt - 1), 4),
+            "error": error,
+        }
+        for attempt in (2, 3)
+    ]
+    for side, records in traces.items():
+        (campaign,) = [record for record in records if record["name"] == "campaign"]
+        trace_id = campaign["trace"]
+        retries = [record for record in records if record["name"] == "retry"]
+        assert [record["attrs"] for record in retries] == expected_retries, side
+        assert {record["parent"] for record in retries} == {
+            job_span_id(trace_id, "subject")
+        }, side
+        jobs = {
+            record["attrs"]["job"]: (record["span"], record["parent"], record["attrs"])
+            for record in records
+            if record["name"] == "job"
+        }
+        assert jobs == {
+            job: (
+                job_span_id(trace_id, job),
+                campaign["span"],
+                {"job": job, "status": "ok"},
+            )
+            for job in ("subject", "steady")
+        }, side

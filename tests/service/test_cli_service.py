@@ -69,6 +69,34 @@ class TestSubmitCommand:
             )
         assert "--blif" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--state-dir", "state"),
+            ("--limit", "1"),
+            ("--jobs", "2"),
+            ("--lease-ttl", "5"),
+            ("--retries", "2"),
+            ("--solve-budget", "conflicts=100"),
+        ],
+    )
+    def test_submit_rejects_runner_only_flags(self, flag, value):
+        """The fleet runs on the coordinator's settings: say so, send nothing."""
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    "campaign",
+                    "--workload",
+                    "PRESENT:2",
+                    flag,
+                    value,
+                    "--submit",
+                    "http://127.0.0.1:1",
+                ]
+            )
+        assert flag in str(info.value)
+        assert "submit failed" not in str(info.value)
+
     def test_submit_unreachable_coordinator_is_a_clean_error(self):
         with pytest.raises(SystemExit) as info:
             main(

@@ -1,10 +1,18 @@
 """Unit tests for the service wire protocol (identity, SSE, normalisers)."""
 
+import csv
+import io
 import json
 
 import pytest
 
-from repro.scenarios.campaign import CampaignJob, CampaignSpec, run_campaign
+from repro.scenarios.campaign import (
+    CampaignJob,
+    CampaignResult,
+    CampaignSpec,
+    JobResult,
+    run_campaign,
+)
 from repro.service.protocol import (
     cache_fingerprint,
     campaign_fingerprint,
@@ -118,3 +126,28 @@ class TestArtifactNormalisation:
             cells = line.split(",")
             assert cells[seconds_column] == "0"
             assert cells[cached_column] == "0"
+        # Unquoted rows render line for line, without a trailing newline.
+        assert normalized == "\n".join(normalized.splitlines())
+
+    def test_csv_keeps_a_multi_line_cell_whole(self):
+        blif = ".model w\n.inputs a b\n.end\n"
+        outcome = CampaignResult(
+            name="windowed",
+            results=[
+                JobResult(
+                    job_id="window_000",
+                    kind="window_obfuscate",
+                    status="ok",
+                    seconds=1.25,
+                    cached=True,
+                    payload={"index": 0, "camo_blif": blif},
+                )
+            ],
+            total_seconds=1.25,
+        )
+        normalized = normalized_artifact_csv(outcome.to_csv())
+        header, row = csv.reader(io.StringIO(normalized))
+        assert row[header.index("seconds")] == "0"
+        assert row[header.index("cached")] == "0"
+        assert row[header.index("camo_blif")] == blif
+        assert normalized_artifact_csv(normalized) == normalized

@@ -63,6 +63,30 @@ class TestSubmission:
                 client.submit({"name": "bad"})  # no jobs: invalid spec
             assert info.value.status == 400
 
+    def test_query_strings_do_not_change_the_route(self, tmp_path):
+        spec = probe_spec(count=1, name="query")
+        with ServiceThread(root=str(tmp_path), poll=0.02) as service:
+            campaign_id = ServiceClient(service.url).submit(spec.to_dict())[
+                "campaign"
+            ]
+            run_worker(service.url, campaign=campaign_id)
+            address = urlsplit(service.url)
+            for path, content_type in (
+                (f"/campaigns/{campaign_id}?x=1", "application/json"),
+                (f"/campaigns/{campaign_id}/events?x=1", "text/event-stream"),
+            ):
+                connection = http.client.HTTPConnection(
+                    address.hostname, address.port, timeout=10
+                )
+                try:
+                    connection.request("GET", path)
+                    response = connection.getresponse()
+                    body = response.read()
+                finally:
+                    connection.close()
+                assert response.status == 200, (path, body)
+                assert response.getheader("Content-Type") == content_type
+
     def test_resubmission_dedupes_onto_one_campaign(self, tmp_path):
         spec = probe_spec()
         with ServiceThread(root=str(tmp_path)) as service:
