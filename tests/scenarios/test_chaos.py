@@ -26,7 +26,7 @@ from repro.obs.trace import (
     load_trace,
     reset_trace_state,
 )
-from repro.sat.solver import BUDGET_ENV_VAR
+from repro.sat.solver import BUDGET_ENV_VAR, SolveBudget, SolveBudgetExceeded
 from repro.scenarios.campaign import (
     JOB_KINDS,
     CampaignJob,
@@ -361,6 +361,74 @@ class TestCorruption:
         assert reloaded.loaded == 1
         assert reloaded.get("fast", library, (4, 0x5678)) is None
         assert reloaded.get("fast", library, (4, 0x1234)) == 42.5
+
+
+# ------------------------------------------------------------------ #
+# Retry / backoff machinery
+# ------------------------------------------------------------------ #
+class TestRetries:
+    def test_transient_failure_retries_and_succeeds(self, tmp_path):
+        marker = tmp_path / "flaky.marker"
+        spec = CampaignSpec(
+            name="retry",
+            jobs=[
+                CampaignJob(
+                    "flaky", "probe", {"value": 7, "fail_marker": str(marker)}
+                ),
+                CampaignJob("steady", "probe", {"value": 8}),
+            ],
+        )
+        state = str(tmp_path / "state")
+        policy = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
+        outcome = run_campaign(spec, state_dir=state, retry_policy=policy)
+        assert outcome.all_ok
+        flaky = outcome.result_for("flaky")
+        assert flaky.attempts == 2
+        assert outcome.result_for("steady").attempts == 1
+        assert outcome.robustness["retries"] == 1
+        assert outcome.robustness["failures_transient"] == 1
+        store = JobStore(state, owner="inspector")
+        statuses = [record["status"] for record in store.attempts("flaky")]
+        assert statuses == ["retry", "ok"]
+
+    def test_permanent_failure_is_not_retried(self, monkeypatch):
+        def _bad_parameters(params, task_jobs):
+            raise ValueError("bad parameters")
+
+        monkeypatch.setitem(JOB_KINDS, "bad", _bad_parameters)
+        spec = CampaignSpec(name="perm", jobs=[CampaignJob("bad", "bad", {})])
+        outcome = run_campaign(
+            spec, retry_policy=RetryPolicy(max_attempts=3, base_delay=0.01)
+        )
+        result = outcome.result_for("bad")
+        assert result.status == "error"
+        assert result.attempts == 1
+        assert "retries" not in outcome.robustness
+        assert outcome.robustness["failures_permanent"] == 1
+
+    def test_budget_escalates_per_retry_then_times_out(self, monkeypatch):
+        budgets_seen = []
+
+        def _too_hard(params, task_jobs):
+            budgets_seen.append(os.environ.get(BUDGET_ENV_VAR, ""))
+            raise SolveBudgetExceeded("miter did not resolve in budget")
+
+        monkeypatch.setitem(JOB_KINDS, "hard", _too_hard)
+        spec = CampaignSpec(name="hard", jobs=[CampaignJob("hard", "hard", {})])
+        outcome = run_campaign(
+            spec,
+            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.01),
+            solve_budget=SolveBudget(max_conflicts=100),
+        )
+        # The budget doubles on every retry; when attempts run out the job
+        # finishes as "timed_out" — a verdict, not a hang, not an "error".
+        assert budgets_seen == ["conflicts=100", "conflicts=200", "conflicts=400"]
+        result = outcome.result_for("hard")
+        assert result.status == "timed_out"
+        assert result.attempts == 3
+        assert outcome.robustness["timed_out"] == 1
+        assert outcome.robustness["retries"] == 2
+        assert not outcome.all_ok
 
 
 # ------------------------------------------------------------------ #

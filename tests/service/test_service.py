@@ -10,14 +10,17 @@ campaign produces are byte-identical to a local run of the same spec.
 
 import http.client
 import json
+import os
 import threading
 import time
 from urllib.parse import urlsplit
 
 import pytest
 
-from repro.jobstore import JobStore
+from repro.jobstore import JobStore, RetryPolicy
+from repro.sat.solver import BUDGET_ENV_VAR, SolveBudget, SolveBudgetExceeded
 from repro.scenarios.campaign import (
+    JOB_KINDS,
     CampaignJob,
     CampaignSpec,
     run_campaign,
@@ -234,6 +237,119 @@ class TestWorkerExecution:
                     if record.get("status") == "ok"
                 ]
                 assert len(finished) == 1, (job.job_id, records)
+
+    def test_transient_failure_retries_over_http(self, tmp_path):
+        marker = tmp_path / "flaky.marker"
+        spec = CampaignSpec(
+            name="retry",
+            jobs=[
+                CampaignJob(
+                    "flaky", "probe", {"value": 7, "fail_marker": str(marker)}
+                ),
+                CampaignJob("steady", "probe", {"value": 8}),
+            ],
+        )
+        policy = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
+        with ServiceThread(
+            root=str(tmp_path / "root"), poll=0.02, retry_policy=policy
+        ) as service:
+            client = ServiceClient(service.url)
+            campaign_id = client.submit(spec.to_dict())["campaign"]
+            counters = run_worker(service.url, campaign=campaign_id)
+            assert counters == {"executed": 2, "failed": 1, "discarded": 0}
+            status = client.status(campaign_id)
+            assert status["complete"] is True
+            assert status["counts"] == {"done": 2}
+            assert status["robustness"]["retries"] == 1
+            assert status["robustness"]["failures_transient"] == 1
+            state_dir = tmp_path / "root" / "campaigns" / campaign_id / "state"
+            statuses = [
+                record["status"]
+                for record in JobStore(
+                    str(state_dir), owner="inspector"
+                ).attempts("flaky")
+            ]
+            assert statuses == ["retry", "ok"]
+            # The committed state records the real attempt count.
+            flaky_state = json.loads(
+                (state_dir / "flaky.json").read_text(encoding="utf-8")
+            )
+            assert flaky_state["attempts"] == 2
+            assert flaky_state["owner"].startswith("remote:")
+
+    def test_budget_escalates_per_retry_then_times_out(
+        self, tmp_path, monkeypatch
+    ):
+        """Service twin of the local chaos test of the same name.
+
+        The coordinator doubles the solve budget on every retry and, when
+        attempts run out, finishes the job ``timed_out`` with the same
+        robustness counters a local run records.
+        """
+        budgets_seen = []
+
+        def _too_hard(params, task_jobs):
+            budgets_seen.append(os.environ.get(BUDGET_ENV_VAR, ""))
+            raise SolveBudgetExceeded("miter did not resolve in budget")
+
+        monkeypatch.setitem(JOB_KINDS, "hard", _too_hard)
+        spec = CampaignSpec(name="hard", jobs=[CampaignJob("hard", "hard", {})])
+        with ServiceThread(
+            root=str(tmp_path),
+            poll=0.02,
+            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.01),
+            solve_budget=SolveBudget(max_conflicts=100),
+        ) as service:
+            client = ServiceClient(service.url)
+            campaign_id = client.submit(spec.to_dict())["campaign"]
+            counters = run_worker(service.url, campaign=campaign_id)
+            status = client.status(campaign_id)
+        assert budgets_seen == ["conflicts=100", "conflicts=200", "conflicts=400"]
+        assert counters == {"executed": 0, "failed": 3, "discarded": 0}
+        assert status["complete"] is True
+        assert status["counts"] == {"timed_out": 1}
+        robustness = status["robustness"]
+        assert robustness["retries"] == 2
+        assert robustness["timed_out"] == 1
+        assert robustness["failures_transient"] == 3
+
+    def test_permanent_failure_finishes_terminally(self, tmp_path, monkeypatch):
+        def _bad_parameters(params, task_jobs):
+            raise ValueError("bad parameters")
+
+        monkeypatch.setitem(JOB_KINDS, "bad", _bad_parameters)
+        spec = CampaignSpec(name="perm", jobs=[CampaignJob("bad", "bad", {})])
+        with ServiceThread(root=str(tmp_path), poll=0.02) as service:
+            client = ServiceClient(service.url)
+            campaign_id = client.submit(spec.to_dict())["campaign"]
+
+            events = []
+
+            def watch():
+                for event, data in ServiceClient(service.url).events(
+                    campaign_id
+                ):
+                    events.append((event, data))
+
+            watcher = threading.Thread(target=watch, daemon=True)
+            watcher.start()
+            time.sleep(0.1)
+
+            counters = run_worker(service.url, campaign=campaign_id)
+            assert counters["failed"] == 1
+            watcher.join(timeout=30)
+            assert not watcher.is_alive()
+
+            status = client.status(campaign_id)
+            assert status["complete"] is True
+            assert status["counts"] == {"error": 1}
+            assert status["robustness"]["failures_permanent"] == 1
+            assert "retries" not in status["robustness"]
+            failed = [data for event, data in events if event == "failed"]
+            assert failed and failed[0]["status"] == "error"
+            assert "bad parameters" in failed[0]["error"]
+            document = json.loads(client.artifact(campaign_id, "json"))
+            assert document["results"][0]["status"] == "error"
 
 
 class TestLeaseSafety:
