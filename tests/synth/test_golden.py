@@ -8,7 +8,9 @@ result.  These tests compare against a committed fixture instead
 * ``synthesize`` at every effort level: area, AND count, pass trace, and
   digests of the optimised AIG's structure and of the netlist's instances;
 * every registered pass applied once to each strashed input;
-* the four areas of the quick-profile PRESENT x2 row of Table I.
+* the four areas of the quick-profile PRESENT x2 row of Table I, plus the
+  Phase III choices behind its last area: the camouflaged-cell count and
+  digests of the mapped instances and of their configurations.
 
 Regenerate the fixture only after a deliberate change of results::
 
@@ -95,12 +97,24 @@ def pass_records(function: BoolFunction) -> Iterator[dict]:
 
 
 def table1_record() -> dict:
-    row = run_table1_entry("PRESENT", 2, profile=get_profile("quick"), seed=1, jobs=1).row
+    entry = run_table1_entry("PRESENT", 2, profile=get_profile("quick"), seed=1, jobs=1)
+    row, mapping = entry.row, entry.obfuscation.mapping
+    instances = [
+        (instance.name, instance.cell, list(instance.inputs), instance.output)
+        for instance in mapping.netlist.instances
+    ]
+    configs = sorted(
+        (name, sorted((select, table.num_vars, table.bits) for select, table in by_select.items()))
+        for name, by_select in mapping.instance_configs.items()
+    )
     return {
         "random_avg": row.random_avg,
         "random_best": row.random_best,
         "ga_area": row.ga_area,
         "ga_tm_area": row.ga_tm_area,
+        "camo_cells": mapping.num_camouflaged_cells(),
+        "netlist": _digest(instances),
+        "instance_configs": _digest(configs),
     }
 
 
