@@ -13,10 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .._bitops import popcount
+from .._bitops import mask_for, popcount, variable_pattern
 from .truthtable import TruthTable
 
 __all__ = ["Cube", "Cover", "isop", "cover_to_table"]
+
+#: Cubes as ``(positive, negative)`` literal masks, the packed form of :class:`Cube`.
+_Cubes = Tuple[Tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -106,67 +109,66 @@ def isop(onset: TruthTable, dc_set: Optional[TruthTable] = None) -> Cover:
     When ``dc_set`` is omitted, the cover is exactly equivalent to ``onset``.
     """
     num_vars = onset.num_vars
-    if dc_set is None:
-        dc_set = TruthTable.constant(num_vars, False)
-    if dc_set.num_vars != num_vars:
-        raise ValueError("onset and don't-care set must share the input space")
-    upper = onset | dc_set
-    memo: Dict[Tuple[int, int], Tuple[List[Cube], TruthTable]] = {}
-    cubes, _cover_table = _isop_recursive(onset, upper, num_vars, memo)
-    return Cover(cubes, num_vars)
+    upper = onset.bits
+    if dc_set is not None:
+        if dc_set.num_vars != num_vars:
+            raise ValueError("onset and don't-care set must share the input space")
+        upper |= dc_set.bits
+    cubes = _isop_bits(onset.bits, upper, num_vars)
+    return Cover([Cube(positive, negative) for positive, negative in cubes], num_vars)
 
 
-def _isop_recursive(
-    lower: TruthTable,
-    upper: TruthTable,
-    num_vars: int,
-    memo: Dict[Tuple[int, int], Tuple[List[Cube], TruthTable]],
-) -> Tuple[List[Cube], TruthTable]:
-    """Minato–Morreale recursion: return (cubes, table of the cover)."""
-    key = (lower.bits, upper.bits)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+def _isop_bits(lower: int, upper: int, num_vars: int) -> _Cubes:
+    """Minato–Morreale recursion on packed tables.
 
-    if lower.is_constant_zero():
-        result: Tuple[List[Cube], TruthTable] = ([], TruthTable.constant(num_vars, False))
+    Each step splits on the lowest variable that ``lower`` or ``upper``
+    depends on, covers the negative and the positive cofactor, then the
+    onset both leave uncovered.  Neither child depends on the split variable
+    or on any below it, so the children's search starts one variable up.
+    """
+    mask = mask_for(num_vars)
+    patterns = [variable_pattern(var, num_vars) for var in range(num_vars)]
+    memo: Dict[Tuple[int, int], Tuple[_Cubes, int]] = {}
+
+    def recurse(lower: int, upper: int, var: int) -> Tuple[_Cubes, int]:
+        """Return the cubes and the table of the cover; no split below ``var``."""
+        key = (lower, upper)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        if not lower:
+            result: Tuple[_Cubes, int] = ((), 0)
+        elif upper == mask:
+            result = (((0, 0),), mask)
+        else:
+            # lower <= upper and not both constant, so a split variable exists.
+            while True:
+                shift = 1 << var
+                high = patterns[var]
+                if (((lower >> shift) ^ lower) | ((upper >> shift) ^ upper)) & ~high:
+                    break
+                var += 1
+            lower1 = lower & high
+            lower1 |= lower1 >> shift
+            lower0 = lower & ~high
+            lower0 |= lower0 << shift
+            upper1 = upper & high
+            upper1 |= upper1 >> shift
+            upper0 = upper & ~high
+            upper0 |= upper0 << shift
+            cubes0, table0 = recurse(lower0 & ~upper1, upper0, var + 1)
+            cubes1, table1 = recurse(lower1 & ~upper0, upper1, var + 1)
+            cubes_star, table_star = recurse(
+                (lower0 & ~table0) | (lower1 & ~table1), upper0 & upper1, var + 1
+            )
+            bit = 1 << var
+            result = (
+                tuple((positive, negative | bit) for positive, negative in cubes0)
+                + tuple((positive | bit, negative) for positive, negative in cubes1)
+                + cubes_star,
+                (table0 & ~high) | (table1 & high) | table_star,
+            )
         memo[key] = result
         return result
-    if upper.is_constant_one():
-        result = ([Cube(0, 0)], TruthTable.constant(num_vars, True))
-        memo[key] = result
-        return result
 
-    split = _choose_split_variable(lower, upper)
-
-    lower0, lower1 = lower.cofactor(split, 0), lower.cofactor(split, 1)
-    upper0, upper1 = upper.cofactor(split, 0), upper.cofactor(split, 1)
-
-    # Cubes that must contain the negative / positive literal of the split var.
-    cubes0, table0 = _isop_recursive(lower0 & ~upper1, upper0, num_vars, memo)
-    cubes1, table1 = _isop_recursive(lower1 & ~upper0, upper1, num_vars, memo)
-
-    # Remaining onset that neither literal-bound cover handles.
-    remaining = (lower0 & ~table0) | (lower1 & ~table1)
-    cubes_star, table_star = _isop_recursive(remaining, upper0 & upper1, num_vars, memo)
-
-    literal = TruthTable.variable(split, num_vars)
-    cover_table = (table0 & ~literal) | (table1 & literal) | table_star
-    cubes = (
-        [cube.with_literal(split, False) for cube in cubes0]
-        + [cube.with_literal(split, True) for cube in cubes1]
-        + list(cubes_star)
-    )
-    result = (cubes, cover_table)
-    memo[key] = result
-    return result
-
-
-def _choose_split_variable(lower: TruthTable, upper: TruthTable) -> int:
-    """Pick a variable that at least one of the bounds depends on."""
-    for var in range(lower.num_vars):
-        if lower.depends_on(var) or upper.depends_on(var):
-            return var
-    # Both bounds constant: caller handles constants before splitting, but be
-    # defensive and return variable 0.
-    return 0
+    return recurse(lower, upper, 0)[0]
