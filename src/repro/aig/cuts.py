@@ -14,7 +14,7 @@ so the walk costs no more than building a structural cache key would.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, List, Sequence, Tuple
 
 from .._bitops import mask_for, variable_pattern
 from ..logic.truthtable import TruthTable
@@ -22,6 +22,7 @@ from .aig import Aig, node_of
 
 __all__ = [
     "enumerate_cuts",
+    "enumerate_cut_leaves",
     "simulate_cone",
     "cut_function",
     "mffc_size",
@@ -40,35 +41,64 @@ def enumerate_cuts(
     of leaf node ids).  The trivial cut ``{node}`` is always included and is
     always the first element.
     """
-    cuts: Dict[int, List[Cut]] = {}
+    return {
+        node: [frozenset(leaves) for leaves in node_cuts]
+        for node, node_cuts in enumerate_cut_leaves(aig, max_leaves, max_cuts_per_node).items()
+    }
+
+
+def enumerate_cut_leaves(
+    aig: Aig, max_leaves: int = 4, max_cuts_per_node: int = 8
+) -> Dict[int, List[Tuple[int, ...]]]:
+    """The cuts of :func:`enumerate_cuts`, each as its sorted tuple of leaf ids.
+
+    Cuts are merged as bit masks over node ids, one cut of each fanin at a
+    time (fanin0-major).  A merge is rejected when it has too many leaves or
+    when an earlier accepted cut is a subset of it; a rejected mask stays
+    rejected, because the accepted list only grows, so each mask is tried
+    once.  The trivial cut comes first, then the smallest others by
+    ``(size, sorted leaves)``.
+    """
+    fanins0, fanins1, is_input = aig.node_arrays()
+    masks: Dict[int, List[int]] = {}
+    cuts: Dict[int, List[Tuple[int, ...]]] = {}
     for node in range(1, aig.num_nodes):
-        trivial: Cut = frozenset({node})
-        if aig.is_input_node(node):
-            cuts[node] = [trivial]
+        trivial = 1 << node
+        if is_input[node]:
+            masks[node] = [trivial]
+            cuts[node] = [(node,)]
             continue
-        fanin0, fanin1 = aig.fanins(node)
-        candidates: List[Cut] = [trivial]
-        seen = {trivial}
-        for cut0 in cuts[node_of(fanin0)]:
-            for cut1 in cuts[node_of(fanin1)]:
-                merged = cut0 | cut1
-                if len(merged) > max_leaves:
+        masks1 = masks[fanins1[node] >> 1]
+        tried = set()
+        accepted: List[int] = []
+        for mask0 in masks[fanins0[node] >> 1]:
+            for mask1 in masks1:
+                merged = mask0 | mask1
+                if merged in tried:
                     continue
-                if merged in seen:
+                tried.add(merged)
+                if merged.bit_count() > max_leaves:
                     continue
-                if _is_dominated(merged, candidates):
-                    continue
-                seen.add(merged)
-                candidates.append(merged)
-        # Keep the trivial cut plus the smallest non-trivial cuts.
-        non_trivial = sorted(candidates[1:], key=lambda cut: (len(cut), sorted(cut)))
-        cuts[node] = [trivial] + non_trivial[: max_cuts_per_node - 1]
+                for mask in accepted:
+                    if mask & merged == mask:
+                        break
+                else:
+                    accepted.append(merged)
+        ranked = sorted((mask.bit_count(), _leaves_of(mask), mask) for mask in accepted)
+        ranked = ranked[: max_cuts_per_node - 1]
+        masks[node] = [trivial] + [mask for _, _, mask in ranked]
+        cuts[node] = [(node,)] + [leaves for _, leaves, _ in ranked]
     return cuts
 
 
-def _is_dominated(candidate: Cut, existing: Sequence[Cut]) -> bool:
-    """Return True if an existing cut is a subset of ``candidate``."""
-    return any(cut != candidate and cut <= candidate for cut in existing[1:])
+def _leaves_of(mask: int) -> Tuple[int, ...]:
+    """The positions of the set bits of ``mask``, ascending."""
+    leaves = []
+    while mask:
+        lowest = mask & -mask
+        leaves.append(lowest.bit_length() - 1)
+        mask ^= lowest
+    return tuple(leaves)
 
 
 @lru_cache(maxsize=16)
@@ -128,7 +158,9 @@ def cut_function(aig: Aig, root: int, cut: Cut) -> Tuple[TruthTable, List[int]]:
     return TruthTable(len(leaves), bits), leaves
 
 
-def mffc_size(aig: Aig, root: int, cut: Cut, reference_counts: Dict[int, int]) -> int:
+def mffc_size(
+    aig: Aig, root: int, cut: Collection[int], reference_counts: Dict[int, int]
+) -> int:
     """Return the number of AND nodes freed if ``root`` were re-expressed over ``cut``.
 
     This is the size of the maximum fanout-free cone of ``root`` bounded by

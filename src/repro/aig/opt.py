@@ -22,7 +22,7 @@ from ..logic.factoring import factor_table
 from ..logic.truthtable import TruthTable
 from .aig import FALSE_LIT, TRUE_LIT, Aig, is_complemented, negate, node_of
 from .build import build_expression
-from .cuts import collect_cone_cut, enumerate_cuts, mffc_size, simulate_cone
+from .cuts import collect_cone_cut, enumerate_cut_leaves, mffc_size, simulate_cone
 
 __all__ = ["balance", "rewrite", "refactor", "strash", "apply_pass", "known_passes"]
 
@@ -150,7 +150,7 @@ def rewrite(
     zero_gain: bool = False,
 ) -> Aig:
     """Cut-based resynthesis (the ABC ``rewrite`` analogue)."""
-    cuts = enumerate_cuts(aig, max_leaves=max_leaves, max_cuts_per_node=max_cuts_per_node)
+    cuts = enumerate_cut_leaves(aig, max_leaves=max_leaves, max_cuts_per_node=max_cuts_per_node)
     plans = _plan_replacements(aig, cuts, zero_gain)
     return _rebuild(aig, plans)
 
@@ -161,13 +161,10 @@ def refactor(
     zero_gain: bool = False,
 ) -> Aig:
     """Cone-based resynthesis (the ABC ``refactor`` analogue)."""
-    cone_cuts: Dict[int, List] = {}
-    for node in aig.and_nodes():
-        cut = collect_cone_cut(aig, node, max_leaves)
-        if len(cut) >= 2 and cut != frozenset({node}):
-            cone_cuts[node] = [frozenset({node}), cut]
-        else:
-            cone_cuts[node] = [frozenset({node})]
+    cone_cuts = {
+        node: [tuple(sorted(collect_cone_cut(aig, node, max_leaves)))]
+        for node in aig.and_nodes()
+    }
     plans = _plan_replacements(aig, cone_cuts, zero_gain)
     return _rebuild(aig, plans)
 
@@ -193,28 +190,31 @@ _PASS_REGISTRY = {
 
 def _plan_replacements(
     aig: Aig,
-    cuts: Dict[int, List],
+    cuts: Dict[int, List[Tuple[int, ...]]],
     zero_gain: bool,
-) -> Dict[int, Tuple[Expression, List[int]]]:
-    """Select, per node, the best resynthesis (if any improves on the MFFC)."""
+) -> Dict[int, Tuple[Expression, Tuple[int, ...]]]:
+    """Select, per node, the best resynthesis (if any improves on the MFFC).
+
+    Each cut is its sorted tuple of leaf ids; leaf ``i`` is variable ``i``
+    of the resynthesised expression.
+    """
     resynthesizer = _Resynthesizer()
     reference = aig.reference_counts()
-    plans: Dict[int, Tuple[Expression, List[int]]] = {}
+    plans: Dict[int, Tuple[Expression, Tuple[int, ...]]] = {}
     minimum_gain = 0 if zero_gain else 1
     for node in aig.and_nodes():
         best_gain = minimum_gain - 1
-        best_plan: Optional[Tuple[Expression, List[int]]] = None
-        for cut in cuts.get(node, []):
-            if len(cut) < 2 or node in cut:
+        best_plan: Optional[Tuple[Expression, Tuple[int, ...]]] = None
+        for leaves in cuts.get(node, []):
+            if len(leaves) < 2 or node in leaves:
                 continue
-            leaves = sorted(cut)
             bits, cone_ands = simulate_cone(aig, node, leaves)
             expression, cost = resynthesizer.factored_form(len(leaves), bits)
             # The MFFC lies inside the cut-bounded cone, so a cut whose whole
             # cone cannot beat the best gain is skipped before the MFFC walk.
             if cone_ands - cost <= best_gain:
                 continue
-            gain = mffc_size(aig, node, cut, reference) - cost
+            gain = mffc_size(aig, node, leaves, reference) - cost
             if gain > best_gain:
                 best_gain = gain
                 best_plan = (expression, leaves)
@@ -223,7 +223,7 @@ def _plan_replacements(
     return plans
 
 
-def _rebuild(aig: Aig, plans: Dict[int, Tuple[Expression, List[int]]]) -> Aig:
+def _rebuild(aig: Aig, plans: Dict[int, Tuple[Expression, Tuple[int, ...]]]) -> Aig:
     """Rebuild the AIG applying the chosen per-node resyntheses."""
     result = Aig(aig.name)
     mapping: Dict[int, int] = {0: FALSE_LIT}

@@ -6,7 +6,8 @@ the rewrite pass consumes: merge as the union of one cut per fanin
 or one that an earlier accepted cut is a subset of, then rank by
 ``(size, sorted leaves)`` and keep the trivial cut plus the first
 ``max_cuts_per_node - 1``.  ``enumerate_cuts`` must return the same cuts in
-the same order for every node.
+the same order for every node, and ``enumerate_cut_leaves`` the same cuts
+as sorted leaf tuples.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig import Aig, aig_from_tables, balance, enumerate_cuts, rewrite
+from repro.aig.cuts import enumerate_cut_leaves
 from repro.aig.aig import node_of
 from repro.logic import TruthTable
 
@@ -77,3 +79,6 @@ def test_enumerate_cuts_matches_reference(aig):
     for max_leaves, max_cuts_per_node in LIMITS:
         expected = reference_cuts(aig, max_leaves, max_cuts_per_node)
         assert enumerate_cuts(aig, max_leaves, max_cuts_per_node) == expected
+        assert enumerate_cut_leaves(aig, max_leaves, max_cuts_per_node) == {
+            node: [tuple(sorted(cut)) for cut in cuts] for node, cuts in expected.items()
+        }
