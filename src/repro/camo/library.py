@@ -49,6 +49,9 @@ class CamouflageLibrary:
             if cell.name in self._cells:
                 raise ValueError(f"duplicate camouflaged cell {cell.name!r}")
             self._cells[cell.name] = cell
+        #: ``best_match`` answers by required functions.  The technology
+        #: mapper asks the same few sets for every tree of every design.
+        self._best_matches: Dict[Tuple[TruthTable, ...], Optional[CellMatch]] = {}
 
     # -------------------------------------------------------------- #
     # Container protocol
@@ -125,9 +128,16 @@ class CamouflageLibrary:
         return matches
 
     def best_match(self, required: Sequence[TruthTable]) -> Optional[CellMatch]:
-        """Return the cheapest matching cell, or None when nothing matches."""
-        matches = self.match(required, max_candidates=1)
-        return matches[0] if matches else None
+        """Return the cheapest matching cell, or None when nothing matches.
+
+        Answers are remembered per library, so callers share the returned
+        :class:`CellMatch` and must not modify it.
+        """
+        key = tuple(required)
+        if key not in self._best_matches:
+            matches = self.match(key, max_candidates=1)
+            self._best_matches[key] = matches[0] if matches else None
+        return self._best_matches[key]
 
     def _match_cell(
         self,
