@@ -20,6 +20,7 @@ from setuptools import Extension, find_packages, setup
 setup(
     name="repro",
     version="0.10.0",
+    python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages("src"),
     ext_modules=[

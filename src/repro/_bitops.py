@@ -9,17 +9,11 @@ such packed tables.
 
 from __future__ import annotations
 
-from typing import Iterator, List
-
 __all__ = [
     "mask_for",
     "popcount",
     "bit_at",
-    "set_bit",
     "variable_pattern",
-    "iter_minterms",
-    "swap_adjacent_variables",
-    "expand_with_new_variable",
     "parity",
 ]
 
@@ -31,33 +25,16 @@ def mask_for(num_vars: int) -> int:
     return (1 << (1 << num_vars)) - 1
 
 
-if hasattr(int, "bit_count"):
-
-    def popcount(value: int) -> int:
-        """Return the number of set bits in ``value`` (which must be >= 0)."""
-        if value < 0:
-            raise ValueError("popcount is only defined for non-negative integers")
-        return value.bit_count()
-
-else:  # Python < 3.10 fallback
-
-    def popcount(value: int) -> int:
-        """Return the number of set bits in ``value`` (which must be >= 0)."""
-        if value < 0:
-            raise ValueError("popcount is only defined for non-negative integers")
-        return bin(value).count("1")
+def popcount(value: int) -> int:
+    """Return the number of set bits in ``value`` (which must be >= 0)."""
+    if value < 0:
+        raise ValueError("popcount is only defined for non-negative integers")
+    return value.bit_count()
 
 
 def bit_at(value: int, position: int) -> int:
     """Return bit ``position`` of ``value`` as 0 or 1."""
     return (value >> position) & 1
-
-
-def set_bit(value: int, position: int, bit: int) -> int:
-    """Return ``value`` with bit ``position`` forced to ``bit``."""
-    if bit:
-        return value | (1 << position)
-    return value & ~(1 << position)
 
 
 def variable_pattern(var: int, num_vars: int) -> int:
@@ -84,54 +61,6 @@ def variable_pattern(var: int, num_vars: int) -> int:
     return pattern
 
 
-def iter_minterms(table: int, num_vars: int) -> Iterator[int]:
-    """Yield the minterm indices (rows) on which the packed ``table`` is 1."""
-    rows = 1 << num_vars
-    for row in range(rows):
-        if (table >> row) & 1:
-            yield row
-
-
 def parity(value: int) -> int:
     """Return the parity (XOR of all bits) of ``value``."""
     return popcount(value) & 1
-
-
-def swap_adjacent_variables(table: int, var: int, num_vars: int) -> int:
-    """Return ``table`` with variables ``var`` and ``var + 1`` exchanged."""
-    if not 0 <= var < num_vars - 1:
-        raise ValueError("var must identify a pair of adjacent variables")
-    rows = 1 << num_vars
-    low = 1 << var
-    result = 0
-    for row in range(rows):
-        bit = (table >> row) & 1
-        if not bit:
-            continue
-        b_lo = (row >> var) & 1
-        b_hi = (row >> (var + 1)) & 1
-        if b_lo == b_hi:
-            result |= 1 << row
-        else:
-            swapped = row ^ low ^ (low << 1)
-            result |= 1 << swapped
-    return result
-
-
-def expand_with_new_variable(table: int, num_vars: int) -> int:
-    """Duplicate ``table`` so it becomes a function of ``num_vars + 1`` inputs.
-
-    The new variable is the most significant one and the function does not
-    depend on it.
-    """
-    rows = 1 << num_vars
-    return table | (table << rows)
-
-
-def project_rows(table: int, rows: List[int]) -> int:
-    """Build a new packed table from the listed rows of ``table`` (in order)."""
-    result = 0
-    for new_row, old_row in enumerate(rows):
-        if (table >> old_row) & 1:
-            result |= 1 << new_row
-    return result

@@ -12,7 +12,6 @@ sizes that matter in this project (4 to about 12 inputs).
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .._bitops import (
@@ -390,13 +389,3 @@ class TruthTable:
     def to_binary_string(self) -> str:
         """Return the output column as a binary string, minterm 0 first."""
         return "".join(str(bit_at(self._bits, row)) for row in range(self.num_rows))
-
-
-def reduce_and(tables: Iterable[TruthTable]) -> TruthTable:
-    """AND-reduce an iterable of same-arity truth tables."""
-    return reduce(lambda a, b: a & b, tables)
-
-
-def reduce_or(tables: Iterable[TruthTable]) -> TruthTable:
-    """OR-reduce an iterable of same-arity truth tables."""
-    return reduce(lambda a, b: a | b, tables)
