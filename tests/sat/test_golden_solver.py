@@ -14,7 +14,8 @@ are all seeded:
   unbudgeted re-solve of the same solver;
 * level-0 refutations that stay permanent;
 * a hard random 3-SAT instance (160 variables) under geometric restarts,
-  and under Luby restarts with LBD clause forgetting.
+  with and without LBD clause forgetting, and under Luby restarts with
+  forgetting.
 
 One more case pins the encoder: the SHA-256 of ``Cnf.to_dimacs()`` for the
 oracle-guided attack's miter CNF over two optimal S-boxes after one
@@ -183,6 +184,8 @@ def golden_cases() -> List[Tuple[str, Callable[[], List[dict]]]]:
         ("permanent_unsat/pigeonhole5x4",
          lambda: permanent_unsat_records(pigeonhole(5, 4))),
         ("hard3sat/geometric", lambda: _solved(_hard_3sat(160, seed=20170327))),
+        ("hard3sat/forget",
+         lambda: _solved(_hard_3sat(160, seed=20170327), clause_forget=1000)),
         ("hard3sat/luby_forget",
          lambda: _solved(_hard_3sat(160, seed=20170327),
                          restart_strategy="luby", clause_forget=1000)),
@@ -234,7 +237,7 @@ def test_inputs_reach_the_paths_they_pin():
     # 1e100 rescale threshold after about 4,490 conflicts.
     assert geometric["conflicts"] > 4500
     assert geometric["restarts"] > 0
-    forget = pinned["hard3sat/luby_forget"][0]["stats"]
+    forget = pinned["hard3sat/forget"][0]["stats"]
     assert forget["forgotten_clauses"] > 0
 
 
