@@ -7,8 +7,10 @@ within its budget, and never changes the computed function.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.aig import aig_from_function
+from repro.aig import aig_from_function, aig_from_tables
 from repro.aig.opt import known_passes
 from repro.logic import BoolFunction, TruthTable
 from repro.sboxes import des_sboxes, optimal_sboxes
@@ -99,6 +101,25 @@ class TestFixedSchedulerByteIdentity:
     def test_scheduler_instances_pass_through(self):
         scheduler = AdaptiveScheduler(credit=_PassCreditStore())
         assert resolve_scheduler(scheduler) is scheduler
+
+
+@st.composite
+def _output_tables(draw):
+    num_inputs = draw(st.integers(min_value=2, max_value=5))
+    num_outputs = draw(st.integers(min_value=1, max_value=3))
+    bits = st.integers(min_value=0, max_value=(1 << (1 << num_inputs)) - 1)
+    return [TruthTable(num_inputs, draw(bits)) for _ in range(num_outputs)]
+
+
+class TestOptimizeAigProperties:
+    @given(_output_tables())
+    @settings(max_examples=40, deadline=None)
+    def test_function_preserved_and_never_worse_than_strash(self, tables):
+        aig = aig_from_tables(tables)
+        for effort in ("fast", "standard", "high"):
+            optimized = optimize_aig(aig, effort=effort)
+            assert optimized.output_tables() == tables
+            assert optimized.num_ands <= aig.compact().num_ands
 
 
 class TestAdaptiveScheduler:
