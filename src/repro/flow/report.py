@@ -141,21 +141,6 @@ class SolverStatsRow:
             RunTelemetry.from_solver_stats(stats, label=label)
         )
 
-    def to_telemetry(self) -> RunTelemetry:
-        """The row as a telemetry record (``solver`` scope)."""
-        record = RunTelemetry(label=self.label)
-        record.absorb(
-            "solver",
-            {
-                "solve_calls": self.solve_calls,
-                "conflicts": self.conflicts,
-                "decisions": self.decisions,
-                "propagations": self.propagations,
-                "learned_clauses": self.learned_clauses,
-            },
-        )
-        return record
-
     def as_dict(self) -> dict:
         """Return the row as a plain dictionary (for JSON dumps)."""
         return {
@@ -240,19 +225,6 @@ class CacheStatsRow:
         return cls.from_telemetry(
             RunTelemetry.from_cache_stats(stats, label=label), jobs=jobs
         )
-
-    def to_telemetry(self) -> RunTelemetry:
-        """The row as a telemetry record (``cache`` scope)."""
-        record = RunTelemetry(label=self.label)
-        record.absorb(
-            "cache",
-            {
-                "evaluations": self.evaluations,
-                "genotype_hits": self.genotype_hits,
-                "signature_hits": self.signature_hits,
-            },
-        )
-        return record
 
     def as_dict(self) -> dict:
         """Return the row as a plain dictionary (for JSON dumps)."""
