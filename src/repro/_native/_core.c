@@ -3,7 +3,7 @@
  * ``SolverCore``, dispatched to by ``repro.backend`` when this module
  * imports cleanly, is the CDCL inner core (watched-literal unit
  * propagation, 1-UIP conflict analysis with clause learning, the VSIDS
- * order-heap, geometric/Luby restarts, learned-clause reduction, solve
+ * order-heap, geometric restarts, learned-clause reduction, solve
  * budgets, and LBD clause forgetting).  Every algorithmic step mirrors
  * ``repro/sat/solver.py`` exactly — the same watcher-list append and
  * swap-remove order, the same lazy heap with IEEE-double activity keys,
@@ -116,8 +116,6 @@ typedef struct {
     long long budget_exhaustions;
     long long forgotten_clauses;
 
-    int luby;      /* 0 geometric, 1 reluctant doubling */
-    int luby_base;
     long long forget_limit; /* 0 = forgetting disabled */
 
     /* scratch */
@@ -838,12 +836,7 @@ static int core_solve(SolverCore *s, const int *assumptions, int nassump,
     if (backtrack(s, 0) < 0)
         return SOLVE_MEMERR;
 
-    long long luby_u = 1, luby_v = 1;
-    long long restart_limit;
-    if (s->luby)
-        restart_limit = (long long)s->luby_base * luby_v;
-    else
-        restart_limit = 100;
+    long long restart_limit = 100;
     long long conflicts_since_restart = 0;
 
     for (;;) {
@@ -891,17 +884,7 @@ static int core_solve(SolverCore *s, const int *assumptions, int nassump,
             if (conflicts_since_restart >= restart_limit) {
                 conflicts_since_restart = 0;
                 s->restarts++;
-                if (s->luby) {
-                    if ((luby_u & -luby_u) == luby_v) {
-                        luby_u++;
-                        luby_v = 1;
-                    } else {
-                        luby_v <<= 1;
-                    }
-                    restart_limit = (long long)s->luby_base * luby_v;
-                } else {
-                    restart_limit = (long long)((double)restart_limit * 1.5);
-                }
+                restart_limit = (long long)((double)restart_limit * 1.5);
                 if (backtrack(s, 0) < 0)
                     return SOLVE_MEMERR;
                 if (s->forget_limit > 0) {
@@ -946,21 +929,15 @@ static PyObject *SolverCore_new(PyTypeObject *type, PyObject *args, PyObject *kw
     if (self == NULL)
         return NULL;
     self->activity_increment = 1.0;
-    self->luby_base = 32;
     return (PyObject *)self;
 }
 
 static int SolverCore_init(SolverCore *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"luby", "luby_base", "forget_limit", NULL};
-    int luby = 0;
-    int luby_base = 32;
+    static char *kwlist[] = {"forget_limit", NULL};
     long long forget_limit = 0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|iiL", kwlist, &luby,
-                                     &luby_base, &forget_limit))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|L", kwlist, &forget_limit))
         return -1;
-    self->luby = luby ? 1 : 0;
-    self->luby_base = luby_base;
     self->forget_limit = forget_limit > 0 ? forget_limit : 0;
     return 0;
 }

@@ -33,7 +33,7 @@ def strash(aig: Aig) -> Aig:
 
 
 def apply_pass(aig: Aig, pass_name: str) -> Aig:
-    """Apply a named optimisation pass (the registry behind the schedulers)."""
+    """Apply a named optimisation pass (the registry behind the synthesis scripts)."""
     try:
         return _PASS_REGISTRY[pass_name](aig)
     except KeyError:
@@ -177,8 +177,8 @@ def _refactor_z(aig: Aig) -> Aig:
     return refactor(aig, zero_gain=True)
 
 
-#: Canonical pass registry.  The scheduler layer in :mod:`repro.synth.script`
-#: draws its arms from here; adding a pass makes it schedulable everywhere.
+#: Canonical pass registry.  The effort-level pass sequences in
+#: :mod:`repro.synth.script` name their passes from here.
 _PASS_REGISTRY = {
     "balance": balance,
     "rewrite": rewrite,

@@ -69,7 +69,6 @@ from .netlist.verilog import write_verilog
 from .netlist.blif import write_blif
 from .netlist.window import WINDOWING_NAMES
 from .synth.area import area_report
-from .synth.script import SCHEDULER_NAMES
 
 __all__ = ["main", "build_parser"]
 
@@ -134,10 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     obfuscate_parser.add_argument("--sat-check", action="store_true",
                                   help="force the whole-netlist SAT equivalence check "
                                        "even beyond the default width limit")
-    obfuscate_parser.add_argument("--scheduler", choices=list(SCHEDULER_NAMES),
-                                  default="",
-                                  help="synthesis pass scheduler (default: the "
-                                       "REPRO_SCHEDULER env var, else 'fixed')")
     obfuscate_parser.add_argument("--windowing", choices=list(WINDOWING_NAMES),
                                   default="",
                                   help="window partition strategy (windowed mode; "
@@ -244,10 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="emit a BENCH_campaign_<name>.json into this directory")
     campaign_parser.add_argument("--list-workloads", action="store_true",
                                  help="list the registered workload families and exit")
-    campaign_parser.add_argument("--scheduler", choices=list(SCHEDULER_NAMES),
-                                 default="",
-                                 help="synthesis pass scheduler for window jobs "
-                                      "(--blif mode)")
     campaign_parser.add_argument("--windowing", choices=list(WINDOWING_NAMES),
                                  default="",
                                  help="window partition strategy (--blif mode)")
@@ -374,7 +365,6 @@ def _command_obfuscate(args: argparse.Namespace) -> int:
         functions,
         ga_parameters=parameters,
         jobs=resolve_jobs(args.jobs or None),
-        scheduler=args.scheduler or None,
     )
     print(result.summary())
     if args.report:
@@ -418,7 +408,6 @@ def _command_obfuscate_windowed(args: argparse.Namespace) -> int:
         jobs=resolve_jobs(args.jobs or None),
         progress=print,
         windowing=args.windowing or None,
-        scheduler=args.scheduler or None,
     )
     print()
     print(result.summary())
@@ -985,7 +974,6 @@ def _command_campaign_windowed(args: argparse.Namespace) -> int:
         verify=not args.no_verify,
         name=args.name,
         windowing=args.windowing or None,
-        scheduler=args.scheduler or None,
         probe_hardness=args.probe_hardness,
     )
     from .obs.log import get_logger

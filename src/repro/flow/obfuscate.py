@@ -88,14 +88,11 @@ def obfuscate_with_assignment(
     max_cover_depth: int = 2,
     verify: bool = True,
     jobs: int = 1,
-    scheduler: Optional[str] = None,
 ) -> ObfuscationResult:
     """Run Phases I and III with a fixed (already chosen) pin assignment.
 
     ``jobs`` parallelises the Phase III per-tree covering across worker
     processes (1 = serial); the mapping is identical for every value.
-    ``scheduler`` names the synthesis pass-scheduling strategy (default:
-    fixed, the historic behaviour).
     """
     if not functions:
         raise ValueError("at least one viable function is required")
@@ -103,8 +100,7 @@ def obfuscate_with_assignment(
     camo_library = camo_library or default_camouflage_library(library)
 
     design = merge_functions(functions, assignment)
-    synthesis = synthesize(design.function, library=library, effort=effort,
-                           scheduler=scheduler)
+    synthesis = synthesize(design.function, library=library, effort=effort)
     select_nets = [f"sel[{k}]" for k in range(design.num_selects)]
     mapping = camouflage_map(
         synthesis.netlist, select_nets, camo_library=camo_library,
@@ -135,15 +131,12 @@ def obfuscate(
     verify: bool = True,
     progress: Optional[Callable[[GenerationStats], None]] = None,
     jobs: int = 1,
-    scheduler: Optional[str] = None,
 ) -> ObfuscationResult:
     """Run the full three-phase flow (GA pin optimisation included).
 
     ``jobs`` parallelises the Phase II fitness evaluations and the Phase III
     per-tree camouflage covering across worker processes (1 = serial);
-    seeded results are identical for every value.  ``scheduler`` names the
-    synthesis pass-scheduling strategy used throughout (default: fixed, the
-    historic behaviour).
+    seeded results are identical for every value.
     """
     if not functions:
         raise ValueError("at least one viable function is required")
@@ -158,7 +151,6 @@ def obfuscate(
         final_effort=final_effort,
         progress=progress,
         jobs=jobs,
-        scheduler=scheduler,
     )
     result = obfuscate_with_assignment(
         functions,
@@ -169,7 +161,6 @@ def obfuscate(
         max_cover_depth=max_cover_depth,
         verify=verify,
         jobs=jobs,
-        scheduler=scheduler,
     )
     result.pin_optimization = optimization
     return result

@@ -134,8 +134,6 @@ class NetlistTarget(ObfuscationTarget):
     name: str = ""
     #: Windowing strategy name (``greedy``/``hardness``; None = default).
     windowing: Optional[str] = None
-    #: Synthesis pass-scheduler name (``fixed``/``adaptive``; None = default).
-    scheduler: Optional[str] = None
     #: Measured per-window attack hardness (window index -> score) from
     #: previous campaign telemetry; weights the decoy budgets when present.
     hardness: Optional[Mapping[int, float]] = None
@@ -170,7 +168,6 @@ class NetlistTarget(ObfuscationTarget):
             ga_parameters=self.ga_parameters,
             seed=self.seed,
             windowing=self.windowing,
-            scheduler=self.scheduler,
             hardness=self.hardness,
             jobs=jobs,
             progress=progress,
@@ -320,7 +317,6 @@ def obfuscate_window(
     final_effort: str = SynthesisEffort.FAST,
     verify: bool = True,
     jobs: int = 1,
-    scheduler: Optional[str] = None,
     probe_hardness: bool = False,
     probe_queries: int = 64,
 ) -> WindowRecord:
@@ -357,7 +353,6 @@ def obfuscate_window(
             final_effort=final_effort,
             verify=verify,
             jobs=jobs,
-            scheduler=scheduler,
         )
     else:
         # A single viable function has no pin assignment to search.
@@ -368,7 +363,6 @@ def obfuscate_window(
             effort=final_effort,
             verify=verify,
             jobs=jobs,
-            scheduler=scheduler,
         )
     configuration = result.mapping.configuration_for_select(0)
     true_configuration = dict(configuration.as_cell_functions())
@@ -422,7 +416,6 @@ def _obfuscate_window_task(task: Tuple) -> WindowRecord:
         fitness_effort,
         final_effort,
         verify,
-        scheduler,
         probe_hardness,
     ) = task
     return obfuscate_window(
@@ -434,7 +427,6 @@ def _obfuscate_window_task(task: Tuple) -> WindowRecord:
         fitness_effort=fitness_effort,
         final_effort=final_effort,
         verify=verify,
-        scheduler=scheduler,
         probe_hardness=probe_hardness,
     )
 
@@ -631,7 +623,6 @@ def obfuscate_netlist(
     jobs: int = 1,
     progress: Optional[Callable[[str], None]] = None,
     windowing: Union[None, str, WindowingStrategy] = None,
-    scheduler: Optional[str] = None,
     hardness: Optional[Mapping[int, float]] = None,
     probe_hardness: bool = False,
 ) -> WindowedObfuscationResult:
@@ -643,8 +634,7 @@ def obfuscate_netlist(
     independently, deterministically).
 
     ``windowing`` selects the clustering strategy (default: the historic
-    levelized greedy), ``scheduler`` the synthesis pass-scheduling strategy
-    (default: fixed).  ``hardness`` (window index -> measured attack
+    levelized greedy).  ``hardness`` (window index -> measured attack
     hardness, e.g. from :func:`repro.telemetry.window_hardness_from_payloads`)
     redistributes the decoy budget via :func:`decoy_budgets`;
     ``probe_hardness`` measures each window's hardness during this run so
@@ -672,7 +662,6 @@ def obfuscate_netlist(
             fitness_effort,
             final_effort,
             verify,
-            scheduler,
             probe_hardness,
         )
         for window in windows

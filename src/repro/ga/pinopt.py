@@ -45,12 +45,7 @@ from ..merge.pinassign import PinAssignment
 from ..netlist.library import CellLibrary, standard_cell_library
 from ..obs import metrics as obs_metrics
 from ..parallel import register_worker_warmup
-from ..synth.script import (
-    SCHEDULER_ENV_VAR,
-    SynthesisEffort,
-    SynthesisResult,
-    synthesize,
-)
+from ..synth.script import SynthesisEffort, SynthesisResult, synthesize
 from .engine import GAParameters, GAResult, GenerationStats, GeneticAlgorithm
 from .operators import SegmentedPermutationSpace
 
@@ -328,14 +323,12 @@ class PinAssignmentProblem:
         effort: str = SynthesisEffort.FAST,
         fix_first_function: bool = True,
         disk_cache: Optional[SynthesisDiskCache] = None,
-        scheduler: Optional[str] = None,
     ):
         if not functions:
             raise ValueError("at least one viable function is required")
         self.functions = list(functions)
         self.library = library or standard_cell_library()
         self.effort = effort
-        self.scheduler = scheduler
         self.fix_first_function = fix_first_function
         self.num_inputs = functions[0].num_inputs
         self.num_outputs = functions[0].num_outputs
@@ -351,20 +344,13 @@ class PinAssignmentProblem:
         self._signature_cache: Dict[Tuple[int, ...], float] = {}
         #: Optional persistent read-through store (REPRO_CACHE_DIR by default;
         #: the environment-named store is shared process-wide and pre-warmed
-        #: once per worker by the pool initializer).  Only the default fixed
-        #: scheduler may use it: fixed-schedule synthesis is a pure function
-        #: of the merged truth tables, but an adaptive schedule also depends
-        #: on accumulated credit history, so its areas must never be served
-        #: from (or written to) a persistent signature-keyed store.
-        effective_scheduler = (
-            scheduler or os.environ.get(SCHEDULER_ENV_VAR) or "fixed"
+        #: once per worker by the pool initializer).  Synthesis is a pure
+        #: function of the effort, the library and the merged truth tables,
+        #: which together key every stored area, so areas are safe to reuse
+        #: across runs.
+        self.disk_cache: Optional[SynthesisDiskCache] = (
+            disk_cache if disk_cache is not None else resolve_synthesis_cache()
         )
-        if effective_scheduler != "fixed":
-            self.disk_cache: Optional[SynthesisDiskCache] = None
-        else:
-            self.disk_cache = (
-                disk_cache if disk_cache is not None else resolve_synthesis_cache()
-            )
         self._library_fingerprint = (
             library_fingerprint(self.library) if self.disk_cache is not None else ""
         )
@@ -414,8 +400,7 @@ class PinAssignmentProblem:
     def synthesize_genotype(self, genotype: Sequence[int]) -> SynthesisResult:
         """Synthesise the merged circuit for a genotype (not cached)."""
         design = self._merged_design(genotype)
-        return synthesize(design.function, library=self.library, effort=self.effort,
-                          scheduler=self.scheduler)
+        return synthesize(design.function, library=self.library, effort=self.effort)
 
     def canonical_signature(self, genotype: Sequence[int]) -> Tuple[int, ...]:
         """Canonical key of the merged circuit a genotype produces.
@@ -452,7 +437,7 @@ class PinAssignmentProblem:
                 )
             if area is None:
                 result = synthesize(design.function, library=self.library,
-                                    effort=self.effort, scheduler=self.scheduler)
+                                    effort=self.effort)
                 area = result.area
                 self.evaluations += 1
                 obs_metrics.counter("repro_ga_evaluations_total", result="synthesized")
@@ -567,7 +552,6 @@ def optimize_pin_assignment(
     seed_identity: bool = True,
     progress: Optional[Callable[[GenerationStats], None]] = None,
     jobs: int = 1,
-    scheduler: Optional[str] = None,
 ) -> PinOptimizationResult:
     """Run the Phase II genetic algorithm and return the best pin assignment.
 
@@ -575,13 +559,9 @@ def optimize_pin_assignment(
     (fast by default, as in an exploration loop); ``final_effort`` is used
     for the one final synthesis of the winning assignment.  ``jobs`` sets the
     number of worker processes used for fitness evaluation (1 = serial);
-    seeded results are identical for every ``jobs`` value.  ``scheduler``
-    names the synthesis pass-scheduling strategy (plumbed by name so it
-    crosses worker-pool boundaries); the default fixed scheduler preserves
-    the historic byte-identical behaviour.
+    seeded results are identical for every ``jobs`` value.
     """
-    problem = PinAssignmentProblem(functions, library=library, effort=effort,
-                                   scheduler=scheduler)
+    problem = PinAssignmentProblem(functions, library=library, effort=effort)
     parameters = parameters or GAParameters()
     engine = GeneticAlgorithm(
         sample=problem.random_genotype,
@@ -622,8 +602,7 @@ def optimize_pin_assignment(
 
     best_assignment = problem.assignment_from_genotype(ga_result.best_genotype)
     merged = merge_functions(functions, best_assignment)
-    final = synthesize(merged.function, library=problem.library, effort=final_effort,
-                       scheduler=scheduler)
+    final = synthesize(merged.function, library=problem.library, effort=final_effort)
     best_area = min(final.area, ga_result.best_fitness)
     return PinOptimizationResult(
         best_assignment=best_assignment,

@@ -9,8 +9,6 @@ from .equivalence import (
 )
 from .solver import (
     BUDGET_ENV_VAR,
-    RESTART_ENV_VAR,
-    RESTART_STRATEGIES,
     SatResult,
     SatSolver,
     SolveBudget,
@@ -27,8 +25,6 @@ __all__ = [
     "SolveBudgetExceeded",
     "solve",
     "BUDGET_ENV_VAR",
-    "RESTART_ENV_VAR",
-    "RESTART_STRATEGIES",
     "encode_function",
     "encode_netlist",
     "equality_clauses",

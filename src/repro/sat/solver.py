@@ -8,9 +8,7 @@ implements the standard modern architecture:
 * 1UIP conflict analysis with clause learning and non-chronological
   backtracking,
 * VSIDS-style activity-based decision heuristics with phase saving,
-* restarts with learned-clause database reduction — geometric by default
-  (byte-identical to the historic behaviour), reluctant-doubling (Luby)
-  opt-in via the ``restart_strategy`` knob or ``REPRO_RESTARTS``.
+* geometric restarts with learned-clause database reduction.
 
 The solver works on :class:`repro.sat.cnf.Cnf` formulas with DIMACS-style
 integer literals and supports solving under assumptions.
@@ -68,15 +66,10 @@ __all__ = [
     "SolveBudget",
     "SolveBudgetExceeded",
     "solve",
-    "RESTART_ENV_VAR",
-    "RESTART_STRATEGIES",
     "BUDGET_ENV_VAR",
     "FORGET_ENV_VAR",
     "DEFAULT_FORGET_LIMIT",
 ]
-
-#: Environment variable selecting the default restart strategy by name.
-RESTART_ENV_VAR = "REPRO_RESTARTS"
 
 #: Environment variable supplying a default per-call solve budget spec.
 BUDGET_ENV_VAR = "REPRO_SOLVE_BUDGET"
@@ -88,9 +81,6 @@ FORGET_ENV_VAR = "REPRO_CLAUSE_FORGET"
 
 #: Initial learned-database size that triggers the first LBD reduction.
 DEFAULT_FORGET_LIMIT = 2000
-
-#: Restart strategies accepted by :class:`SatSolver`.
-RESTART_STRATEGIES = ("geometric", "luby")
 
 _UNASSIGNED = 0
 _TRUE = 1
@@ -275,24 +265,13 @@ class SatResult:
 class SatSolver:
     """Incremental CDCL solver over a growable clause database."""
 
-    #: Conflicts per Luby unit (the reluctant-doubling sequence multiplier).
-    LUBY_BASE = 32
-
     def __init__(
         self,
         formula: Optional[Cnf] = None,
         follow: bool = False,
-        restart_strategy: Optional[str] = None,
         backend: Optional[str] = None,
         clause_forget=None,
     ):
-        strategy = restart_strategy or os.environ.get(RESTART_ENV_VAR) or "geometric"
-        if strategy not in RESTART_STRATEGIES:
-            raise ValueError(
-                f"unknown restart strategy {strategy!r}; expected one of "
-                f"{sorted(RESTART_STRATEGIES)}"
-            )
-        self.restart_strategy = strategy
         self._forget_limit = _resolve_clause_forget(clause_forget)
         from .. import backend as backend_mod
 
@@ -300,9 +279,7 @@ class SatSolver:
         self._core = None
         if self.backend == "native":
             self._core = backend_mod.native_module().SolverCore(
-                luby=1 if strategy == "luby" else 0,
-                luby_base=self.LUBY_BASE,
-                forget_limit=self._forget_limit,
+                forget_limit=self._forget_limit
             )
         self._num_vars = 0
         self._clauses: List[List[int]] = []
@@ -876,14 +853,9 @@ class SatSolver:
         # have flagged _trivially_unsat (and one surfacing in the main loop
         # below is handled the same way).
 
-        # Geometric restarts (the byte-identical historic default) grow the
-        # limit by 1.5x after every restart; reluctant doubling (Luby) walks
-        # Knuth's (u, v) sequence 1 1 2 1 1 2 4 ... scaled by LUBY_BASE,
-        # revisiting short limits forever instead of committing to ever
-        # longer runs.
-        luby = self.restart_strategy == "luby"
-        luby_u, luby_v = 1, 1
-        restart_limit = self.LUBY_BASE * luby_v if luby else 100
+        # Geometric restarts: the first comes after 100 conflicts, and the
+        # limit grows by 1.5x after every restart.
+        restart_limit = 100
         conflicts_since_restart = 0
         assumption_queue = list(assumptions)
         trail = self._trail
@@ -921,15 +893,7 @@ class SatSolver:
                 if conflicts_since_restart >= restart_limit:
                     conflicts_since_restart = 0
                     self.restarts += 1
-                    if luby:
-                        if (luby_u & -luby_u) == luby_v:
-                            luby_u += 1
-                            luby_v = 1
-                        else:
-                            luby_v <<= 1
-                        restart_limit = self.LUBY_BASE * luby_v
-                    else:
-                        restart_limit = int(restart_limit * 1.5)
+                    restart_limit = int(restart_limit * 1.5)
                     self._backtrack(0)
                     if self._forget_limit:
                         self._reduce_learned_lbd()

@@ -367,6 +367,16 @@ def _run_window_obfuscate(params: Dict[str, Any], task_jobs: int) -> Tuple[Any, 
             f"but the spec was built for {expected}; the BLIF changed — "
             f"rebuild the campaign spec"
         )
+    # Specs built while synthesis had a second pass scheduler may still
+    # name it; running them on the one fixed pass loop would store fixed
+    # results under their fingerprint.
+    scheduler = params.get("scheduler", "fixed")
+    if scheduler != "fixed":
+        raise CampaignError(
+            f"{params['path']}: window param 'scheduler' is {scheduler!r}, but "
+            f"synthesis runs only the fixed pass sequence — rebuild the "
+            f"campaign spec"
+        )
     index = int(params["index"])
     if not 0 <= index < len(windows):
         raise CampaignError(f"window index {index} out of range")
@@ -393,7 +403,6 @@ def _run_window_obfuscate(params: Dict[str, Any], task_jobs: int) -> Tuple[Any, 
         final_effort=params.get("final_effort", "fast"),
         verify=bool(params.get("verify", True)),
         jobs=task_jobs,
-        scheduler=params.get("scheduler"),
         probe_hardness=bool(params.get("probe_hardness", False)),
     )
     payload = {
@@ -672,7 +681,6 @@ class CampaignSpec:
         verify: bool = True,
         name: Optional[str] = None,
         windowing: Optional[str] = None,
-        scheduler: Optional[str] = None,
         probe_hardness: bool = False,
         hardness: Optional[Dict[int, float]] = None,
     ) -> "CampaignSpec":
@@ -683,12 +691,11 @@ class CampaignSpec:
         count is baked into the params so a changed BLIF fails loudly
         instead of stitching stale windows.
 
-        ``windowing`` / ``scheduler`` pick the strategy layers by name
-        (``None`` keeps the byte-identical defaults — and keeps job
-        fingerprints compatible with specs built before the strategy
-        layer existed).  ``probe_hardness`` runs a bounded oracle-guided
-        attack on each finished window and records its work counters in
-        the job telemetry; ``hardness`` feeds such measurements (window
+        ``windowing`` picks the windowing strategy by name (``None`` keeps
+        the byte-identical default — and keeps job fingerprints compatible
+        with specs built before the strategy layer existed).
+        ``probe_hardness`` runs a bounded oracle-guided attack on each
+        finished window and records its work counters in the job telemetry; ``hardness`` feeds such measurements (window
         index -> score, e.g. from
         :func:`repro.telemetry.window_hardness_from_payloads`) back in to
         weight the per-window decoy budgets.
@@ -715,8 +722,6 @@ class CampaignSpec:
         }
         if windowing is not None:
             common["windowing"] = windowing
-        if scheduler is not None:
-            common["scheduler"] = scheduler
         if probe_hardness:
             common["probe_hardness"] = True
         if hardness:

@@ -3,16 +3,10 @@
 from .area import AreaReport, area_in_ge, area_report
 from .mapper import MappingError, map_to_cells
 from .script import (
-    SCHEDULER_ENV_VAR,
-    SCHEDULER_NAMES,
-    AdaptiveScheduler,
-    FixedScheduler,
-    PassScheduler,
     SynthesisEffort,
     SynthesisResult,
     optimize_aig,
     reset_synthesis_telemetry,
-    resolve_scheduler,
     synthesis_telemetry,
     synthesize,
 )
@@ -20,12 +14,6 @@ from .script import (
 __all__ = [
     "SynthesisEffort",
     "SynthesisResult",
-    "PassScheduler",
-    "FixedScheduler",
-    "AdaptiveScheduler",
-    "SCHEDULER_ENV_VAR",
-    "SCHEDULER_NAMES",
-    "resolve_scheduler",
     "optimize_aig",
     "synthesize",
     "synthesis_telemetry",

@@ -18,8 +18,8 @@ operations every consumer needs are provided once:
   ``from_ga_history`` adapters that absorb the legacy dicts.
 
 The report rows in :mod:`repro.flow.report` are thin views over this record,
-and the strategy layers (pass scheduling, windowing) read their measurement
-feedback from it.
+and the windowing strategy reads its measurement feedback (per-window attack
+hardness) from it.
 """
 
 from __future__ import annotations

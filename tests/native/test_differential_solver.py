@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.sat.generate import generate_corpus, generate_pair
 from repro.sat.solver import SatSolver, SolveBudget
 
@@ -162,10 +160,9 @@ class TestBudgets:
 
 
 class TestRestartStrategies:
-    @pytest.mark.parametrize("strategy", ["geometric", "luby"])
-    def test_restart_transcripts_match(self, strategy):
+    def test_restart_transcripts_match(self):
         pair = generate_pair(60, seed=99)
-        pure, native = both(restart_strategy=strategy)
+        pure, native = both()
         for clause in pair.unsat_clauses:
             pure.add_clause(clause)
             native.add_clause(clause)

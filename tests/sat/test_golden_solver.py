@@ -13,9 +13,8 @@ are all seeded:
 * conflict budgets that return ``unknown``, each followed by an
   unbudgeted re-solve of the same solver;
 * level-0 refutations that stay permanent;
-* a hard random 3-SAT instance (160 variables) under geometric restarts,
-  with and without LBD clause forgetting, and under Luby restarts with
-  forgetting.
+* a hard random 3-SAT instance (160 variables), with and without LBD
+  clause forgetting.
 
 One more case pins the encoder: the SHA-256 of ``Cnf.to_dimacs()`` for the
 oracle-guided attack's miter CNF over two optimal S-boxes after one
@@ -186,9 +185,6 @@ def golden_cases() -> List[Tuple[str, Callable[[], List[dict]]]]:
         ("hard3sat/geometric", lambda: _solved(_hard_3sat(160, seed=20170327))),
         ("hard3sat/forget",
          lambda: _solved(_hard_3sat(160, seed=20170327), clause_forget=1000)),
-        ("hard3sat/luby_forget",
-         lambda: _solved(_hard_3sat(160, seed=20170327),
-                         restart_strategy="luby", clause_forget=1000)),
         ("encode/attack_present2_miter", attack_miter_records),
     ]
     return cases

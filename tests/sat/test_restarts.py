@@ -1,11 +1,8 @@
-"""Tests for the restart-strategy knob (geometric default, Luby opt-in)."""
+"""Tests for the solver's geometric restart schedule."""
 
 import random
 
-import pytest
-
-from repro.sat import RESTART_ENV_VAR, RESTART_STRATEGIES, SatSolver
-from repro.sat.solver import SatResult
+from repro.sat import SatSolver
 
 
 def _hard_random_formula(solver, seed=9, num_vars=30, num_clauses=128):
@@ -19,54 +16,10 @@ def _hard_random_formula(solver, seed=9, num_vars=30, num_clauses=128):
 
 
 class TestRestartStrategies:
-    def test_names_exported(self):
-        assert set(RESTART_STRATEGIES) == {"geometric", "luby"}
-
-    def test_default_is_geometric(self):
-        assert SatSolver().restart_strategy == "geometric"
-
-    def test_env_var_selects_strategy(self, monkeypatch):
-        monkeypatch.setenv(RESTART_ENV_VAR, "luby")
-        assert SatSolver().restart_strategy == "luby"
-        # An explicit argument beats the environment.
-        assert (
-            SatSolver(restart_strategy="geometric").restart_strategy
-            == "geometric"
-        )
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            SatSolver(restart_strategy="fibonacci")
-
-    @pytest.mark.parametrize("strategy", ["geometric", "luby"])
-    def test_verdicts_agree_on_random_formulas(self, strategy):
-        for seed in range(6):
-            reference = SatSolver()
-            _hard_random_formula(reference, seed=seed)
-            expected = reference.solve().satisfiable
-
-            solver = SatSolver(restart_strategy=strategy)
-            _hard_random_formula(solver, seed=seed)
-            result = solver.solve()
-            assert isinstance(result, SatResult)
-            assert result.satisfiable == expected
-
     def test_restart_counter_in_stats(self):
-        solver = SatSolver(restart_strategy="luby")
+        solver = SatSolver()
         _hard_random_formula(solver, seed=3, num_vars=40, num_clauses=180)
         solver.solve()
         stats = solver.stats()
         assert stats["restarts"] == solver.restarts
         assert solver.restarts >= 0
-
-    def test_luby_schedule_is_reluctant_doubling(self):
-        # The (u, v) recurrence from Knuth: v walks 1 1 2 1 1 2 4 ...
-        u, v = 1, 1
-        sequence = []
-        for _ in range(15):
-            sequence.append(v)
-            if (u & -u) == v:
-                u, v = u + 1, 1
-            else:
-                v <<= 1
-        assert sequence == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]

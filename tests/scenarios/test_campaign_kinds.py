@@ -1,5 +1,7 @@
 """Tests for the adversary-side and windowed campaign job kinds."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.netlist.generate import random_netlist as build_random_netlist
@@ -56,6 +58,8 @@ class TestAdversaryJobKinds:
         # The true function is always plausible under its own camouflage.
         assert payload["verdicts"][0] is True
         assert payload["camouflaged_cells"] >= 1
+
+WIDE30 = Path(__file__).resolve().parents[2] / "examples" / "circuits" / "wide30.blif"
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +166,24 @@ class TestWindowedCampaign:
             )
             stitched.append(write_blif(assembled.netlist))
         assert stitched[0] == stitched[1]
+
+    def test_stale_scheduler_param(self):
+        """A spec that names a pass scheduler runs only if it names ``fixed``."""
+        spec = CampaignSpec.windowed(
+            str(WIDE30), max_window_inputs=6, decoys=1, population=4, generations=1
+        )
+        payloads = {}
+        for scheduler in (None, "fixed", "adaptive"):
+            data = spec.to_dict()
+            data["jobs"] = data["jobs"][:1]
+            if scheduler is not None:
+                data["jobs"][0]["params"]["scheduler"] = scheduler
+            (result,) = run_campaign(CampaignSpec.from_dict(data)).results
+            payloads[scheduler] = result.payload
+            if scheduler == "adaptive":
+                assert result.status == "error"
+                assert result.attempts == 1
+                assert "'scheduler'" in result.error
+            else:
+                assert result.status == "ok"
+        assert payloads["fixed"] == payloads[None]

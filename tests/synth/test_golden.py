@@ -70,7 +70,7 @@ def golden_inputs() -> List[Tuple[str, BoolFunction]]:
 
 def synthesis_records(function: BoolFunction) -> Iterator[dict]:
     for effort in EFFORTS:
-        result = synthesize(function, effort=effort, scheduler="fixed")
+        result = synthesize(function, effort=effort)
         instances = [
             (instance.name, instance.cell, list(instance.inputs), instance.output)
             for instance in result.netlist.instances

@@ -1,9 +1,9 @@
-"""Strategy tests for the pass-scheduler layer.
+"""Tests for the synthesis pass loop.
 
-The ``fixed`` scheduler must be byte-identical to the pre-strategy loop
-(frozen here as a reference reimplementation); the ``adaptive`` scheduler is
-property-tested: it only ever emits registered passes, always terminates
-within its budget, and never changes the computed function.
+``optimize_aig`` must be byte-identical to the historic loop (frozen here as
+a reference reimplementation), and it is property-tested on random
+multi-output functions: it never changes the computed function and never
+returns more AND nodes than the structurally hashed input.
 """
 
 import pytest
@@ -11,23 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig import aig_from_function, aig_from_tables
-from repro.aig.opt import known_passes
 from repro.logic import BoolFunction, TruthTable
 from repro.sboxes import des_sboxes, optimal_sboxes
-from repro.synth import (
-    AdaptiveScheduler,
-    FixedScheduler,
-    SCHEDULER_ENV_VAR,
-    SynthesisEffort,
-    optimize_aig,
-    resolve_scheduler,
-    synthesize,
-)
-from repro.synth.script import _PassCreditStore, _aig_structure_key
+from repro.synth import SynthesisEffort, optimize_aig, synthesize
+from repro.synth.script import _aig_structure_key
 
 
 def _legacy_optimize_aig(aig, effort="standard", max_rounds=2, trace=None):
-    """The pre-strategy ``optimize_aig`` loop, frozen as a reference."""
+    """The ``optimize_aig`` loop without telemetry, frozen as a reference."""
     from repro.aig.opt import apply_pass
 
     passes = SynthesisEffort.passes(effort)
@@ -81,27 +72,6 @@ class TestFixedSchedulerByteIdentity:
             assert new_trace == legacy_trace
             assert _aig_structure_key(current) == _aig_structure_key(legacy)
 
-    def test_default_resolution_is_fixed(self):
-        scheduler = resolve_scheduler(None, effort="fast", max_rounds=3)
-        assert isinstance(scheduler, FixedScheduler)
-        assert scheduler.effort == "fast"
-        assert scheduler.max_rounds == 3
-
-    def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV_VAR, "adaptive")
-        assert isinstance(resolve_scheduler(None), AdaptiveScheduler)
-        monkeypatch.setenv(SCHEDULER_ENV_VAR, "bogus")
-        with pytest.raises(ValueError):
-            resolve_scheduler(None)
-
-    def test_unknown_scheduler_name_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_scheduler("heroic")
-
-    def test_scheduler_instances_pass_through(self):
-        scheduler = AdaptiveScheduler(credit=_PassCreditStore())
-        assert resolve_scheduler(scheduler) is scheduler
-
 
 @st.composite
 def _output_tables(draw):
@@ -122,87 +92,7 @@ class TestOptimizeAigProperties:
             assert optimized.num_ands <= aig.compact().num_ands
 
 
-class TestAdaptiveScheduler:
-    def _fresh(self, **kwargs):
-        # An isolated in-memory credit store: no cross-test contamination.
-        return AdaptiveScheduler(credit=_PassCreditStore(), **kwargs)
-
-    def test_only_known_passes_emitted(self):
-        registry = set(known_passes())
-        for function in _workloads():
-            trace = []
-            self._fresh().optimize(aig_from_function(function), trace=trace)
-            assert trace[0][0] == "strash"
-            assert all(name in registry for name, _ in trace[1:])
-
-    def test_terminates_within_budget(self):
-        budget = 2 * len(SynthesisEffort.passes("high"))
-        for function in _workloads():
-            trace = []
-            self._fresh().optimize(aig_from_function(function), trace=trace)
-            assert len(trace) - 1 <= budget
-
-    def test_function_preserved_and_never_worse_than_strash(self):
-        for function in _workloads():
-            aig = aig_from_function(function)
-            optimized = self._fresh().optimize(aig)
-            assert optimized.num_ands <= aig.compact().num_ands
-            assert (
-                optimized.to_bool_function().lookup_table()
-                == function.lookup_table()
-            )
-
-    def test_tiny_budget_respected(self):
-        trace = []
-        self._fresh(max_passes=3).optimize(
-            aig_from_function(_workloads()[0]), trace=trace
-        )
-        assert len(trace) - 1 <= 3
-
-    def test_credit_accumulates_and_drives_selection(self):
-        credit = _PassCreditStore()
-        scheduler = AdaptiveScheduler(credit=credit)
-        scheduler.optimize(aig_from_function(_workloads()[0]))
-        assert credit.credit, "an optimisation run must leave gain history"
-        for entry in credit.credit.values():
-            assert entry["calls"] >= 1
-            assert entry["gain"] >= 0.0
-
-    def test_credit_persists_via_cache_dir(self, tmp_path, monkeypatch):
-        from repro.ga.pinopt import CACHE_DIR_ENV_VAR
-
-        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
-        # Distinct shared-store key per tmp_path; seed it through a run.
-        _PassCreditStore._shared.pop(str(tmp_path), None)
-        scheduler = AdaptiveScheduler()
-        scheduler.optimize(aig_from_function(_workloads()[0]))
-        path = tmp_path / _PassCreditStore.FILENAME
-        assert path.exists()
-        reloaded = _PassCreditStore(str(path))
-        assert reloaded.credit == scheduler._credit.credit
-
-    def test_corrupt_credit_file_tolerated(self, tmp_path):
-        path = tmp_path / _PassCreditStore.FILENAME
-        path.write_text("{not json", encoding="utf-8")
-        store = _PassCreditStore(str(path))
-        assert store.credit == {}
-
-
 class TestSynthesizeWithScheduler:
-    def test_adaptive_keeps_mapped_netlist_correct(self, library):
-        function = des_sboxes(1)[0]
-        result = synthesize(
-            function,
-            library=library,
-            scheduler=AdaptiveScheduler(credit=_PassCreditStore()),
-        )
-        from repro.netlist import extract_function
-
-        assert (
-            extract_function(result.netlist).lookup_table()
-            == function.lookup_table()
-        )
-
     def test_pass_gains_mirror_trace(self, present, library):
         result = synthesize(present, library=library, effort="standard")
         gains = result.pass_gains
