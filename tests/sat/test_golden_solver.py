@@ -14,11 +14,14 @@ are all seeded:
   unbudgeted re-solve of the same solver;
 * level-0 refutations that stay permanent;
 * a hard random 3-SAT instance (160 variables), with and without LBD
-  clause forgetting.
+  clause forgetting;
+* warm solvers whose variable range doubles between solves, and an
+  assumption over variables no clause mentions.
 
-One more case pins the encoder: the SHA-256 of ``Cnf.to_dimacs()`` for the
+Two more cases pin the encoder: the SHA-256 of ``Cnf.to_dimacs()`` for the
 oracle-guided attack's miter CNF over two optimal S-boxes after one
-observation.
+observation, and again after eight, with the stats of the attack's
+incremental solver (which by then has reduced its learned clauses).
 
 Both backends must produce these transcripts, so the test passes under
 either ``REPRO_BACKEND``.  Regenerate the fixture only after a deliberate
@@ -147,8 +150,38 @@ def permanent_unsat_records(clauses: Sequence[Sequence[int]]) -> List[dict]:
     return records
 
 
-def attack_miter_records() -> List[dict]:
-    """The DIP loop on two optimal S-boxes, stopped after one observation."""
+def grow_records(seed: int) -> List[dict]:
+    """Solve, then double the variable range twice, solving after each.
+
+    Each growth adds clauses that pair a negated old variable with two
+    literals over the whole new range, and the solve after it assumes
+    variables that no clause mentions yet.  So the per-variable and
+    per-literal arrays grow under a warm solver's learned clauses, watches
+    and saved phases.
+    """
+    rng = random.Random(seed)
+    num_vars = 24
+    solver = SatSolver()
+    solver.add_clauses(_random_clause(rng, num_vars, 3) for _ in range(int(num_vars * 4.2)))
+    records = [_call_record(solver, solver.solve())]
+    for _ in range(2):
+        old, num_vars = num_vars, 2 * num_vars
+        for _ in range(int((num_vars - old) * 4.2)):
+            solver.add_clause([-rng.randint(1, old)] + _random_clause(rng, num_vars, 2))
+        fresh = num_vars + 1 + rng.randrange(num_vars)
+        records.append(_call_record(solver, solver.solve([fresh, -(fresh + 1)])))
+    return records
+
+
+def beyond_range_records() -> List[dict]:
+    """Assumptions over variables beyond every clause."""
+    solver = SatSolver()
+    solver.add_clause([1, 2])
+    return [_call_record(solver, solver.solve([-5, 3]))]
+
+
+def attack_miter_records(max_queries: int) -> List[dict]:
+    """The DIP loop on two optimal S-boxes, stopped after ``max_queries`` observations."""
     mapping = obfuscate_with_assignment(optimal_sboxes(2), effort="fast").mapping
     configuration = mapping.configuration_for_select(1).as_cell_functions()
     truth = extract_function(mapping.netlist, cell_functions=configuration).lookup_table()
@@ -156,7 +189,7 @@ def attack_miter_records() -> List[dict]:
         name: list(mapping.plausible_functions_of(name))
         for name in mapping.camouflaged_instances()
     }
-    attack = OracleGuidedAttack(mapping.netlist, plausible, max_queries=1)
+    attack = OracleGuidedAttack(mapping.netlist, plausible, max_queries=max_queries)
     outcome = attack.run(lambda word: truth[word])
     cnf = attack._cnf
     return [
@@ -185,7 +218,12 @@ def golden_cases() -> List[Tuple[str, Callable[[], List[dict]]]]:
         ("hard3sat/geometric", lambda: _solved(_hard_3sat(160, seed=20170327))),
         ("hard3sat/forget",
          lambda: _solved(_hard_3sat(160, seed=20170327), clause_forget=1000)),
-        ("encode/attack_present2_miter", attack_miter_records),
+        ("encode/attack_present2_miter", lambda: attack_miter_records(1)),
+    ]
+    cases += [(f"grow/{seed}", lambda seed=seed: grow_records(seed)) for seed in range(1, 4)]
+    cases += [
+        ("assume/beyond_range", beyond_range_records),
+        ("encode/attack_present2_dip8", lambda: attack_miter_records(8)),
     ]
     return cases
 
@@ -235,6 +273,20 @@ def test_inputs_reach_the_paths_they_pin():
     assert geometric["restarts"] > 0
     forget = pinned["hard3sat/forget"][0]["stats"]
     assert forget["forgotten_clauses"] > 0
+    # A warm solver answers SAT after its range grew under learned clauses.
+    assert any(
+        before["stats"]["learned_clauses"] > 0
+        and after["status"] == "sat"
+        and after["stats"]["num_vars"] > 2 * before["stats"]["num_vars"]
+        for name, calls in pinned.items()
+        if name.startswith("grow/")
+        for before, after in zip(calls, calls[1:])
+    )
+    # Far fewer learned clauses remain than conflicts made, and LBD forgot
+    # none of them: the size-based reduction ran.
+    dip8 = pinned["encode/attack_present2_dip8"][0]["stats"]
+    assert dip8["forgotten_clauses"] == 0
+    assert 2 * dip8["learned_clauses"] < dip8["conflicts"]
 
 
 @pytest.mark.parametrize("name", list(CASES))
