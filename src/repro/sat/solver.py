@@ -86,6 +86,10 @@ _UNASSIGNED = 0
 _TRUE = 1
 _FALSE = -1
 
+#: The conflicts, decisions, propagations and forgotten clauses counted
+#: when a ``solve`` call began; each result reports the differences.
+_StatsBase = Tuple[int, int, int, int]
+
 _FORGET_OFF_WORDS = ("", "0", "false", "no", "off")
 _FORGET_ON_WORDS = ("1", "true", "yes", "on")
 
@@ -289,19 +293,35 @@ class SatSolver:
         # Problem clauses as added by the client, including units and
         # clauses simplified away at level 0 (which never reach _clauses).
         self._num_problem_clauses = 0
-        self._watches: Dict[int, List[int]] = {}
-        self._assign: List[int] = [_UNASSIGNED]
+        # Literal-indexed arrays: entry ``l`` belongs to literal ``l`` and
+        # entry ``-l`` (a negative index) to its negation, so positive
+        # literals fill slots 1..capacity and negative ones the tail.  The
+        # capacity doubles when reserve_vars outgrows it.  Every literal is
+        # reserved before it is used as an index: an unreserved one would
+        # silently read another literal's slot.
+        self._capacity = 0
+        self._value: List[int] = [_UNASSIGNED]
+        # Watch lists hold the watched clauses themselves.
+        self._watches: List[List[List[int]]] = [[]]
         self._level: List[int] = [0]
-        self._reason: List[Optional[int]] = [None]
+        # The reason clause of each variable on the trail (None for
+        # decisions and level-0 units); stale once the variable is undone.
+        self._reason: List[Optional[List[int]]] = [None]
         self._activity: List[float] = [0.0]
         self._phase: List[bool] = [False]
+        # Conflict-analysis marks, all clear between conflicts.
+        self._seen: List[bool] = [False]
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
         # Lazy max-heap of branching candidates as (-activity, variable)
         # entries; stale entries (assigned variables, outdated activities)
         # are discarded on pop.  Picks the same variable as a linear scan —
-        # highest activity, lowest index on ties — in O(log n).
+        # highest activity, lowest index on ties — in O(log n).  _heap_key
+        # holds the activity of a variable's one entry that may still be
+        # current, or -1.0 when it has none, so an unassigned variable is
+        # pushed only when it lacks an entry with its current activity.
         self._order_heap: List[Tuple[float, int]] = []
+        self._heap_key: List[float] = [-1.0]
         self._queue_head = 0
         self._activity_increment = 1.0
         self._activity_decay = 0.95
@@ -357,11 +377,19 @@ class SatSolver:
         grow = num_vars - self._num_vars
         if grow <= 0:
             return
-        self._assign.extend([_UNASSIGNED] * grow)
+        capacity = self._capacity
+        if num_vars > capacity:
+            extra = max(num_vars, 2 * capacity) - capacity
+            # New slots go between the halves; the negative half moves up.
+            self._value[capacity + 1:capacity + 1] = [_UNASSIGNED] * (2 * extra)
+            self._watches[capacity + 1:capacity + 1] = [[] for _ in range(2 * extra)]
+            self._capacity = capacity + extra
         self._level.extend([0] * grow)
         self._reason.extend([None] * grow)
         self._activity.extend([0.0] * grow)
         self._phase.extend([False] * grow)
+        self._seen.extend([False] * grow)
+        self._heap_key.extend([0.0] * grow)
         for variable in range(self._num_vars + 1, num_vars + 1):
             heapq.heappush(self._order_heap, (-0.0, variable))
         self._num_vars = num_vars
@@ -435,34 +463,32 @@ class SatSolver:
 
     def _attach_clause(
         self, literals: List[int], learned: bool = False, lbd: int = 0
-    ) -> int:
-        index = len(self._clauses)
+    ) -> List[int]:
         self._clauses.append(literals)
         self._learned_flags.append(learned)
         self._clause_lbd.append(lbd)
         if learned:
             self._num_learned += 1
-        self._watches.setdefault(literals[0], []).append(index)
-        self._watches.setdefault(literals[1], []).append(index)
-        return index
+        self._watches[literals[0]].append(literals)
+        self._watches[literals[1]].append(literals)
+        return literals
 
     # -------------------------------------------------------------- #
     # Assignment helpers
     # -------------------------------------------------------------- #
     def _literal_value(self, literal: int) -> int:
-        value = self._assign[abs(literal)]
-        if value == _UNASSIGNED:
-            return _UNASSIGNED
-        return value if literal > 0 else -value
+        return self._value[literal]
 
-    def _enqueue(self, literal: int, reason: Optional[int]) -> bool:
-        value = self._literal_value(literal)
+    def _enqueue(self, literal: int, reason: Optional[List[int]]) -> bool:
+        values = self._value
+        value = values[literal]
         if value == _TRUE:
             return True
         if value == _FALSE:
             return False
+        values[literal] = _TRUE
+        values[-literal] = _FALSE
         variable = abs(literal)
-        self._assign[variable] = _TRUE if literal > 0 else _FALSE
         self._level[variable] = len(self._trail_lim)
         self._reason[variable] = reason
         self._phase[variable] = literal > 0
@@ -472,18 +498,20 @@ class SatSolver:
     # -------------------------------------------------------------- #
     # Unit propagation with two watched literals
     # -------------------------------------------------------------- #
-    def _propagate(self) -> Optional[int]:
+    def _propagate(self) -> Optional[List[int]]:
         """Propagate the queued trail literals; return a conflict or None.
 
         The hot loop of the solver, written against locals: a literal's
-        value is ``assign[l]`` for ``l > 0`` and ``-assign[-l]`` otherwise,
-        and units are enqueued inline at the current decision level.
-        Swaps move the clause's own literal objects, never a freshly
-        negated int, so clauses keep sharing the ints they were built from.
+        value is ``values[l]``, and units are enqueued inline at the
+        current decision level.  A clause whose other watch is already true
+        keeps its literal order; every other visit first moves the
+        falsified literal to position 1, so conflict and reason clauses
+        reach conflict analysis in the order it expects.  Swaps move the
+        clause's own literal objects, never a freshly negated int, so
+        clauses keep sharing the ints they were built from.
         """
         trail = self._trail
-        assign = self._assign
-        clauses = self._clauses
+        values = self._value
         watches = self._watches
         level = self._level
         reason = self._reason
@@ -493,33 +521,31 @@ class SatSolver:
         while head < len(trail):
             falsified = -trail[head]
             head += 1
-            watchers = watches.get(falsified)
-            if watchers is None:
-                continue
+            watchers = watches[falsified]
             index = 0
             end = len(watchers)
             while index < end:
-                clause_index = watchers[index]
-                clause = clauses[clause_index]
-                # Ensure the falsified literal is in position 1.
+                clause = watchers[index]
                 first = clause[0]
                 if first == falsified:
                     first = clause[1]
+                    value = values[first]
+                    if value == _TRUE:
+                        index += 1
+                        continue
+                    # Move the falsified literal to position 1.
                     clause[0], clause[1] = first, clause[0]
-                value = assign[first] if first > 0 else -assign[-first]
-                if value == _TRUE:
-                    index += 1
-                    continue
+                else:
+                    value = values[first]
+                    if value == _TRUE:
+                        index += 1
+                        continue
                 # Look for a new literal to watch.
                 for position in range(2, len(clause)):
                     candidate = clause[position]
-                    if (assign[candidate] if candidate > 0 else -assign[-candidate]) != _FALSE:
+                    if values[candidate] != _FALSE:
                         clause[1], clause[position] = candidate, clause[1]
-                        moved = watches.get(candidate)
-                        if moved is None:
-                            watches[candidate] = [clause_index]
-                        else:
-                            moved.append(clause_index)
+                        watches[candidate].append(clause)
                         end -= 1
                         watchers[index] = watchers[end]
                         watchers.pop()
@@ -529,11 +555,12 @@ class SatSolver:
                     if value == _FALSE:
                         self._queue_head = head
                         self.propagations += head - start
-                        return clause_index
+                        return clause
+                    values[first] = _TRUE
+                    values[-first] = _FALSE
                     variable = first if first > 0 else -first
-                    assign[variable] = _TRUE if first > 0 else _FALSE
                     level[variable] = current_level
-                    reason[variable] = clause_index
+                    reason[variable] = clause
                     phase[variable] = first > 0
                     trail.append(first)
                     index += 1
@@ -544,18 +571,17 @@ class SatSolver:
     # -------------------------------------------------------------- #
     # Conflict analysis (first UIP)
     # -------------------------------------------------------------- #
-    def _analyze(self, conflict_index: int) -> Tuple[List[int], int, int]:
-        clauses = self._clauses
+    def _analyze(self, conflict: List[int]) -> Tuple[List[int], int, int]:
         trail = self._trail
         level = self._level
         reason = self._reason
         activity = self._activity
         increment = self._activity_increment
         learned: List[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * (self._num_vars + 1)
+        seen = self._seen
         counter = 0
         literal = 0
-        clause = clauses[conflict_index]
+        clause = conflict
         trail_index = len(trail) - 1
         current_level = len(self._trail_lim)
 
@@ -592,8 +618,11 @@ class SatSolver:
             counter -= 1
             if counter == 0:
                 break
-            clause = clauses[reason[variable]]
+            clause = reason[variable]
 
+        # Only the lower-level literals kept their marks; clear them.
+        for clause_literal in learned[1:]:
+            seen[clause_literal if clause_literal > 0 else -clause_literal] = False
         learned[0] = -literal
         if len(learned) == 1:
             backtrack_level = 0
@@ -626,12 +655,18 @@ class SatSolver:
         self._rebuild_order_heap()
 
     def _rebuild_order_heap(self) -> None:
-        self._order_heap = [
-            (-self._activity[index], index)
-            for index in range(1, self._num_vars + 1)
-            if self._assign[index] == _UNASSIGNED
-        ]
-        heapq.heapify(self._order_heap)
+        activity = self._activity
+        values = self._value
+        heap_key = self._heap_key
+        heap = []
+        for variable in range(1, self._num_vars + 1):
+            if values[variable] == _UNASSIGNED:
+                heap.append((-activity[variable], variable))
+                heap_key[variable] = activity[variable]
+            else:
+                heap_key[variable] = -1.0
+        heapq.heapify(heap)
+        self._order_heap = heap
 
     # -------------------------------------------------------------- #
     # Backtracking / restarts
@@ -641,18 +676,19 @@ class SatSolver:
         if len(trail_lim) <= level:
             return
         trail = self._trail
-        assign = self._assign
-        reason = self._reason
+        values = self._value
         activity = self._activity
         heap = self._order_heap
+        heap_key = self._heap_key
         push = heapq.heappush
         boundary = trail_lim[level]
-        for index in range(len(trail) - 1, boundary - 1, -1):
-            literal = trail[index]
+        for literal in trail[boundary:]:
+            values[literal] = values[-literal] = _UNASSIGNED
             variable = literal if literal > 0 else -literal
-            assign[variable] = _UNASSIGNED
-            reason[variable] = None
-            push(heap, (-activity[variable], variable))
+            key = activity[variable]
+            if heap_key[variable] != key:
+                heap_key[variable] = key
+                push(heap, (-key, variable))
         del trail[boundary:]
         del trail_lim[level:]
         self._queue_head = boundary
@@ -763,23 +799,15 @@ class SatSolver:
 
     def _rebuild_watches_and_reasons(self) -> None:
         # Every stored clause has at least two literals (units are enqueued,
-        # never attached); each watch list names its clauses in index order.
-        # The old lists are dropped first so both sets never coexist, which
+        # never attached); each watch list holds its clauses in index order.
+        # The old lists are emptied first so both sets never coexist, which
         # would raise the peak memory of a long attack.
-        self._watches = watches = {}
-        get = watches.get
-        for index, clause in enumerate(self._clauses):
-            first, second = clause[0], clause[1]
-            watchers = get(first)
-            if watchers is None:
-                watches[first] = [index]
-            else:
-                watchers.append(index)
-            watchers = get(second)
-            if watchers is None:
-                watches[second] = [index]
-            else:
-                watchers.append(index)
+        watches = self._watches
+        for watchers in watches:
+            watchers.clear()
+        for clause in self._clauses:
+            watches[clause[0]].append(clause)
+            watches[clause[1]].append(clause)
         self._reason[1:] = [None] * self._num_vars
 
     # -------------------------------------------------------------- #
@@ -792,14 +820,17 @@ class SatSolver:
         if len(self._order_heap) > 64 + 4 * self._num_vars:
             self._rebuild_order_heap()
         heap = self._order_heap
-        assign = self._assign
+        values = self._value
         activity = self._activity
+        heap_key = self._heap_key
         pop = heapq.heappop
         while heap:
             negated_activity, variable = heap[0]
-            if assign[variable] == _UNASSIGNED and -negated_activity == activity[variable]:
+            if values[variable] == _UNASSIGNED and -negated_activity == activity[variable]:
                 return variable
             pop(heap)
+            if heap_key[variable] == -negated_activity:
+                heap_key[variable] = -1.0
         return None
 
     # -------------------------------------------------------------- #
@@ -824,7 +855,7 @@ class SatSolver:
         accumulated so far.
         """
         self.solve_calls += 1
-        stats_base = (
+        stats_base: _StatsBase = (
             self.conflicts,
             self.decisions,
             self.propagations,
@@ -860,7 +891,7 @@ class SatSolver:
         assumption_queue = list(assumptions)
         trail = self._trail
         trail_lim = self._trail_lim
-        assign = self._assign
+        values = self._value
         level = self._level
         reason = self._reason
         phase = self._phase
@@ -887,8 +918,7 @@ class SatSolver:
                         self._trivially_unsat = True
                         return self._unsat_result(stats_base)
                 else:
-                    clause_index = self._attach_clause(learned, learned=True, lbd=lbd)
-                    self._enqueue(learned[0], clause_index)
+                    self._enqueue(learned[0], self._attach_clause(learned, learned=True, lbd=lbd))
                 self._activity_increment /= self._activity_decay
                 if conflicts_since_restart >= restart_limit:
                     conflicts_since_restart = 0
@@ -922,12 +952,10 @@ class SatSolver:
             trail_lim.append(len(trail))
             # The variable is unassigned, so deciding it on its saved phase
             # leaves that phase as it is.
-            if phase[variable]:
-                assign[variable] = _TRUE
-                trail.append(variable)
-            else:
-                assign[variable] = _FALSE
-                trail.append(-variable)
+            literal = variable if phase[variable] else -variable
+            values[literal] = _TRUE
+            values[-literal] = _FALSE
+            trail.append(literal)
             level[variable] = decision_level + 1
             reason[variable] = None
 
@@ -935,7 +963,7 @@ class SatSolver:
         self,
         assumptions: Sequence[int],
         budget: Optional[SolveBudget],
-        stats_base: Tuple[int, int, int, int],
+        stats_base: _StatsBase,
     ) -> SatResult:
         """Delegate the search to the compiled core (transcript-identical)."""
         max_conflicts = -1
@@ -964,7 +992,7 @@ class SatSolver:
     def _budget_exhausted(
         self,
         budget: SolveBudget,
-        stats_base: Tuple[int, ...],
+        stats_base: _StatsBase,
         deadline: Optional[float],
     ) -> bool:
         if (
@@ -996,16 +1024,13 @@ class SatSolver:
             "forgotten_clauses": self.forgotten_clauses,
         }
 
-    def _note_solve(self, status: str, stats_base: Tuple[int, ...]) -> None:
+    def _note_solve(self, status: str, stats_base: _StatsBase) -> None:
         obs_metrics.counter("repro_solver_solve_calls_total", status=status)
         deltas = (
             ("repro_solver_conflicts_total", self.conflicts - stats_base[0]),
             ("repro_solver_decisions_total", self.decisions - stats_base[1]),
             ("repro_solver_propagations_total", self.propagations - stats_base[2]),
-            (
-                "repro_solver_forgotten_clauses_total",
-                self.forgotten_clauses - stats_base[3] if len(stats_base) > 3 else 0,
-            ),
+            ("repro_solver_forgotten_clauses_total", self.forgotten_clauses - stats_base[3]),
         )
         for name, delta in deltas:
             if delta:
@@ -1013,15 +1038,16 @@ class SatSolver:
 
     def _sat_result(
         self,
-        stats_base: Tuple[int, ...],
+        stats_base: _StatsBase,
         model: Optional[Dict[int, bool]] = None,
     ) -> SatResult:
         self._note_solve("sat", stats_base)
         if model is None:
+            values = self._value
             model = {
-                variable: self._assign[variable] == _TRUE
+                variable: values[variable] == _TRUE
                 for variable in range(1, self._num_vars + 1)
-                if self._assign[variable] != _UNASSIGNED
+                if values[variable] != _UNASSIGNED
             }
         return SatResult(
             True,
@@ -1031,7 +1057,7 @@ class SatSolver:
             propagations=self.propagations - stats_base[2],
         )
 
-    def _unsat_result(self, stats_base: Tuple[int, ...]) -> SatResult:
+    def _unsat_result(self, stats_base: _StatsBase) -> SatResult:
         self._note_solve("unsat", stats_base)
         return SatResult(
             False,
@@ -1040,7 +1066,7 @@ class SatSolver:
             propagations=self.propagations - stats_base[2],
         )
 
-    def _unknown_result(self, stats_base: Tuple[int, ...]) -> SatResult:
+    def _unknown_result(self, stats_base: _StatsBase) -> SatResult:
         self._note_solve("unknown", stats_base)
         return SatResult(
             False,
