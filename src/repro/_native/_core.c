@@ -4,13 +4,15 @@
  * imports cleanly, is the CDCL inner core (watched-literal unit
  * propagation, 1-UIP conflict analysis with clause learning, the VSIDS
  * order-heap, geometric restarts, learned-clause reduction, solve
- * budgets, and LBD clause forgetting).  Every algorithmic step mirrors
- * ``repro/sat/solver.py`` exactly — the same watcher-list append and
- * swap-remove order, the same lazy heap with IEEE-double activity keys,
- * the same literal orders in learned clauses — so decisions, conflicts,
- * propagation counts, models, and UNSAT verdicts are identical to the
- * pure backend on every input.  The differential harness in
- * ``tests/native/`` enforces this.
+ * budgets, and LBD clause forgetting).  It runs the same search as
+ * ``repro/sat/solver.py`` step for step, though not on the same data
+ * layout: the pure side, for one, leaves a satisfied clause's watched pair
+ * unswapped and pushes a variable onto its order heap only when the heap
+ * holds no current entry for it.  The watcher-list append and swap-remove
+ * order, the IEEE-double activity keys and the literal orders in learned
+ * clauses are the same, so decisions, conflicts, propagation counts,
+ * models, and UNSAT verdicts are identical to the pure backend on every
+ * input.  The differential harness in ``tests/native/`` enforces this.
  *
  * The module is optional: the build is declared ``optional=True`` in
  * setup.py and the pure implementations remain the always-available
@@ -60,7 +62,7 @@ typedef struct {
 /* ------------------------------------------------------------------ */
 /* Order heap: entries (key=-activity, var), min-heap under the same   */
 /* (key, var) lexicographic comparison Python applies to its tuples.   */
-/* Only the multiset of entries is observable (the pure backend's      */
+/* Only the set of distinct entries is observable (the pure backend's  */
 /* heapq layout differs, but every pop removes the same minimum), so a */
 /* standard binary heap reproduces the pure decision sequence exactly. */
 /* ------------------------------------------------------------------ */
