@@ -369,7 +369,7 @@ class SatSolver:
         self._trivially_unsat = bool(core.trivially_unsat)
 
     def reserve_vars(self, num_vars: int) -> None:
-        """Grow the per-variable arrays so variables up to ``num_vars`` exist."""
+        """Grow the per-variable and per-literal arrays up to ``num_vars``."""
         if self._core is not None:
             self._core.reserve_vars(num_vars)
             self._num_vars = self._core.num_vars
