@@ -9,6 +9,50 @@ from repro.flow import (
     format_table,
     improvement_percent,
 )
+from repro.flow.report import CacheStatsRow, format_cache_stats
+
+#: Fixed stats dicts, shaped like ``SatSolver.stats()`` output; the second
+#: lacks ``learned_clauses`` (and a solver's size keys), which print as 0.
+SOLVER_STATS = [
+    (
+        "plausibility oracle",
+        {
+            "solve_calls": 4,
+            "conflicts": 32,
+            "decisions": 86,
+            "propagations": 639,
+            "learned_clauses": 31,
+            "num_vars": 55,
+        },
+    ),
+    ("DIP loop", {"solve_calls": 5, "conflicts": 0, "decisions": 12, "propagations": 99}),
+]
+
+SOLVER_TABLE = (
+    "Workload                  Calls  Conflicts  Decisions     Props  Learned\n"
+    "------------------------------------------------------------------------\n"
+    "plausibility oracle           4         32         86       639       31\n"
+    "DIP loop                      5          0         12        99        0"
+)
+
+#: Fixed ``PinAssignmentProblem.cache_stats()``-shaped dicts: one with hits,
+#: one zero-request row, and one with every key missing.
+CACHE_STATS = [
+    (
+        "PRESENT x2",
+        {"evaluations": 9, "genotype_hits": 3, "signature_hits": 4, "genotype_entries": 12},
+    ),
+    ("DES x2", {"evaluations": 0, "genotype_hits": 0, "signature_hits": 0}),
+    ("empty", {}),
+]
+
+CACHE_TABLE = (
+    "Workload                  Synth  GenoHits  SigHits  HitRate  Jobs\n"
+    "-----------------------------------------------------------------\n"
+    "PRESENT x2                    9         3        4    43.8%     2\n"
+    "DES x2                        0         0        0     0.0%     2\n"
+    "empty                         0         0        0     0.0%     2"
+)
 
 
 class TestImprovement:
@@ -95,3 +139,24 @@ class TestSolverStats:
         assert len(lines) == 2 + 1 + len(rows)
         assert lines[3].startswith("oracle")
         assert lines[4].rstrip().endswith("0")
+
+    def test_exact_text(self):
+        rows = [SolverStatsRow.from_stats(label, stats) for label, stats in SOLVER_STATS]
+        assert format_solver_stats(rows) == SOLVER_TABLE
+        assert (
+            format_solver_stats(rows, title="incremental solver work:")
+            == "incremental solver work:\n" + SOLVER_TABLE
+        )
+
+
+class TestCacheStats:
+    def test_exact_text(self):
+        rows = [
+            CacheStatsRow.from_stats(label, stats, jobs=2)
+            for label, stats in CACHE_STATS
+        ]
+        assert format_cache_stats(rows) == CACHE_TABLE
+        assert (
+            format_cache_stats(rows, title="fitness-cache work (GA, parent process):")
+            == "fitness-cache work (GA, parent process):\n" + CACHE_TABLE
+        )
