@@ -20,7 +20,7 @@ import pytest
 from repro.attacks import PlausibleFunctionOracle, random_camouflage_experiment
 from repro.attacks.oracle_guided import attack_mapping
 from repro.flow import obfuscate_with_assignment
-from repro.flow.report import SolverStatsRow, format_solver_stats
+from repro.flow.report import format_solver_stats
 from repro.sat.solver import BUDGET_ENV_VAR, FORGET_ENV_VAR, SolveBudget
 from repro.sboxes import optimal_sboxes
 from repro.synth import synthesize
@@ -90,9 +90,7 @@ def test_attack_proposed_flow_keeps_all_viable_functions(benchmark, record, benc
             for function, verdict in zip(functions, verdicts)
         )
         + "\n"
-        + format_solver_stats(
-            [SolverStatsRow.from_stats("plausibility oracle", stats)]
-        ),
+        + format_solver_stats([("plausibility oracle", stats)]),
     )
 
 
@@ -123,9 +121,7 @@ def test_attack_oracle_guided_dip_loop(benchmark, record, bench_json, obfuscated
     record(
         "attack_oracle_guided",
         f"queries={outcome.num_queries}\n"
-        + format_solver_stats(
-            [SolverStatsRow.from_stats("DIP loop", outcome.solver_stats)]
-        ),
+        + format_solver_stats([("DIP loop", outcome.solver_stats)]),
     )
 
 
@@ -159,9 +155,7 @@ def test_attack_oracle_guided_presample(benchmark, record, bench_json, obfuscate
     record(
         "attack_oracle_presample",
         f"presample={len(outcome.presample_queries)} dips={outcome.num_queries}\n"
-        + format_solver_stats(
-            [SolverStatsRow.from_stats("presampled DIP loop", outcome.solver_stats)]
-        ),
+        + format_solver_stats([("presampled DIP loop", outcome.solver_stats)]),
     )
 
 

@@ -404,11 +404,10 @@ class PlausibleFunctionOracle:
         """Solver and pre-filter counters as one unified telemetry record."""
         from ..telemetry import RunTelemetry
 
-        record = RunTelemetry.from_prefilter_stats(
-            self.prefilter_stats(), label=label
-        )
-        return record.merged(
-            RunTelemetry.from_solver_stats(self.solver_stats()), label=label
+        return (
+            RunTelemetry(label=label)
+            .absorb("prefilter", self.prefilter_stats())
+            .absorb("solver", self.solver_stats())
         )
 
 

@@ -57,8 +57,6 @@ from .evaluation.workloads import (
 from .flow.obfuscate import obfuscate
 from .flow.report import (
     AreaRow,
-    CacheStatsRow,
-    SolverStatsRow,
     format_cache_stats,
     format_solver_stats,
     format_table,
@@ -136,8 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     obfuscate_parser.add_argument("--windowing", choices=list(WINDOWING_NAMES),
                                   default="",
                                   help="window partition strategy (windowed mode; "
-                                       "default: the REPRO_WINDOWING env var, "
-                                       "else 'greedy')")
+                                       "default: 'greedy')")
 
     table_parser = subparsers.add_parser("table1", help="reproduce Table I")
     table_parser.add_argument("--profile", type=str, default="",
@@ -434,7 +431,7 @@ def _command_obfuscate_windowed(args: argparse.Namespace) -> int:
         )
         print(
             format_solver_stats(
-                [SolverStatsRow.from_stats("windowed attack", outcome.solver_stats)],
+                [("windowed attack", outcome.solver_stats)],
                 title="incremental solver work:",
             )
         )
@@ -451,17 +448,18 @@ def _command_table1(args: argparse.Namespace) -> int:
     # with the leftover per-row worker budget, not the outer --jobs value.
     row_jobs = max(1, jobs // len(entries)) if jobs > 1 and len(entries) > 1 else jobs
     cache_rows = [
-        CacheStatsRow.from_stats(
+        (
             f"{entry.row.circuit} x{entry.row.num_functions}",
             entry.obfuscation.pin_optimization.cache_stats,
-            jobs=row_jobs,
         )
         for entry in entries
         if entry.obfuscation.pin_optimization is not None
     ]
     if cache_rows:
         print()
-        print(format_cache_stats(cache_rows, title="fitness-cache work (GA, parent process):"))
+        print(format_cache_stats(
+            cache_rows, row_jobs, title="fitness-cache work (GA, parent process):"
+        ))
     ok = all(entry.verification_ok for entry in entries)
     print()
     print("validation:", "all viable functions realisable" if ok else "FAILURES present")
@@ -498,7 +496,7 @@ def _command_attack(args: argparse.Namespace) -> int:
     print()
     print(
         format_solver_stats(
-            [SolverStatsRow.from_stats("plausibility oracle", oracle.solver_stats())],
+            [("plausibility oracle", oracle.solver_stats())],
             title="incremental solver work:",
         )
     )

@@ -8,7 +8,6 @@ from .obfuscate import (
 )
 from .report import (
     AreaRow,
-    SolverStatsRow,
     format_solver_stats,
     format_table,
     improvement_percent,
@@ -34,6 +33,5 @@ __all__ = [
     "AreaRow",
     "format_table",
     "improvement_percent",
-    "SolverStatsRow",
     "format_solver_stats",
 ]

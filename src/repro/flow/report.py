@@ -7,38 +7,31 @@ improvement of GA+TM over the best random assignment.  :class:`AreaRow`
 holds one such row and :func:`format_table` renders a list of rows the way
 Table I is laid out.
 
-:class:`SolverStatsRow` / :func:`format_solver_stats` render the cumulative
-statistics of the incremental SAT solvers that power the adversary stack
-(conflicts / decisions / propagations per workload), which the attack
-benchmarks and the CLI surface alongside the hardness numbers.
+:func:`format_solver_stats` renders the cumulative statistics of the
+incremental SAT solvers that power the adversary stack (conflicts /
+decisions / propagations per workload), which the attack benchmarks and the
+CLI surface alongside the hardness numbers.
 
-:class:`CacheStatsRow` / :func:`format_cache_stats` do the same for the
-synthesis-side fitness caches of Phase II (genotype-level hits, canonical
-signature hits, actual synthesis runs, worker count), so the experiment
-harnesses can report how much synthesis work batching and memoisation
-avoided — the synthesis-side counterpart of the solver-work table.
+:func:`format_cache_stats` does the same for the synthesis-side fitness
+caches of Phase II (genotype-level hits, canonical signature hits, actual
+synthesis runs, worker count), so the experiment harnesses can report how
+much synthesis work batching and memoisation avoided — the synthesis-side
+counterpart of the solver-work table.
 
-Both stats rows are thin views over :class:`repro.telemetry.RunTelemetry` —
-the unified counter record every layer now emits: ``from_stats`` first
-absorbs the legacy dict into a telemetry record and then reads the row out
-of it, and ``from_telemetry`` builds a row straight from a record (the path
-campaign payloads and ``BENCH_*.json`` artifacts use).
+Both take ``(label, stats)`` pairs, where ``stats`` is the layer's own
+stats dict, read as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional
-
-from ..telemetry import RunTelemetry
+from typing import Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
     "AreaRow",
     "improvement_percent",
     "format_table",
-    "SolverStatsRow",
     "format_solver_stats",
-    "CacheStatsRow",
     "format_cache_stats",
 ]
 
@@ -111,52 +104,19 @@ def format_table(rows: Iterable[AreaRow], title: Optional[str] = None) -> str:
     return "\n".join(lines)
 
 
-@dataclass
-class SolverStatsRow:
-    """Cumulative incremental-solver statistics for one workload."""
-
-    label: str
-    solve_calls: int
-    conflicts: int
-    decisions: int
-    propagations: int
-    learned_clauses: int = 0
-
-    @classmethod
-    def from_telemetry(cls, telemetry: RunTelemetry, label: str = "") -> "SolverStatsRow":
-        """View the ``solver`` scope of a telemetry record as a row."""
-        return cls(
-            label=label or telemetry.label,
-            solve_calls=int(telemetry.get("solver", "solve_calls")),
-            conflicts=int(telemetry.get("solver", "conflicts")),
-            decisions=int(telemetry.get("solver", "decisions")),
-            propagations=int(telemetry.get("solver", "propagations")),
-            learned_clauses=int(telemetry.get("solver", "learned_clauses")),
-        )
-
-    @classmethod
-    def from_stats(cls, label: str, stats: Mapping[str, int]) -> "SolverStatsRow":
-        """Build a row from :meth:`repro.sat.solver.SatSolver.stats` output."""
-        return cls.from_telemetry(
-            RunTelemetry.from_solver_stats(stats, label=label)
-        )
-
-    def as_dict(self) -> dict:
-        """Return the row as a plain dictionary (for JSON dumps)."""
-        return {
-            "label": self.label,
-            "solve_calls": self.solve_calls,
-            "conflicts": self.conflicts,
-            "decisions": self.decisions,
-            "propagations": self.propagations,
-            "learned_clauses": self.learned_clauses,
-        }
+def _counts(stats: Mapping[str, int], *keys: str) -> List[int]:
+    """The counters ``keys`` of a stats dict as ints; a missing key reads 0."""
+    return [int(stats.get(key, 0)) for key in keys]
 
 
 def format_solver_stats(
-    rows: Iterable[SolverStatsRow], title: Optional[str] = None
+    rows: Iterable[Tuple[str, Mapping[str, int]]], title: Optional[str] = None
 ) -> str:
-    """Render solver-work rows as a small aligned table."""
+    """Render ``(label, stats)`` pairs as a small aligned solver-work table.
+
+    ``stats`` is what :meth:`repro.sat.solver.SatSolver.stats` (or an
+    oracle's ``solver_stats()``) returns; missing counters print as 0.
+    """
     lines: List[str] = []
     if title:
         lines.append(title)
@@ -166,82 +126,33 @@ def format_solver_stats(
     )
     lines.append(header)
     lines.append("-" * len(header))
-    for row in rows:
+    for label, stats in rows:
+        calls, conflicts, decisions, props, learned = _counts(
+            stats, "solve_calls", "conflicts", "decisions", "propagations",
+            "learned_clauses",
+        )
         lines.append(
-            f"{row.label:<24}{row.solve_calls:>7}{row.conflicts:>11}"
-            f"{row.decisions:>11}{row.propagations:>10}{row.learned_clauses:>9}"
+            f"{label:<24}{calls:>7}{conflicts:>11}"
+            f"{decisions:>11}{props:>10}{learned:>9}"
         )
     return "\n".join(lines)
 
 
-@dataclass
-class CacheStatsRow:
-    """Fitness-cache counters for one Phase II workload.
-
-    ``evaluations`` is the number of actual synthesis runs; ``genotype_hits``
-    and ``signature_hits`` count evaluations served by the genotype cache and
-    the canonical-signature cache respectively (see
-    :meth:`repro.ga.pinopt.PinAssignmentProblem.cache_stats`).  When the run
-    used worker processes, the counters reflect the parent process only.
-    """
-
-    label: str
-    evaluations: int
-    genotype_hits: int = 0
-    signature_hits: int = 0
-    jobs: int = 1
-
-    @property
-    def requests(self) -> int:
-        """Total fitness requests the counters account for."""
-        return self.evaluations + self.genotype_hits + self.signature_hits
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of fitness requests served without synthesis."""
-        requests = self.requests
-        if requests == 0:
-            return 0.0
-        return (self.genotype_hits + self.signature_hits) / requests
-
-    @classmethod
-    def from_telemetry(
-        cls, telemetry: RunTelemetry, label: str = "", jobs: int = 1
-    ) -> "CacheStatsRow":
-        """View the ``cache`` scope of a telemetry record as a row."""
-        return cls(
-            label=label or telemetry.label,
-            evaluations=int(telemetry.get("cache", "evaluations")),
-            genotype_hits=int(telemetry.get("cache", "genotype_hits")),
-            signature_hits=int(telemetry.get("cache", "signature_hits")),
-            jobs=jobs,
-        )
-
-    @classmethod
-    def from_stats(
-        cls, label: str, stats: Mapping[str, int], jobs: int = 1
-    ) -> "CacheStatsRow":
-        """Build a row from :meth:`PinAssignmentProblem.cache_stats` output."""
-        return cls.from_telemetry(
-            RunTelemetry.from_cache_stats(stats, label=label), jobs=jobs
-        )
-
-    def as_dict(self) -> dict:
-        """Return the row as a plain dictionary (for JSON dumps)."""
-        return {
-            "label": self.label,
-            "evaluations": self.evaluations,
-            "genotype_hits": self.genotype_hits,
-            "signature_hits": self.signature_hits,
-            "hit_rate": self.hit_rate,
-            "jobs": self.jobs,
-        }
-
-
 def format_cache_stats(
-    rows: Iterable[CacheStatsRow], title: Optional[str] = None
+    rows: Iterable[Tuple[str, Mapping[str, int]]],
+    jobs: int,
+    title: Optional[str] = None,
 ) -> str:
-    """Render fitness-cache rows as a small aligned table."""
+    """Render ``(label, cache_stats)`` pairs as a fitness-cache table.
+
+    ``cache_stats`` is what
+    :meth:`repro.ga.pinopt.PinAssignmentProblem.cache_stats` returns:
+    ``evaluations`` counts actual synthesis runs, ``genotype_hits`` and
+    ``signature_hits`` the requests the two cache levels served.  Missing
+    counters print as 0, and a row without requests has a 0.0% hit rate.
+    ``jobs`` is the worker count printed on every row; with workers the
+    counters reflect the parent process only.
+    """
     lines: List[str] = []
     if title:
         lines.append(title)
@@ -251,9 +162,14 @@ def format_cache_stats(
     )
     lines.append(header)
     lines.append("-" * len(header))
-    for row in rows:
+    for label, stats in rows:
+        synth, geno, sig = _counts(
+            stats, "evaluations", "genotype_hits", "signature_hits"
+        )
+        requests = synth + geno + sig
+        hit_rate = (geno + sig) / requests if requests else 0.0
         lines.append(
-            f"{row.label:<24}{row.evaluations:>7}{row.genotype_hits:>10}"
-            f"{row.signature_hits:>9}{100 * row.hit_rate:>8.1f}%{row.jobs:>6}"
+            f"{label:<24}{synth:>7}{geno:>10}"
+            f"{sig:>9}{100 * hit_rate:>8.1f}%{jobs:>6}"
         )
     return "\n".join(lines)

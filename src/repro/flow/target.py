@@ -510,16 +510,6 @@ class WindowedObfuscationResult:
             plausible[name] = list(self.camo_library[cell].plausible)
         return plausible
 
-    def telemetry(self, label: str = "windowed") -> RunTelemetry:
-        """Merged telemetry of every window record (counters sum)."""
-        per_window = [
-            record.telemetry for record in self.records if record.telemetry is not None
-        ]
-        base = RunTelemetry(label=label)
-        if not per_window:
-            return base
-        return base.merged(*per_window, label=label)
-
     def summary(self) -> str:
         """Multi-line human-readable summary of the windowed flow outcome."""
         lines = [

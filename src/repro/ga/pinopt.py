@@ -43,7 +43,6 @@ from ..logic.boolfunc import BoolFunction
 from ..merge.merged import MergedDesign, merge_functions
 from ..merge.pinassign import PinAssignment
 from ..netlist.library import CellLibrary, standard_cell_library
-from ..obs import metrics as obs_metrics
 from ..parallel import register_worker_warmup
 from ..synth.script import SynthesisEffort, SynthesisResult, synthesize
 from .engine import GAParameters, GAResult, GenerationStats, GeneticAlgorithm
@@ -422,14 +421,12 @@ class PinAssignmentProblem:
         cached = self._area_cache.get(key)
         if cached is not None:
             self.genotype_hits += 1
-            obs_metrics.counter("repro_ga_evaluations_total", result="genotype_hit")
             return cached
         design = self._merged_design(genotype)
         signature = self._signature_of(design.function)
         area = self._signature_cache.get(signature)
         if area is not None:
             self.signature_hits += 1
-            obs_metrics.counter("repro_ga_evaluations_total", result="signature_hit")
         else:
             if self.disk_cache is not None:
                 area = self.disk_cache.get(
@@ -440,13 +437,10 @@ class PinAssignmentProblem:
                                     effort=self.effort)
                 area = result.area
                 self.evaluations += 1
-                obs_metrics.counter("repro_ga_evaluations_total", result="synthesized")
                 if self.disk_cache is not None:
                     self.disk_cache.put(
                         self.effort, self._library_fingerprint, signature, area
                     )
-            else:
-                obs_metrics.counter("repro_ga_evaluations_total", result="disk_hit")
             self._signature_cache[signature] = area
         self._area_cache[key] = area
         return area
@@ -524,23 +518,6 @@ class PinOptimizationResult:
     def evaluations(self) -> int:
         """Number of distinct genotypes the GA evaluated."""
         return self.ga_result.evaluations
-
-    def telemetry(self, label: str = "") -> "RunTelemetry":
-        """The Phase II run as a unified telemetry record.
-
-        ``cache`` scope carries the fitness-cache counters, ``ga`` the
-        generation/evaluation summary of the search itself.
-        """
-        from ..telemetry import RunTelemetry
-
-        record = RunTelemetry.from_cache_stats(self.cache_stats, label=label)
-        return record.merged(
-            RunTelemetry.from_ga_history(
-                self.history,
-                stopped_early=getattr(self.ga_result, "stopped_early", False),
-            ),
-            label=label,
-        )
 
 
 def optimize_pin_assignment(

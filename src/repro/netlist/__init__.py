@@ -7,7 +7,6 @@ from .simulate import extract_function, simulate_assignment, simulate_word, simu
 from .validate import assert_valid, validate_netlist
 from .verilog import sanitize_identifier, write_verilog
 from .window import (
-    WINDOWING_ENV_VAR,
     WINDOWING_NAMES,
     LevelizedGreedy,
     MinCutSeeded,
@@ -25,7 +24,6 @@ __all__ = [
     "WindowingStrategy",
     "LevelizedGreedy",
     "MinCutSeeded",
-    "WINDOWING_ENV_VAR",
     "WINDOWING_NAMES",
     "resolve_windowing",
     "extract_windows",

@@ -162,6 +162,12 @@ def _add_names_block(
         # Constant definition: "1" means constant one, empty means constant zero.
         is_one = any(line.strip() == "1" for line in cube_lines)
         source = CONST1_NET if is_one else CONST0_NET
+        if output_net in (CONST0_NET, CONST1_NET):
+            # The reserved constant nets are built in; write_blif still
+            # defines each one it reads, and a buffer would loop it onto itself.
+            if output_net != source:
+                raise BlifError(f"{output_net!r} defined as the opposite constant")
+            return
         _emit_buffer(netlist, source, output_net, library)
         return
 

@@ -34,7 +34,6 @@ per-window cell configurations can be carried over to the stitched whole.
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -49,7 +48,6 @@ __all__ = [
     "WindowingStrategy",
     "LevelizedGreedy",
     "MinCutSeeded",
-    "WINDOWING_ENV_VAR",
     "WINDOWING_NAMES",
     "resolve_windowing",
     "extract_windows",
@@ -57,9 +55,6 @@ __all__ = [
     "window_function",
     "stitch_windows",
 ]
-
-#: Environment variable selecting the default windowing strategy by name.
-WINDOWING_ENV_VAR = "REPRO_WINDOWING"
 
 #: Strategy names accepted by :func:`resolve_windowing` and ``--windowing``.
 WINDOWING_NAMES = ("greedy", "hardness")
@@ -278,14 +273,14 @@ def resolve_windowing(
     """Resolve a windowing argument to a strategy instance.
 
     ``strategy`` may be a :class:`WindowingStrategy` (returned as-is), a name
-    from :data:`WINDOWING_NAMES`, or ``None`` — in which case the
-    ``REPRO_WINDOWING`` environment variable is consulted and ``greedy`` is
-    the fallback.  Strategies are plumbed through worker-pool boundaries by
-    name, so campaign specs stay picklable.
+    from :data:`WINDOWING_NAMES`, or ``None`` for ``greedy``.  Strategies
+    are plumbed through worker-pool boundaries by name, so campaign specs
+    stay picklable, and no environment variable picks one: a job
+    fingerprint records only the name the spec was built with.
     """
     if isinstance(strategy, WindowingStrategy):
         return strategy
-    name = strategy or os.environ.get(WINDOWING_ENV_VAR) or "greedy"
+    name = strategy or "greedy"
     try:
         return _WINDOWING_REGISTRY[name]()
     except KeyError:

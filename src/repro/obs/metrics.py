@@ -2,25 +2,27 @@
 
 Three instrument kinds, all lock-guarded and cheap enough to stay on:
 
-* **Counters** — monotonically increasing totals (solver conflicts,
-  cache hits, lease reclaims).
+* **Counters** — monotonically increasing totals (jobs finished, lease
+  reclaims, absorbed job counters).
 * **Gauges** — last-written values (jobs pending, campaigns active).
 * **Histograms** — fixed-bucket latency/size distributions (lease
   heartbeat latency, job seconds).
 
 Instruments carry optional labels (``counter("repro_jobs_done_total",
-campaign=cid)``), rendering one Prometheus sample per label set.  The
-registry also absorbs :class:`~repro.telemetry.RunTelemetry` records —
-each scope/counter pair becomes ``repro_telemetry_<scope>_<name>`` — so
-the coordinator's ``GET /metrics`` surfaces solver/cache/GA work the
-moment a job payload lands, without new plumbing in the layers that
-already speak RunTelemetry.
+campaign=cid)``), rendering one Prometheus sample per label set.  Only the
+service coordinator renders the registry (``GET /metrics`` and the SSE
+``metrics`` frames), and it runs no job itself, so the layers do not write
+to it.  Their counters arrive in uploaded job payloads as
+:class:`~repro.telemetry.RunTelemetry` records, which the registry absorbs
+— each scope/counter pair becomes ``repro_telemetry_<scope>_<name>``.
 """
 
 from __future__ import annotations
 
 import threading
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+
+from ..telemetry import RunTelemetry
 
 __all__ = [
     "MetricsRegistry",
@@ -100,26 +102,11 @@ class MetricsRegistry:
                     counts[index] += 1
             series[key] = (counts, total + float(value), count + 1)
 
-    def absorb_telemetry(self, telemetry: Any, **labels: Any) -> None:
+    def absorb_telemetry(self, telemetry: RunTelemetry, **labels: Any) -> None:
         """Fold a RunTelemetry record's scopes into prefixed counters."""
-        iter_counters = getattr(telemetry, "iter_counters", None)
-        if callable(iter_counters):
-            triples = iter_counters()
-        else:
-            scopes = getattr(telemetry, "scopes", None)
-            if not isinstance(scopes, Mapping):
-                return
-            triples = (
-                (scope, key, value)
-                for scope, counters in scopes.items()
-                if isinstance(counters, Mapping)
-                for key, value in counters.items()
-            )
-        for scope, key, value in triples:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
+        for scope, key, value in telemetry.iter_counters():
             self.counter(
-                f"repro_telemetry_{_sanitize(str(scope))}_{_sanitize(str(key))}",
+                f"repro_telemetry_{_sanitize(scope)}_{_sanitize(key)}",
                 value,
                 **labels,
             )
@@ -215,7 +202,7 @@ def observe(name: str, value: float, **labels: Any) -> None:
     _REGISTRY.observe(name, value, **labels)
 
 
-def absorb_telemetry(telemetry: Any, **labels: Any) -> None:
+def absorb_telemetry(telemetry: RunTelemetry, **labels: Any) -> None:
     _REGISTRY.absorb_telemetry(telemetry, **labels)
 
 

@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..faults import fault_fires, faults_enabled
-from ..obs import metrics as obs_metrics
 from .cnf import Cnf
 
 __all__ = [
@@ -86,9 +85,9 @@ _UNASSIGNED = 0
 _TRUE = 1
 _FALSE = -1
 
-#: The conflicts, decisions, propagations and forgotten clauses counted
-#: when a ``solve`` call began; each result reports the differences.
-_StatsBase = Tuple[int, int, int, int]
+#: The conflicts, decisions and propagations counted when a ``solve``
+#: call began; each result reports the differences.
+_StatsBase = Tuple[int, int, int]
 
 _FORGET_OFF_WORDS = ("", "0", "false", "no", "off")
 _FORGET_ON_WORDS = ("1", "true", "yes", "on")
@@ -855,12 +854,7 @@ class SatSolver:
         accumulated so far.
         """
         self.solve_calls += 1
-        stats_base: _StatsBase = (
-            self.conflicts,
-            self.decisions,
-            self.propagations,
-            self.forgotten_clauses,
-        )
+        stats_base: _StatsBase = (self.conflicts, self.decisions, self.propagations)
         for literal in assumptions:
             if literal == 0:
                 raise ValueError("0 is not a valid assumption literal")
@@ -1024,24 +1018,11 @@ class SatSolver:
             "forgotten_clauses": self.forgotten_clauses,
         }
 
-    def _note_solve(self, status: str, stats_base: _StatsBase) -> None:
-        obs_metrics.counter("repro_solver_solve_calls_total", status=status)
-        deltas = (
-            ("repro_solver_conflicts_total", self.conflicts - stats_base[0]),
-            ("repro_solver_decisions_total", self.decisions - stats_base[1]),
-            ("repro_solver_propagations_total", self.propagations - stats_base[2]),
-            ("repro_solver_forgotten_clauses_total", self.forgotten_clauses - stats_base[3]),
-        )
-        for name, delta in deltas:
-            if delta:
-                obs_metrics.counter(name, delta)
-
     def _sat_result(
         self,
         stats_base: _StatsBase,
         model: Optional[Dict[int, bool]] = None,
     ) -> SatResult:
-        self._note_solve("sat", stats_base)
         if model is None:
             values = self._value
             model = {
@@ -1058,7 +1039,6 @@ class SatSolver:
         )
 
     def _unsat_result(self, stats_base: _StatsBase) -> SatResult:
-        self._note_solve("unsat", stats_base)
         return SatResult(
             False,
             conflicts=self.conflicts - stats_base[0],
@@ -1067,7 +1047,6 @@ class SatSolver:
         )
 
     def _unknown_result(self, stats_base: _StatsBase) -> SatResult:
-        self._note_solve("unknown", stats_base)
         return SatResult(
             False,
             status="unknown",

@@ -241,6 +241,7 @@ def _run_attack(params: Dict[str, Any], task_jobs: int) -> Tuple[Any, dict]:
             f"oracle-guided attack exhausted its solve budget after "
             f"{outcome.num_queries} DIP queries"
         )
+    telemetry = RunTelemetry(label="attack").absorb("solver", outcome.solver_stats)
     payload = {
         "success": outcome.success,
         "dip_queries": outcome.num_queries,
@@ -251,9 +252,7 @@ def _run_attack(params: Dict[str, Any], task_jobs: int) -> Tuple[Any, dict]:
         "solver": {
             key: int(value) for key, value in outcome.solver_stats.items()
         },
-        "telemetry": RunTelemetry.from_solver_stats(
-            outcome.solver_stats, label="attack"
-        ).to_dict(),
+        "telemetry": telemetry.to_dict(),
     }
     return outcome, payload
 

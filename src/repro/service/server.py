@@ -468,17 +468,18 @@ class CampaignHandle:
     # -------------------------------------------------------------- #
     # SSE
     # -------------------------------------------------------------- #
+    def _sse_key(self, job_id: str) -> Tuple[Tuple, List[Dict[str, Any]]]:
+        """A job's SSE diff key ``(state, owner, attempt count, last attempt
+        status)``, plus the attempt records it was read from."""
+        state, owner = self.job_state(job_id)
+        attempts = self.inspector.attempts(job_id)
+        last = attempts[-1]["status"] if attempts else ""
+        return (state, owner, len(attempts), last), attempts
+
     def snapshot_frame(self) -> Tuple[bytes, Dict[str, Tuple]]:
         """The initial SSE snapshot plus the diff baseline it establishes."""
-        states: Dict[str, str] = {}
-        baseline: Dict[str, Tuple] = {}
-        for job in self.spec.jobs:
-            job_id = job.job_id
-            state, owner = self.job_state(job_id)
-            states[job_id] = state
-            attempts = self.inspector.attempts(job_id)
-            last = attempts[-1]["status"] if attempts else ""
-            baseline[job_id] = (state, owner, len(attempts), last)
+        baseline = {job.job_id: self._sse_key(job.job_id)[0] for job in self.spec.jobs}
+        states = {job_id: key[0] for job_id, key in baseline.items()}
         frame = sse_event(
             "snapshot", {"campaign": self.campaign_id, "jobs": states}
         )
@@ -498,10 +499,8 @@ class CampaignHandle:
         current: Dict[str, Tuple] = {}
         for job in self.spec.jobs:
             job_id = job.job_id
-            state, owner = self.job_state(job_id)
-            attempts = self.inspector.attempts(job_id)
-            last = attempts[-1]["status"] if attempts else ""
-            key = (state, owner, len(attempts), last)
+            key, attempts = self._sse_key(job_id)
+            state, owner, _, last = key
             current[job_id] = key
             prev = previous.get(job_id, ("pending", "", 0, ""))
             if key == prev:

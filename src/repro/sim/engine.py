@@ -24,7 +24,6 @@ from ..aig.aig import Aig, is_complemented, node_of
 from ..logic.boolfunc import BoolFunction
 from ..logic.truthtable import TruthTable
 from ..netlist.netlist import CONST0_NET, CONST1_NET, Netlist, NetlistError
-from ..obs import metrics as obs_metrics
 from .patterns import PatternBatch
 
 __all__ = [
@@ -164,8 +163,6 @@ class NetlistSimulator:
             lanes[output_net] = evaluate_table_lanes(
                 function.bits, function.num_vars, input_lanes, mask
             )
-        obs_metrics.counter("repro_sim_batches_total")
-        obs_metrics.counter("repro_sim_patterns_total", batch.num_patterns)
         return lanes
 
     def output_lanes(

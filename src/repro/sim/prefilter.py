@@ -107,16 +107,6 @@ class FuzzOutcome:
         """True when the (exhaustive) pass proved the two sides equal."""
         return self.complete and self.counterexample is None
 
-    def telemetry(self, label: str = "") -> "RunTelemetry":
-        """The pass as a unified telemetry record (``sim`` scope)."""
-        from ..telemetry import RunTelemetry
-
-        record = RunTelemetry(label=label)
-        record.record("sim", "patterns", self.patterns)
-        record.record("sim", "complete", int(self.complete))
-        record.record("sim", "refuted", int(self.refuted))
-        return record
-
 
 def _fuzz_batch(
     num_inputs: int,

@@ -13,7 +13,6 @@ Phase II.  Every run feeds the module-level synthesis telemetry
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -23,7 +22,6 @@ from ..aig.opt import apply_pass
 from ..logic.boolfunc import BoolFunction
 from ..netlist.library import CellLibrary, standard_cell_library
 from ..netlist.netlist import Netlist
-from ..obs import metrics as obs_metrics
 from ..telemetry import RunTelemetry
 from .mapper import map_to_cells
 
@@ -208,13 +206,10 @@ def synthesize(
 ) -> SynthesisResult:
     """Synthesise a multi-output function into a mapped standard-cell netlist."""
     library = library or standard_cell_library()
-    began = time.monotonic()
     trace: List[Tuple[str, int]] = []
     initial = aig_from_function(function, name=name)
     optimized = optimize_aig(initial, effort=effort, max_rounds=max_rounds, trace=trace)
     netlist = map_to_cells(optimized, library, name=name or function.name)
-    obs_metrics.counter("repro_synth_runs_total", effort=str(effort))
-    obs_metrics.observe("repro_synth_seconds", time.monotonic() - began)
     telemetry = RunTelemetry(label="synthesize")
     telemetry.record("synth", "passes_scheduled", max(len(trace) - 1, 0))
     telemetry.record("synth", "and_initial", initial.num_ands)

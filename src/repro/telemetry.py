@@ -1,32 +1,32 @@
-"""Unified run telemetry: one mergeable record behind every stats surface.
+"""Unified run telemetry: the one record that carries counters across layers.
 
-Historically each layer grew its own ad-hoc stats dict: the SAT solver's
-``stats()``, the GA evaluation cache's ``cache_stats()``, the decamouflage
-attack's ``prefilter_stats()`` and the per-generation ``GenerationStats``
-rows.  They were near-identical in spirit (flat name -> number counters) but
-incompatible in shape, so nothing downstream could aggregate across layers.
+Each layer keeps its own counters and is the only source of them: the SAT
+solver's ``stats()``, the GA evaluation cache's ``cache_stats()`` and the
+decamouflage oracle's ``prefilter_stats()`` are flat stats dicts, and the
+synthesis module counts into the ``synth`` scope of
+``synthesis_telemetry()``.
 
-:class:`RunTelemetry` is the common record.  It is a label plus a set of
-named *scopes*, each scope a flat mapping of counter name to number.  The
-operations every consumer needs are provided once:
+:class:`RunTelemetry` is how those counters travel between layers,
+processes and files.  It is a label plus a set of named *scopes*, each
+scope a flat mapping of counter name to number.  The operations every
+consumer needs are provided once:
 
-* ``count`` / ``record`` / ``get`` for incremental accumulation,
+* ``count`` / ``record`` / ``get`` for incremental accumulation, and
+  ``absorb`` to add a layer's stats dict as one scope,
 * ``merged`` for combining records (counters add, scopes union),
-* ``to_dict`` / ``from_dict`` / ``to_json`` / ``from_json`` for persistence
-  in campaign state payloads and ``BENCH_*.json`` artifacts,
-* ``from_solver_stats`` / ``from_cache_stats`` / ``from_prefilter_stats`` /
-  ``from_ga_history`` adapters that absorb the legacy dicts.
+* ``to_dict`` / ``from_dict`` for persistence in campaign job payloads and
+  ``BENCH_*.json`` artifacts,
+* ``iter_counters`` for the flat view the service's metrics registry
+  absorbs from uploaded job payloads.
 
-The report rows in :mod:`repro.flow.report` are thin views over this record,
-and the windowing strategy reads its measurement feedback (per-window attack
-hardness) from it.
+The windowing strategy reads its measurement feedback (per-window attack
+hardness) from persisted records.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 __all__ = [
     "RunTelemetry",
@@ -42,7 +42,7 @@ def _is_number(value: Any) -> bool:
 
 @dataclass
 class RunTelemetry:
-    """A labelled set of named counter scopes with JSON round-trip.
+    """A labelled set of named counter scopes with a plain-dict round-trip.
 
     ``scopes`` maps a scope name (``"solver"``, ``"cache"``, ``"synth"``,
     ``"window"``, ...) to a flat ``counter name -> number`` mapping.  Merging
@@ -72,7 +72,7 @@ class RunTelemetry:
         return self.scopes.get(scope, {}).get(key, default)
 
     def absorb(self, scope: str, stats: Mapping[str, Any]) -> "RunTelemetry":
-        """Add every numeric entry of a legacy stats dict into ``scope``."""
+        """Add every numeric entry of a layer's stats dict into ``scope``."""
         for key, value in stats.items():
             if _is_number(value):
                 self.count(scope, key, value)
@@ -82,8 +82,8 @@ class RunTelemetry:
         """Yield every numeric ``(scope, key, value)`` triple, sorted.
 
         The flat view the metrics registry absorbs; non-numeric values are
-        skipped with the same tolerance :meth:`absorb` extends to legacy
-        stats dicts.
+        skipped with the same tolerance :meth:`absorb` extends to stats
+        dicts.
         """
         for scope_name in sorted(self.scopes):
             counters = self.scopes[scope_name]
@@ -128,54 +128,6 @@ class RunTelemetry:
             if not isinstance(counters, Mapping):
                 raise ValueError(f"telemetry scope {name!r} must be a mapping")
             record.absorb(str(name), counters)
-        return record
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunTelemetry":
-        return cls.from_dict(json.loads(text))
-
-    # -- adapters for the legacy stats dicts ------------------------------
-
-    @classmethod
-    def from_solver_stats(
-        cls, stats: Mapping[str, Any], label: str = ""
-    ) -> "RunTelemetry":
-        """Absorb :meth:`repro.sat.solver.SatSolver.stats` output."""
-        return cls(label=label).absorb("solver", stats)
-
-    @classmethod
-    def from_cache_stats(
-        cls, stats: Mapping[str, Any], label: str = ""
-    ) -> "RunTelemetry":
-        """Absorb :meth:`repro.ga.pinopt.PinAssignmentProblem.cache_stats`."""
-        return cls(label=label).absorb("cache", stats)
-
-    @classmethod
-    def from_prefilter_stats(
-        cls, stats: Mapping[str, Any], label: str = ""
-    ) -> "RunTelemetry":
-        """Absorb :meth:`repro.attacks.decamouflage.DecamouflageAttack.prefilter_stats`."""
-        return cls(label=label).absorb("prefilter", stats)
-
-    @classmethod
-    def from_ga_history(
-        cls, history: Sequence[Any], label: str = "", stopped_early: bool = False
-    ) -> "RunTelemetry":
-        """Summarise a GA run's ``GenerationStats`` history into counters."""
-        record = cls(label=label)
-        if not history:
-            return record
-        last = history[-1]
-        record.record("ga", "generations", len(history))
-        record.record("ga", "evaluations", getattr(last, "evaluations_so_far", 0))
-        record.record("ga", "cache_hits", getattr(last, "cache_hits", 0))
-        if stopped_early:
-            # The wall-clock budget cut the search short; the best-so-far
-            # genotype in the result is partial progress, not a converged run.
-            record.record("ga", "stopped_early", 1)
         return record
 
     def __repr__(self) -> str:

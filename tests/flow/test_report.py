@@ -4,12 +4,11 @@ import pytest
 
 from repro.flow import (
     AreaRow,
-    SolverStatsRow,
     format_solver_stats,
     format_table,
     improvement_percent,
 )
-from repro.flow.report import CacheStatsRow, format_cache_stats
+from repro.flow.report import format_cache_stats
 
 #: Fixed stats dicts, shaped like ``SatSolver.stats()`` output; the second
 #: lacks ``learned_clauses`` (and a solver's size keys), which print as 0.
@@ -101,22 +100,6 @@ class TestFormatTable:
 
 
 class TestSolverStats:
-    def test_from_stats_and_as_dict(self):
-        stats = {
-            "solve_calls": 7,
-            "conflicts": 12,
-            "decisions": 90,
-            "propagations": 640,
-            "learned_clauses": 11,
-            "num_vars": 55,
-        }
-        row = SolverStatsRow.from_stats("DIP loop", stats)
-        assert row.solve_calls == 7
-        assert row.learned_clauses == 11
-        data = row.as_dict()
-        assert data["label"] == "DIP loop"
-        assert data["propagations"] == 640
-
     def test_from_solver(self):
         from repro.sat import SatSolver
 
@@ -124,13 +107,15 @@ class TestSolverStats:
         x = solver.new_var()
         solver.add_clause([x])
         solver.solve()
-        row = SolverStatsRow.from_stats("unit", solver.stats())
-        assert row.solve_calls == 1
+        text = format_solver_stats([("unit", solver.stats())])
+        assert text.splitlines()[-1].split()[:2] == ["unit", "1"]
 
     def test_layout(self):
         rows = [
-            SolverStatsRow("oracle", 4, 32, 86, 639, 31),
-            SolverStatsRow("DIP loop", 5, 0, 12, 99, 0),
+            ("oracle", {"solve_calls": 4, "conflicts": 32, "decisions": 86,
+                        "propagations": 639, "learned_clauses": 31}),
+            ("DIP loop", {"solve_calls": 5, "conflicts": 0, "decisions": 12,
+                          "propagations": 99, "learned_clauses": 0}),
         ]
         text = format_solver_stats(rows, title="solver work")
         lines = text.splitlines()
@@ -141,22 +126,19 @@ class TestSolverStats:
         assert lines[4].rstrip().endswith("0")
 
     def test_exact_text(self):
-        rows = [SolverStatsRow.from_stats(label, stats) for label, stats in SOLVER_STATS]
-        assert format_solver_stats(rows) == SOLVER_TABLE
+        assert format_solver_stats(SOLVER_STATS) == SOLVER_TABLE
         assert (
-            format_solver_stats(rows, title="incremental solver work:")
+            format_solver_stats(SOLVER_STATS, title="incremental solver work:")
             == "incremental solver work:\n" + SOLVER_TABLE
         )
 
 
 class TestCacheStats:
     def test_exact_text(self):
-        rows = [
-            CacheStatsRow.from_stats(label, stats, jobs=2)
-            for label, stats in CACHE_STATS
-        ]
-        assert format_cache_stats(rows) == CACHE_TABLE
+        assert format_cache_stats(CACHE_STATS, 2) == CACHE_TABLE
         assert (
-            format_cache_stats(rows, title="fitness-cache work (GA, parent process):")
+            format_cache_stats(
+                CACHE_STATS, 2, title="fitness-cache work (GA, parent process):"
+            )
             == "fitness-cache work (GA, parent process):\n" + CACHE_TABLE
         )

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.netlist import (
+    CONST0_NET,
+    CONST1_NET,
     BlifError,
     Netlist,
     extract_function,
@@ -10,6 +12,7 @@ from repro.netlist import (
     standard_cell_library,
     write_blif,
 )
+from repro.sat.equivalence import check_netlist_equivalence
 
 
 class TestWriteRead:
@@ -29,6 +32,23 @@ class TestWriteRead:
     def test_model_name_override(self, present_netlist):
         text = write_blif(present_netlist, model_name="widget")
         assert ".model widget" in text
+
+    def test_constant_nets_round_trip(self, library):
+        netlist = Netlist("consts", library)
+        a = netlist.add_input("a")
+        b = netlist.add_input("b")
+        netlist.add_instance("AND2", [a, CONST1_NET], output="y1")
+        netlist.add_instance("OR2", [b, CONST0_NET], output="y0")
+        netlist.add_output("y1")
+        netlist.add_output("y0")
+        text = write_blif(netlist)
+        assert f".names {CONST0_NET}" in text and f".names {CONST1_NET}" in text
+        reparsed = read_blif(text, library)
+        driven = {instance.output for instance in reparsed.instances}
+        assert not driven & {CONST0_NET, CONST1_NET}
+        # The SAT encoding binds a driven net to a fresh variable, so a
+        # reserved net that drives itself would become a free input here.
+        assert check_netlist_equivalence(netlist, reparsed, prefilter=False)
 
 
 class TestReadNames:
@@ -123,3 +143,9 @@ class TestErrors:
     def test_stray_cube_line(self, library):
         with pytest.raises(BlifError):
             read_blif(".model m\n.inputs a\n11 1\n.end\n", library)
+
+    def test_contradicting_constant_definition(self, library):
+        with pytest.raises(BlifError):
+            read_blif(f".model m\n.inputs a\n.outputs a\n.names {CONST1_NET}\n.end\n", library)
+        with pytest.raises(BlifError):
+            read_blif(f".model m\n.inputs a\n.outputs a\n.names {CONST0_NET}\n1\n.end\n", library)

@@ -15,7 +15,6 @@ from repro.netlist.blif import read_blif
 from repro.netlist.window import (
     LevelizedGreedy,
     MinCutSeeded,
-    WINDOWING_ENV_VAR,
     WindowError,
     extract_windows,
     resolve_windowing,
@@ -134,10 +133,6 @@ class TestResolution:
     def test_instance_passthrough(self):
         strategy = MinCutSeeded()
         assert resolve_windowing(strategy) is strategy
-
-    def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv(WINDOWING_ENV_VAR, "hardness")
-        assert isinstance(resolve_windowing(None), MinCutSeeded)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(WindowError):

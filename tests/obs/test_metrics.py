@@ -94,17 +94,6 @@ class TestAbsorbTelemetry:
         fresh.absorb_telemetry(telemetry)
         assert fresh.value("repro_telemetry_so_lver_dip_queries") == 1.0
 
-    def test_plain_scopes_mapping_accepted(self, fresh):
-        class Legacy:
-            scopes = {"solver": {"conflicts": 3}}
-
-        fresh.absorb_telemetry(Legacy())
-        assert fresh.value("repro_telemetry_solver_conflicts") == 3.0
-
-    def test_scopeless_object_ignored(self, fresh):
-        fresh.absorb_telemetry(object())
-        assert fresh.render() == ""
-
 
 class TestSnapshot:
     def test_flat_counter_gauge_view(self, fresh):

@@ -118,6 +118,27 @@ class TestWindowedCampaign:
         # Cached windows were rebuilt from persisted payloads (no value).
         assert all(result.value is None for result in resumed.cached)
 
+    @pytest.mark.parametrize("windowing_env", [None, "hardness"])
+    def test_resume_entirely_from_state(
+        self, wide_blif, tmp_path, monkeypatch, windowing_env
+    ):
+        """A finished campaign rerun stitches every window from its payload.
+
+        Job fingerprints do not see the environment, so the rerun must not
+        either: setting the deleted windowing variable changes nothing.
+        """
+        path, _ = wide_blif
+        params = dict(
+            state_dir=str(tmp_path / "state"), max_window_inputs=6, decoys=0, seed=3
+        )
+        fresh, _ = run_windowed_campaign(path, **params)
+        if windowing_env is not None:
+            monkeypatch.setenv("REPRO_WINDOWING", windowing_env)
+        resumed, assembled = run_windowed_campaign(path, **params)
+        assert not resumed.executed
+        assert len(resumed.cached) == len(fresh.results)
+        assert assembled.verification.ok
+
     def test_payload_round_trip_preserves_configuration(self, wide_blif, tmp_path):
         path, _ = wide_blif
         state_dir = str(tmp_path / "state")

@@ -16,6 +16,7 @@ from repro.scenarios.campaign import CampaignJob, CampaignSpec
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceThread
 from repro.service.worker import WorkerAgent
+from repro.telemetry import RunTelemetry
 
 
 def probe_spec(count=3, name="obs", **extra):
@@ -94,6 +95,31 @@ class TestMetricsEndpoint:
         assert events[0][0] == "snapshot"
         assert events[-1][0] == "campaign"
         assert events[-1][1]["status"] == "complete"
+
+    def test_uploaded_job_telemetry_reaches_metrics(self, tmp_path):
+        """Layer counters reach /metrics only through uploaded payloads; a
+        malformed record is dropped without failing its commit."""
+        reset_metrics()
+        spec = probe_spec(count=2, name="uploads")
+        telemetry = RunTelemetry(label="probe")
+        telemetry.count("solver", "conflicts", 5)
+        payloads = [{"telemetry": telemetry.to_dict()}, {"telemetry": {"scopes": [1, 2]}}]
+        with ServiceThread(root=str(tmp_path), poll=0.02) as service:
+            client = ServiceClient(service.url)
+            campaign_id = client.submit(spec.to_dict())["campaign"]
+            for payload in payloads:
+                job_id = client.claim(campaign_id, "w")["job"]["job_id"]
+                committed = client.complete(
+                    campaign_id, job_id, "w", seconds=0.1, payload=payload
+                )
+                assert committed["committed"] is True
+            text = client.metrics()
+        lines = text.splitlines()
+        assert f'repro_telemetry_solver_conflicts{{campaign="{campaign_id}"}} 5' in lines
+        assert (
+            f'repro_service_jobs_total{{campaign="{campaign_id}",status="ok"}} 2'
+            in lines
+        )
 
 
 class TestCancel:

@@ -48,11 +48,11 @@ class TestMergeAndRoundTrip:
         telemetry = RunTelemetry(label="roundtrip")
         telemetry.count("synth", "passes_executed", 7)
         telemetry.record("synth", "and_final", 31)
-        text = telemetry.to_json()
-        restored = RunTelemetry.from_json(text)
+        text = json.dumps(telemetry.to_dict())
+        restored = RunTelemetry.from_dict(json.loads(text))
         assert restored.label == telemetry.label
         assert restored.scopes == telemetry.scopes
-        # The JSON itself is plain and sorted (artifact-diff friendly).
+        # The persisted form is plain JSON (artifact-diff friendly).
         assert json.loads(text)["scopes"]["synth"]["and_final"] == 31
 
     def test_from_dict_rejects_malformed_scopes(self):
@@ -60,32 +60,6 @@ class TestMergeAndRoundTrip:
             RunTelemetry.from_dict({"scopes": [1, 2]})
         with pytest.raises(ValueError):
             RunTelemetry.from_dict({"scopes": {"solver": 7}})
-
-
-class TestAdapters:
-    def test_solver_cache_prefilter_adapters(self):
-        solver = RunTelemetry.from_solver_stats(
-            {"solve_calls": 2, "conflicts": 9}, label="s"
-        )
-        assert solver.get("solver", "conflicts") == 9
-        cache = RunTelemetry.from_cache_stats({"hits": 3, "misses": 1})
-        assert cache.get("cache", "hits") == 3
-        prefilter = RunTelemetry.from_prefilter_stats({"fuzz_refuted": 5})
-        assert prefilter.get("prefilter", "fuzz_refuted") == 5
-
-    def test_ga_history_adapter(self):
-        class Generation:
-            def __init__(self, evaluations_so_far, cache_hits):
-                self.evaluations_so_far = evaluations_so_far
-                self.cache_hits = cache_hits
-
-        record = RunTelemetry.from_ga_history(
-            [Generation(4, 1), Generation(9, 3)]
-        )
-        assert record.get("ga", "generations") == 2
-        assert record.get("ga", "evaluations") == 9
-        assert record.get("ga", "cache_hits") == 3
-        assert RunTelemetry.from_ga_history([]).scopes == {}
 
 
 class TestWindowHardness:
