@@ -99,8 +99,8 @@ def test_attack_oracle_guided_dip_loop(benchmark, record, bench_json, obfuscated
     """The stronger (oracle-equipped) adversary: the incremental DIP loop.
 
     ``presample=0`` explicitly: this benchmark tracks the pure DIP-loop
-    trajectory, so it must not silently degenerate into the presampled
-    variant (measured separately below) when ``REPRO_FUZZ`` is set.
+    trajectory, while ``attack_mapping`` presamples by default (that
+    variant is measured separately below).
     """
     functions, result = obfuscated_pair
 

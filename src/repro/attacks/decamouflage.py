@@ -20,9 +20,8 @@ are therefore shared across all candidate checks, and witness enumeration
 guarded by a per-session activation literal to the same solver.
 
 Fuzz-before-SAT: with the pre-filter enabled (the default; pass
-``prefilter=False`` or set ``REPRO_FUZZ=0`` to opt out), a query is
-answered by simulation-guided abstraction refinement instead of the full
-unrolling:
+``prefilter=False`` to opt out), a query is answered by simulation-guided
+abstraction refinement instead of the full unrolling:
 
 1. a three-valued packed *possibility* pass (:func:`repro.sim.prefilter.
    possibility_refute`) soundly refutes candidates that need an output bit
@@ -57,7 +56,7 @@ from ..sat.solver import SatResult, SatSolver, SolveBudget, SolveBudgetExceeded
 from ..sat.tseitin import add_exactly_one, encode_camouflaged_copy
 from ..sim.engine import NetlistSimulator
 from ..sim.patterns import PatternBatch
-from ..sim.prefilter import PossibilityAnalysis, fuzz_enabled
+from ..sim.prefilter import PossibilityAnalysis
 from ..techmap.mapper import CamouflagedMapping
 
 __all__ = [
@@ -95,7 +94,7 @@ class PlausibleFunctionOracle:
         self,
         netlist: Netlist,
         instance_plausible: Mapping[str, Sequence[TruthTable]],
-        prefilter: Optional[bool] = None,
+        prefilter: bool = True,
         budget: Optional[SolveBudget] = None,
     ):
         self._netlist = netlist
@@ -116,7 +115,7 @@ class PlausibleFunctionOracle:
         #: that unrolled copy (insertion-ordered; the eager path encodes all
         #: words 0..2**n-1 up front, the CEGAR path grows it lazily).
         self._word_outputs: Dict[int, List[int]] = {}
-        self._prefilter = fuzz_enabled(prefilter)
+        self._prefilter = prefilter
         self._simulator: Optional[NetlistSimulator] = None
         #: Cached three-valued achievability maps (candidate-independent).
         self._possibility: Optional[PossibilityAnalysis] = None
@@ -132,7 +131,7 @@ class PlausibleFunctionOracle:
     def from_mapping(
         cls,
         mapping: CamouflagedMapping,
-        prefilter: Optional[bool] = None,
+        prefilter: bool = True,
         budget: Optional[SolveBudget] = None,
     ) -> "PlausibleFunctionOracle":
         """Build the oracle an adversary would build from a mapped design."""
@@ -414,7 +413,7 @@ class PlausibleFunctionOracle:
 def is_function_plausible(
     mapping: CamouflagedMapping,
     candidate: BoolFunction,
-    prefilter: Optional[bool] = None,
+    prefilter: bool = True,
 ) -> DecamouflageResult:
     """Convenience wrapper: adversary query against a Phase III mapping."""
     oracle = PlausibleFunctionOracle.from_mapping(mapping, prefilter=prefilter)
@@ -425,7 +424,7 @@ def plausible_viable_functions(
     mapping: CamouflagedMapping,
     viable_functions: Sequence[BoolFunction],
     assignment_views: Optional[Sequence[BoolFunction]] = None,
-    prefilter: Optional[bool] = None,
+    prefilter: bool = True,
 ) -> List[bool]:
     """Evaluate the adversary's checklist: which viable functions are plausible?
 

@@ -64,13 +64,12 @@ front-end of SAT-based attacks.  Cheap observations kill most of the
 configuration space, so far fewer (and far cheaper) miter calls remain; the
 recovered function is identical, but the DIP sequence is not.  Constructing
 :class:`OracleGuidedAttack` directly still defaults to ``presample=0`` (the
-classic cold transcript); the :func:`attack_mapping` entry point follows the
-fuzz default — presampling **on** unless the ``REPRO_FUZZ`` environment
-variable opts out — and the regression tests pin both transcript shapes
-explicitly.  Every DIP and
-presample word is recorded in a :class:`~repro.sim.patterns.ReplayBuffer`
-(``OracleGuidedAttack.replay``) so callers can reuse the distinguishing
-patterns across attacks.
+classic cold transcript); the :func:`attack_mapping` and
+:func:`attack_netlist` entry points presample :data:`DEFAULT_PRESAMPLE`
+words unless told otherwise, and the regression tests pin both transcript
+shapes explicitly.  Every DIP and presample word is recorded in a
+:class:`~repro.sim.patterns.ReplayBuffer` (``OracleGuidedAttack.replay``) so
+callers can reuse the distinguishing patterns across attacks.
 """
 
 from __future__ import annotations
@@ -85,7 +84,6 @@ from ..sat.equivalence import add_difference_miter
 from ..sat.solver import SatSolver, SolveBudget
 from ..sat.tseitin import add_exactly_one, encode_camouflaged_copy
 from ..sim.patterns import RandomPatternSource, ReplayBuffer
-from ..sim.prefilter import fuzz_enabled
 from ..techmap.mapper import CamouflagedMapping
 
 __all__ = [
@@ -476,9 +474,8 @@ def attack_mapping(
     word set, and the DIP sequence are identical for every ``jobs`` value.
 
     ``presample`` controls the fuzz-before-SAT presampling phase (see the
-    module docstring); ``None`` resolves it from the fuzz default —
-    presampling is on (:data:`DEFAULT_PRESAMPLE` words) unless ``REPRO_FUZZ``
-    opts out, in which case the classic cold-DIP transcript is preserved.
+    module docstring); ``None`` means :data:`DEFAULT_PRESAMPLE` words, and
+    ``0`` preserves the classic cold-DIP transcript.
     """
     from ..sim.shard import sharded_extract_function
 
@@ -490,7 +487,7 @@ def attack_mapping(
     ).lookup_table()
 
     if presample is None:
-        presample = DEFAULT_PRESAMPLE if fuzz_enabled(None) else 0
+        presample = DEFAULT_PRESAMPLE
     if budget is None:
         budget = SolveBudget.from_environment()
     plausible = {
@@ -553,7 +550,7 @@ def attack_netlist(
         return simulator.simulate_words(words)
 
     if presample is None:
-        presample = DEFAULT_PRESAMPLE if fuzz_enabled(None) else 0
+        presample = DEFAULT_PRESAMPLE
     if budget is None:
         budget = SolveBudget.from_environment()
     attack = OracleGuidedAttack(

@@ -57,7 +57,7 @@ def verify_viable_functions(
     mapping: CamouflagedMapping,
     design: MergedDesign,
     use_sat: bool = False,
-    prefilter: Optional[bool] = None,
+    prefilter: bool = True,
     jobs: int = 1,
 ) -> PlausibilityReport:
     """Check that the camouflaged circuit can realise every viable function.

@@ -32,10 +32,9 @@ The experiment commands accept ``--jobs N`` to spread synthesis work over N
 worker processes (default: the ``REPRO_JOBS`` environment variable, else
 serial).  Seeded results are identical for every ``--jobs`` value.  The
 fuzz-before-SAT paths (packed random simulation kills most candidates
-before a solver call) are on by default; ``REPRO_FUZZ=0`` opts out.
-Verdicts are unchanged either way, only slower without them — except the
-oracle-guided attack, whose presampling trades a different query transcript
-for far fewer SAT calls.
+before a solver call) are always on and never change a verdict; the
+oracle-guided attack's presampling (``--presample``) trades a different
+query transcript for far fewer SAT calls.
 """
 
 from __future__ import annotations
@@ -127,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="DIP budget of the --attack run")
     obfuscate_parser.add_argument("--presample", type=int, default=-1,
                                   help="random oracle observations before the DIP loop "
-                                       "(-1 = fuzz default)")
+                                       "(-1 = the default, 32)")
     obfuscate_parser.add_argument("--sat-check", action="store_true",
                                   help="force the whole-netlist SAT equivalence check "
                                        "even beyond the default width limit")
@@ -245,11 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
                                       "counters in the job telemetry (--blif mode)")
     campaign_parser.add_argument("--lease-ttl", type=float, default=0.0,
                                  help="job-lease time-to-live in seconds for shared "
-                                      "--state-dir campaigns (default REPRO_LEASE_TTL "
-                                      "or 60; heartbeats refresh every TTL/3)")
+                                      "--state-dir campaigns (default 60; heartbeats "
+                                      "refresh every TTL/3)")
     campaign_parser.add_argument("--retries", type=int, default=0,
                                  help="max attempts per job on transient failures "
-                                      "(default REPRO_RETRY_ATTEMPTS or 3)")
+                                      "(default 3)")
     campaign_parser.add_argument("--solve-budget", type=str, default="",
                                  help="per-solve-call budget spec, e.g. "
                                       "'conflicts=20000,seconds=2.5' (default "
@@ -259,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  metavar="URL",
                                  help="submit the campaign to a coordinator "
                                       "(repro serve) instead of running locally; "
-                                      "streams progress and fetches the artifacts "
-                                      "(default URL: REPRO_SERVICE_URL)")
+                                      "streams progress and fetches the artifacts")
     campaign_parser.add_argument("--no-wait", action="store_true",
                                  help="with --submit: return after submission "
                                       "without waiting for completion")
@@ -280,13 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--host", type=str, default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=8765)
     serve_parser.add_argument("--root", type=str, default="",
-                              help="service state root (default REPRO_SERVICE_ROOT)")
+                              help="service state root directory (required)")
     serve_parser.add_argument("--lease-ttl", type=float, default=0.0,
-                              help="job-lease time-to-live in seconds "
-                                   "(default REPRO_LEASE_TTL or 60)")
+                              help="job-lease time-to-live in seconds (default 60)")
     serve_parser.add_argument("--poll", type=float, default=0.0,
-                              help="SSE/claim poll interval in seconds "
-                                   "(default REPRO_SERVICE_POLL or 0.25)")
+                              help="SSE/claim poll interval in seconds (default 0.25)")
 
     cache_parser = subparsers.add_parser(
         "cache",
@@ -351,9 +347,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_flags(args: argparse.Namespace, mode: str, flags: Sequence[str]) -> None:
+    """Exit naming the first of ``flags`` that differs from its default.
+
+    ``mode`` names the invocation that has no use for them, so a flag the
+    command would otherwise ignore is an argument error instead.
+    """
+    defaults = build_parser().parse_args([args.command])
+    for flag in flags:
+        name = flag[2:].replace("-", "_")
+        if getattr(args, name) != getattr(defaults, name):
+            raise SystemExit(f"{mode} does not support {flag}")
+
+
 def _command_obfuscate(args: argparse.Namespace) -> int:
     if args.blif_in:
+        _reject_flags(args, "obfuscate --blif-in", ("--family", "--count", "--report"))
         return _command_obfuscate_windowed(args)
+    _reject_flags(
+        args,
+        "obfuscate without --blif-in",
+        ("--max-window-inputs", "--decoys", "--attack", "--attack-queries",
+         "--presample", "--sat-check", "--windowing"),
+    )
     functions = workload_functions(args.family, args.count)
     parameters = GAParameters(
         population_size=args.population, generations=args.generations, seed=args.seed
@@ -577,8 +593,6 @@ def _parse_workload_selector(selector: str) -> tuple:
 
 def _campaign_robustness_kwargs(args: argparse.Namespace) -> dict:
     """Runner kwargs from the --lease-ttl/--retries/--solve-budget flags."""
-    import dataclasses
-
     from .jobstore import RetryPolicy
     from .sat.solver import SolveBudget
 
@@ -586,9 +600,7 @@ def _campaign_robustness_kwargs(args: argparse.Namespace) -> dict:
     if args.lease_ttl > 0:
         kwargs["lease_ttl"] = args.lease_ttl
     if args.retries > 0:
-        kwargs["retry_policy"] = dataclasses.replace(
-            RetryPolicy.from_environment(), max_attempts=args.retries
-        )
+        kwargs["retry_policy"] = RetryPolicy(max_attempts=args.retries)
     if args.solve_budget:
         try:
             kwargs["solve_budget"] = SolveBudget.from_spec(args.solve_budget)
@@ -628,15 +640,26 @@ def _command_campaign(args: argparse.Namespace) -> int:
     if args.submit:
         # The coordinator's fleet runs on the coordinator's settings, and
         # window jobs re-read a BLIF path remote workers cannot see.
-        defaults = build_parser().parse_args(["campaign"])
-        for flag in ("--blif", "--state-dir", "--limit", "--jobs",
-                     "--lease-ttl", "--retries", "--solve-budget"):
-            name = flag[2:].replace("-", "_")
-            if getattr(args, name) != getattr(defaults, name):
-                raise SystemExit(f"--submit does not support {flag}")
+        _reject_flags(
+            args,
+            "--submit",
+            ("--blif", "--state-dir", "--limit", "--jobs",
+             "--lease-ttl", "--retries", "--solve-budget"),
+        )
 
     if args.blif:
+        _reject_flags(
+            args,
+            "campaign --blif",
+            ("--workload", "--profile", "--with-attack", "--with-decamouflage",
+             "--with-random-camo"),
+        )
         return _command_campaign_windowed(args)
+    _reject_flags(
+        args,
+        "campaign without --blif",
+        ("--max-window-inputs", "--decoys", "--windowing", "--probe-hardness"),
+    )
 
     profile = get_workload_profile(args.profile)
     overrides = {}
@@ -826,14 +849,14 @@ def _submit_campaign(args: argparse.Namespace, spec) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    from .service.protocol import ServiceError
+    from .service.protocol import DEFAULT_POLL_SECONDS, ServiceError
     from .service.server import CampaignService
 
     try:
         service = CampaignService(
-            root=args.root or None,
+            root=args.root,
             lease_ttl=args.lease_ttl or None,
-            poll=args.poll or None,
+            poll=args.poll or DEFAULT_POLL_SECONDS,
         )
     except ServiceError as exc:
         raise SystemExit(exc.message) from exc

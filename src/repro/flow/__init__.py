@@ -3,7 +3,6 @@
 from .obfuscate import (
     ObfuscationResult,
     obfuscate,
-    obfuscate_target,
     obfuscate_with_assignment,
 )
 from .report import (
@@ -12,22 +11,12 @@ from .report import (
     format_table,
     improvement_percent,
 )
-from .target import (
-    FunctionTarget,
-    NetlistTarget,
-    ObfuscationTarget,
-    WindowedObfuscationResult,
-    obfuscate_netlist,
-)
+from .target import WindowedObfuscationResult, obfuscate_netlist
 
 __all__ = [
     "ObfuscationResult",
     "obfuscate",
-    "obfuscate_target",
     "obfuscate_with_assignment",
-    "ObfuscationTarget",
-    "FunctionTarget",
-    "NetlistTarget",
     "WindowedObfuscationResult",
     "obfuscate_netlist",
     "AreaRow",

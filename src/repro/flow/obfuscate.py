@@ -28,7 +28,6 @@ __all__ = [
     "ObfuscationResult",
     "obfuscate",
     "obfuscate_with_assignment",
-    "obfuscate_target",
 ]
 
 
@@ -164,22 +163,3 @@ def obfuscate(
     )
     result.pin_optimization = optimization
     return result
-
-
-def obfuscate_target(target, jobs: int = 1, progress=None, **kwargs):
-    """Run the flow on any :class:`~repro.flow.target.ObfuscationTarget`.
-
-    Dispatches to the classic function flow for
-    :class:`~repro.flow.target.FunctionTarget` (returning
-    :class:`ObfuscationResult`) and to the windowed netlist flow for
-    :class:`~repro.flow.target.NetlistTarget` (returning
-    :class:`~repro.flow.target.WindowedObfuscationResult`).
-    """
-    from .target import ObfuscationTarget
-
-    if not isinstance(target, ObfuscationTarget):
-        raise TypeError(
-            f"expected an ObfuscationTarget, got {type(target).__name__}; "
-            "wrap plain functions in FunctionTarget or a netlist in NetlistTarget"
-        )
-    return target.obfuscate(jobs=jobs, progress=progress, **kwargs)

@@ -1,32 +1,24 @@
-"""Obfuscation targets: decoupling "thing to obfuscate" from "truth table".
+"""Windowed obfuscation of wide netlists: no whole-circuit truth table.
 
-The original flow API takes a list of exact viable functions — fine for
-S-box-scale blocks, impossible for wide netlists (truth tables are
-exponential in the input count).  A :class:`ObfuscationTarget` names the
-thing being obfuscated and knows how to run the flow on it:
+The classic flow (:func:`repro.flow.obfuscate.obfuscate`) takes a list of
+exact viable functions — fine for S-box-scale blocks, impossible for wide
+netlists (truth tables are exponential in the input count).
+:func:`obfuscate_netlist` is the netlist entry point: the netlist is
+decomposed into bounded-input windows
+(:func:`repro.netlist.window.extract_windows`), every window's exact
+function is extracted with a window-local exhaustive packed batch, decoy
+viable functions are generated per window, each window runs the full
+Phase I–III pipeline with its own GA budget, and the camouflaged windows
+are stitched back into the parent netlist.
 
-* :class:`FunctionTarget` — the classic path: a set of viable
-  :class:`~repro.logic.boolfunc.BoolFunction`\\ s, handed unchanged to
-  :func:`repro.flow.obfuscate.obfuscate`.
-* :class:`NetlistTarget` — a wide gate-level netlist.  The netlist is
-  decomposed into bounded-input windows
-  (:func:`repro.netlist.window.extract_windows`), every window's exact
-  function is extracted with a window-local exhaustive packed batch, decoy
-  viable functions are generated per window, each window runs the full
-  Phase I–III pipeline with its own GA budget, and the camouflaged windows
-  are stitched back into the parent netlist.  No whole-netlist truth table
-  is ever built.
-
-:func:`obfuscate_netlist` is the windowed driver (per-window jobs fan out
-over :mod:`repro.parallel`); :func:`assemble_windowed_result` is the
-stitch-plus-verify half, shared with the campaign runner, whose per-window
-jobs resume from on-disk state.
+Per-window jobs fan out over :mod:`repro.parallel`;
+:func:`assemble_windowed_result` is the stitch-plus-verify half, shared
+with the campaign runner, whose per-window jobs resume from on-disk state.
 """
 
 from __future__ import annotations
 
 import random
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -49,9 +41,6 @@ from ..synth.script import SynthesisEffort
 from ..telemetry import RunTelemetry
 
 __all__ = [
-    "ObfuscationTarget",
-    "FunctionTarget",
-    "NetlistTarget",
     "WindowRecord",
     "WindowedVerification",
     "WindowedObfuscationResult",
@@ -72,107 +61,6 @@ DEFAULT_WINDOW_GA = GAParameters(population_size=4, generations=2, seed=1)
 #: cross-check carry the verification (each window is proven exhaustively,
 #: and equivalence composes window-by-window).
 DEFAULT_SAT_CHECK_LIMIT = 24
-
-
-class ObfuscationTarget(ABC):
-    """Something the flow can obfuscate (functions or a netlist)."""
-
-    name: str = ""
-
-    @abstractmethod
-    def obfuscate(self, jobs: int = 1, progress: Optional[Callable] = None):
-        """Run the flow on this target and return its result object."""
-
-    @abstractmethod
-    def describe(self) -> str:
-        """One-line human-readable description."""
-
-
-@dataclass
-class FunctionTarget(ObfuscationTarget):
-    """The classic workload: an explicit list of viable functions."""
-
-    functions: Sequence[BoolFunction]
-    ga_parameters: Optional[GAParameters] = None
-    name: str = ""
-
-    def __post_init__(self):
-        if not self.functions:
-            raise ValueError("a FunctionTarget needs at least one function")
-        if not self.name:
-            self.name = self.functions[0].name or "functions"
-
-    def describe(self) -> str:
-        function = self.functions[0]
-        return (
-            f"{len(self.functions)} viable function(s), "
-            f"{function.num_inputs}x{function.num_outputs}"
-        )
-
-    def obfuscate(self, jobs: int = 1, progress: Optional[Callable] = None, **kwargs):
-        from .obfuscate import obfuscate
-
-        return obfuscate(
-            self.functions,
-            ga_parameters=self.ga_parameters,
-            jobs=jobs,
-            progress=progress,
-            **kwargs,
-        )
-
-
-@dataclass
-class NetlistTarget(ObfuscationTarget):
-    """A wide netlist, obfuscated window-by-window (no global truth table)."""
-
-    netlist: Netlist
-    max_window_inputs: int = 8
-    max_window_instances: int = 48
-    decoys_per_window: int = 1
-    ga_parameters: Optional[GAParameters] = None
-    seed: int = 1
-    name: str = ""
-    #: Windowing strategy name (``greedy``/``hardness``; None = default).
-    windowing: Optional[str] = None
-    #: Measured per-window attack hardness (window index -> score) from
-    #: previous campaign telemetry; weights the decoy budgets when present.
-    hardness: Optional[Mapping[int, float]] = None
-
-    def __post_init__(self):
-        if not self.name:
-            self.name = self.netlist.name
-
-    def describe(self) -> str:
-        return (
-            f"netlist {self.netlist.name!r}: "
-            f"{len(self.netlist.primary_inputs)} inputs, "
-            f"{self.netlist.num_instances()} cells "
-            f"(windows of <= {self.max_window_inputs} inputs)"
-        )
-
-    def windows(self) -> List[Window]:
-        """The deterministic window decomposition of the netlist."""
-        return extract_windows(
-            self.netlist,
-            max_inputs=self.max_window_inputs,
-            max_instances=self.max_window_instances,
-            strategy=self.windowing,
-        )
-
-    def obfuscate(self, jobs: int = 1, progress: Optional[Callable] = None, **kwargs):
-        return obfuscate_netlist(
-            self.netlist,
-            max_window_inputs=self.max_window_inputs,
-            max_window_instances=self.max_window_instances,
-            decoys_per_window=self.decoys_per_window,
-            ga_parameters=self.ga_parameters,
-            seed=self.seed,
-            windowing=self.windowing,
-            hardness=self.hardness,
-            jobs=jobs,
-            progress=progress,
-            **kwargs,
-        )
 
 
 # ------------------------------------------------------------------ #

@@ -34,11 +34,8 @@ of thundering in lockstep.  :func:`classify_failure` separates transient
 failures (crashed workers, exhausted solve budgets, I/O hiccups — worth
 retrying) from permanent ones (bad parameters — retrying cannot help).
 
-Environment knobs: ``REPRO_LEASE_TTL`` (seconds, default 60),
-``REPRO_RETRY_ATTEMPTS`` (default 3), ``REPRO_RETRY_BASE_DELAY`` (seconds,
-default 0.1), ``REPRO_RETRY_MAX_DELAY`` (seconds, default 30).  The
-``clock_skew`` fault point (see :mod:`repro.faults`) shifts this module's
-clock for chaos tests.
+The ``clock_skew`` fault point (see :mod:`repro.faults`) shifts this
+module's clock for chaos tests.
 """
 
 from __future__ import annotations
@@ -61,23 +58,12 @@ __all__ = [
     "LeaseLost",
     "RetryPolicy",
     "classify_failure",
-    "LEASE_TTL_ENV_VAR",
     "DEFAULT_LEASE_TTL",
-    "RETRY_ATTEMPTS_ENV_VAR",
-    "RETRY_BASE_DELAY_ENV_VAR",
-    "RETRY_MAX_DELAY_ENV_VAR",
 ]
-
-#: Environment variable overriding the default lease time-to-live (seconds).
-LEASE_TTL_ENV_VAR = "REPRO_LEASE_TTL"
 
 #: Default lease time-to-live in seconds.  Heartbeats refresh at TTL/3, so
 #: a lease only expires after three consecutive missed heartbeats.
 DEFAULT_LEASE_TTL = 60.0
-
-RETRY_ATTEMPTS_ENV_VAR = "REPRO_RETRY_ATTEMPTS"
-RETRY_BASE_DELAY_ENV_VAR = "REPRO_RETRY_BASE_DELAY"
-RETRY_MAX_DELAY_ENV_VAR = "REPRO_RETRY_MAX_DELAY"
 
 
 class LeaseLost(RuntimeError):
@@ -92,26 +78,6 @@ class Lease:
     owner: str
     expires: float
     path: str
-
-
-def _float_env(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
-def _int_env(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
 
 
 @dataclass(frozen=True)
@@ -132,14 +98,6 @@ class RetryPolicy:
             raise ValueError("delays must be non-negative")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
-
-    @classmethod
-    def from_environment(cls) -> "RetryPolicy":
-        return cls(
-            max_attempts=max(1, _int_env(RETRY_ATTEMPTS_ENV_VAR, 3)),
-            base_delay=_float_env(RETRY_BASE_DELAY_ENV_VAR, 0.1),
-            max_delay=_float_env(RETRY_MAX_DELAY_ENV_VAR, 30.0),
-        )
 
     def should_retry(self, attempt: int) -> bool:
         """May a job that has failed ``attempt`` times run again?"""
@@ -227,7 +185,7 @@ class JobStore:
             owner = f"{socket.gethostname()}:{os.getpid()}:{token}"
         self.owner = owner
         if lease_ttl is None:
-            lease_ttl = _float_env(LEASE_TTL_ENV_VAR, DEFAULT_LEASE_TTL)
+            lease_ttl = DEFAULT_LEASE_TTL
         if lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
         self.lease_ttl = lease_ttl

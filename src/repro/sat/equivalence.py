@@ -15,11 +15,11 @@ unit clause and its learned clauses keep benefiting later checks.
 Fuzz-before-SAT
 ---------------
 
-With the pre-filter enabled (the default; pass ``prefilter=False`` or set
-``REPRO_FUZZ=0`` to opt out), every check first runs a packed word-parallel
-simulation pass (:mod:`repro.sim.prefilter`): exhaustive — and therefore a
-*complete decision* — for small input counts, otherwise replay-buffer words
-followed by seeded random patterns.  A mismatch refutes the check with a
+With the pre-filter enabled (the default; pass ``prefilter=False`` to opt
+out), every check first runs a packed word-parallel simulation pass
+(:mod:`repro.sim.prefilter`): exhaustive — and therefore a *complete
+decision* — for small input counts, otherwise replay-buffer words followed
+by seeded random patterns.  A mismatch refutes the check with a
 genuine counterexample and the solver is never consulted (the checker even
 defers Tseitin-encoding the netlist until the first SAT fallback actually
 needs it); counterexamples found by either path feed the shared replay
@@ -35,11 +35,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from ..logic.boolfunc import BoolFunction
 from ..logic.truthtable import TruthTable
 from ..netlist.netlist import Netlist
-from ..sim.prefilter import (
-    fuzz_enabled,
-    fuzz_netlist_vs_function,
-    fuzz_netlist_vs_netlist,
-)
+from ..sim.prefilter import fuzz_netlist_vs_function, fuzz_netlist_vs_netlist
 from ..sim.patterns import ReplayBuffer
 from .cnf import Cnf
 from .solver import SatSolver, SolveBudget, SolveBudgetExceeded
@@ -123,7 +119,7 @@ class EquivalenceChecker:
         self,
         netlist: Netlist,
         cell_functions: Optional[Mapping[str, TruthTable]] = None,
-        prefilter: Optional[bool] = None,
+        prefilter: bool = True,
         fuzz_patterns: int = 64,
         fuzz_seed: int = 1,
         budget: Optional[SolveBudget] = None,
@@ -131,7 +127,7 @@ class EquivalenceChecker:
         self._netlist = netlist
         self._cell_functions = dict(cell_functions) if cell_functions else None
         self._budget = budget
-        self._prefilter = fuzz_enabled(prefilter)
+        self._prefilter = prefilter
         self._fuzz_patterns = fuzz_patterns
         self._fuzz_seed = fuzz_seed
         self._replay = ReplayBuffer()
@@ -261,7 +257,7 @@ def check_netlist_equivalence(
     netlist_b: Netlist,
     cell_functions_a: Optional[Mapping[str, TruthTable]] = None,
     cell_functions_b: Optional[Mapping[str, TruthTable]] = None,
-    prefilter: Optional[bool] = None,
+    prefilter: bool = True,
     fuzz_patterns: Optional[int] = None,
     jobs: int = 1,
     budget: Optional[SolveBudget] = None,
@@ -281,7 +277,7 @@ def check_netlist_equivalence(
     if len(netlist_a.primary_outputs) != len(netlist_b.primary_outputs):
         raise ValueError("netlists have different numbers of primary outputs")
 
-    if fuzz_enabled(prefilter):
+    if prefilter:
         from ..sim.prefilter import DEFAULT_FUZZ_PATTERNS
 
         outcome = fuzz_netlist_vs_netlist(
@@ -329,7 +325,7 @@ def check_netlist_function(
     netlist: Netlist,
     function: BoolFunction,
     cell_functions: Optional[Mapping[str, TruthTable]] = None,
-    prefilter: Optional[bool] = None,
+    prefilter: bool = True,
     budget: Optional[SolveBudget] = None,
 ) -> EquivalenceResult:
     """Check that a netlist implements a given multi-output function.

@@ -1159,7 +1159,7 @@ class JobBook:
     ):
         self.spec = spec
         self.state_dir = state_dir
-        self.retry_policy = retry_policy or RetryPolicy.from_environment()
+        self.retry_policy = retry_policy or RetryPolicy()
         self.solve_budget = (
             solve_budget if solve_budget is not None else SolveBudget.from_environment()
         )

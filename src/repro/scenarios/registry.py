@@ -83,7 +83,8 @@ class Workload:
       :class:`~repro.netlist.netlist.Netlist` objects with *no* extracted
       functions (``functions`` empty): truth tables would be exponential in
       the input count, so these workloads flow through the windowed netlist
-      pipeline (:meth:`targets`) instead of the function pipeline.
+      pipeline (:func:`repro.flow.obfuscate_netlist`) instead of the
+      function pipeline.
     """
 
     name: str
@@ -146,23 +147,6 @@ class Workload:
                 f"be exponential in {self.num_inputs} inputs"
             )
         return [function.lookup_table() for function in self.functions]
-
-    def targets(self) -> List["ObfuscationTarget"]:
-        """The workload as :class:`~repro.flow.target.ObfuscationTarget`\\ s.
-
-        Function workloads become one :class:`~repro.flow.target.
-        FunctionTarget` holding the merged viable set; netlist workloads
-        become one :class:`~repro.flow.target.NetlistTarget` per netlist,
-        which the flow windows and stitches instead of extracting.
-        """
-        from ..flow.target import FunctionTarget, NetlistTarget
-
-        if self.functions:
-            return [FunctionTarget(list(self.functions), name=self.name)]
-        return [
-            NetlistTarget(netlist, name=f"{self.name}_{index}")
-            for index, netlist in enumerate(self.reference_netlists)
-        ]
 
 
 class WorkloadFamily(ABC):
@@ -319,7 +303,7 @@ class BlifFamily(WorkloadFamily):
     :data:`BLIF_EXTRACT_LIMIT`) are extracted into exact viable functions,
     exactly as before.  Wider circuits are kept as first-class netlist
     workloads — no truth table is ever built — and are obfuscated through
-    the windowed pipeline (:meth:`Workload.targets`).
+    the windowed pipeline (:func:`repro.flow.obfuscate_netlist`).
     """
 
     name = "BLIF"
@@ -417,14 +401,14 @@ def workload_functions(family: str, count: int, **params) -> List[BoolFunction]:
     This is the registry-backed successor of the ad-hoc table that used to
     live in :mod:`repro.evaluation.workloads`; that module re-exports it, so
     existing callers keep working unchanged.  Netlist-only workloads (wide
-    BLIF circuits) have no extracted functions and raise — route those
-    through :meth:`Workload.targets` and the windowed flow instead.
+    BLIF circuits) have no extracted functions and raise — pass their
+    ``reference_netlists`` to :func:`repro.flow.obfuscate_netlist` instead.
     """
     workload = build_workload(family, count, **params)
     if workload.is_netlist_only:
         raise WorkloadError(
             f"workload {workload.name!r} is netlist-only ({workload.num_inputs} "
-            f"inputs); use Workload.targets() and the windowed netlist flow"
+            f"inputs); obfuscate its reference netlists with obfuscate_netlist"
         )
     return list(workload.functions)
 

@@ -10,14 +10,13 @@ and the worker agent are built on it.
 from __future__ import annotations
 
 import json
-import os
 import time
 import urllib.error
 import urllib.request
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from ..obs.trace import current_traceparent, tracing_enabled
-from .protocol import SERVICE_URL_ENV_VAR, ServiceError, parse_sse
+from .protocol import ServiceError, parse_sse
 
 __all__ = ["ServiceClient"]
 
@@ -25,12 +24,7 @@ __all__ = ["ServiceClient"]
 class ServiceClient:
     """A thin, synchronous client for one coordinator URL."""
 
-    def __init__(self, base_url: Optional[str] = None, timeout: float = 60.0):
-        base_url = base_url or os.environ.get(SERVICE_URL_ENV_VAR, "").strip()
-        if not base_url:
-            raise ServiceError(
-                0, f"no coordinator URL (pass one or set {SERVICE_URL_ENV_VAR})"
-            )
+    def __init__(self, base_url: str, timeout: float = 60.0):
         if "://" not in base_url:
             base_url = f"http://{base_url}"
         self.base_url = base_url.rstrip("/")

@@ -17,17 +17,11 @@ agree on, so the server and the clients can never drift apart:
   from campaign artifacts, so "byte-identical to a local run" is a single
   shared definition for tests, CI and operators.
 
-Environment knobs (all optional):
-
-=========================  =================================================
-``REPRO_SERVICE_URL``      Default coordinator URL for ``--submit`` and the
-                           worker agent.
-``REPRO_SERVICE_ROOT``     Default state root of ``repro serve``.
-``REPRO_SERVICE_POLL``     Poll interval (seconds) for SSE snapshots and
-                           worker claim retries (default 0.25).
-``REPRO_CACHE_URL``        Coordinator URL of the shared synthesis-cache
-                           tier (see :mod:`repro.service.cache`).
-=========================  =================================================
+The coordinator URL, the server's state root and the poll interval are
+arguments (``--submit``, ``--server``, ``--root``, ``--poll``); the one
+environment variable of the service layer is ``REPRO_CACHE_URL``, the
+coordinator URL of the shared synthesis-cache tier (see
+:mod:`repro.service.cache`).
 """
 
 from __future__ import annotations
@@ -36,15 +30,10 @@ import csv
 import hashlib
 import io
 import json
-import os
 from typing import Any, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 __all__ = [
-    "SERVICE_URL_ENV_VAR",
-    "SERVICE_ROOT_ENV_VAR",
-    "SERVICE_POLL_ENV_VAR",
     "DEFAULT_POLL_SECONDS",
-    "poll_from_environment",
     "ServiceError",
     "campaign_fingerprint",
     "cache_fingerprint",
@@ -55,21 +44,8 @@ __all__ = [
     "normalized_artifact_csv",
 ]
 
-SERVICE_URL_ENV_VAR = "REPRO_SERVICE_URL"
-SERVICE_ROOT_ENV_VAR = "REPRO_SERVICE_ROOT"
-SERVICE_POLL_ENV_VAR = "REPRO_SERVICE_POLL"
-
 #: Default poll interval: SSE snapshot cadence and worker claim backoff.
 DEFAULT_POLL_SECONDS = 0.25
-
-
-def poll_from_environment() -> float:
-    """The ``REPRO_SERVICE_POLL`` interval, or the default when unset or invalid."""
-    raw = os.environ.get(SERVICE_POLL_ENV_VAR, "").strip()
-    try:
-        return float(raw) if raw else DEFAULT_POLL_SECONDS
-    except ValueError:
-        return DEFAULT_POLL_SECONDS
 
 
 class ServiceError(RuntimeError):

@@ -70,11 +70,10 @@ from ..scenarios.campaign import (
     _atomic_write,
 )
 from .protocol import (
-    SERVICE_ROOT_ENV_VAR,
+    DEFAULT_POLL_SECONDS,
     ServiceError,
     cache_fingerprint,
     campaign_fingerprint,
-    poll_from_environment,
     sse_event,
 )
 
@@ -568,18 +567,17 @@ class CampaignService:
 
     def __init__(
         self,
-        root: Optional[str] = None,
+        root: str,
         lease_ttl: Optional[float] = None,
-        poll: Optional[float] = None,
+        poll: float = DEFAULT_POLL_SECONDS,
         retry_policy: Optional[RetryPolicy] = None,
         solve_budget: Optional[SolveBudget] = None,
     ):
-        root = root or os.environ.get(SERVICE_ROOT_ENV_VAR, "").strip()
         if not root:
             raise ServiceError(500, "a service root directory is required")
         self.root = root
         self.lease_ttl = lease_ttl
-        self.poll = poll if poll is not None else poll_from_environment()
+        self.poll = poll
         self.retry_policy = retry_policy
         self.solve_budget = solve_budget
         self.campaigns_dir = os.path.join(root, "campaigns")

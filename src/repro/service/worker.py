@@ -37,7 +37,7 @@ from ..obs.log import get_logger
 from ..scenarios.campaign import CampaignJob, _execute_job_task, _LeaseKeeper
 from .cache import CACHE_URL_ENV_VAR, RemoteCacheTier
 from .client import ServiceClient
-from .protocol import ServiceError, poll_from_environment
+from .protocol import DEFAULT_POLL_SECONDS, ServiceError
 
 __all__ = ["WorkerAgent", "main"]
 
@@ -53,7 +53,7 @@ class WorkerAgent:
         self,
         server: str,
         worker_id: Optional[str] = None,
-        poll: Optional[float] = None,
+        poll: float = DEFAULT_POLL_SECONDS,
         task_jobs: int = 1,
         remote_cache: bool = True,
         log=_DEFAULT_LOG,
@@ -64,7 +64,7 @@ class WorkerAgent:
                 f"{socket.gethostname()}:{os.getpid()}:{os.urandom(3).hex()}"
             )
         self.worker_id = worker_id
-        self.poll = poll if poll is not None else poll_from_environment()
+        self.poll = poll
         self.task_jobs = max(1, int(task_jobs))
         if log is _DEFAULT_LOG:
             log = get_logger("worker")
@@ -266,11 +266,7 @@ def main(argv=None) -> int:
         prog="python -m repro.service.worker",
         description="Pull-based campaign worker agent",
     )
-    parser.add_argument(
-        "--server",
-        default=None,
-        help="coordinator URL (default: $REPRO_SERVICE_URL)",
-    )
+    parser.add_argument("--server", required=True, help="coordinator URL")
     parser.add_argument(
         "--campaign", default=None, help="serve only this campaign id"
     )
@@ -280,7 +276,10 @@ def main(argv=None) -> int:
         help="exit when every served campaign is complete",
     )
     parser.add_argument(
-        "--poll", type=float, default=None, help="claim poll interval (seconds)"
+        "--poll",
+        type=float,
+        default=DEFAULT_POLL_SECONDS,
+        help="claim poll interval (seconds)",
     )
     parser.add_argument(
         "--max-jobs", type=int, default=None, help="stop after N executed jobs"
@@ -300,17 +299,13 @@ def main(argv=None) -> int:
         help="do not read through the coordinator's shared synthesis cache",
     )
     arguments = parser.parse_args(argv)
-    try:
-        agent = WorkerAgent(
-            arguments.server,
-            worker_id=arguments.worker_id,
-            poll=arguments.poll,
-            task_jobs=arguments.jobs,
-            remote_cache=not arguments.no_remote_cache,
-        )
-    except ServiceError as exc:
-        parser.error(exc.message)
-        return 2
+    agent = WorkerAgent(
+        arguments.server,
+        worker_id=arguments.worker_id,
+        poll=arguments.poll,
+        task_jobs=arguments.jobs,
+        remote_cache=not arguments.no_remote_cache,
+    )
     counters = agent.run(
         campaign=arguments.campaign,
         once=arguments.once,

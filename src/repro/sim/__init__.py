@@ -32,10 +32,8 @@ from .shard import (
     sharded_output_lanes,
 )
 from .prefilter import (
-    FUZZ_ENV_VAR,
     FuzzOutcome,
     PossibilityAnalysis,
-    fuzz_enabled,
     fuzz_netlist_vs_function,
     fuzz_netlist_vs_netlist,
     possibility_refute,
@@ -54,9 +52,7 @@ __all__ = [
     "resolve_shards",
     "sharded_output_lanes",
     "sharded_extract_function",
-    "FUZZ_ENV_VAR",
     "FuzzOutcome",
-    "fuzz_enabled",
     "fuzz_netlist_vs_function",
     "fuzz_netlist_vs_netlist",
     "PossibilityAnalysis",

@@ -21,10 +21,9 @@ module packages that discipline for the three query shapes of this project:
 
 All pre-filters are *verdict-preserving*: they only ever return answers
 that the solver would also have returned.  They are **enabled by default**;
-setting the ``REPRO_FUZZ`` environment variable to ``0``/``false``/``no``/
-``off`` (or passing ``prefilter=False`` at the call sites) opts *out*, which
-is what the solver-call-count regression tests do — they pin solver
-behaviour explicitly instead of relying on a global default.
+passing ``prefilter=False`` at the call sites opts *out*, which is what the
+solver-call-count regression tests do — they pin solver behaviour
+explicitly.
 
 Wide batches can additionally be **sharded** over the worker pool
 (``jobs > 1``): the batch is split into contiguous shards evaluated
@@ -36,7 +35,6 @@ counterexample words are identical to the single-core pass for every
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -48,8 +46,6 @@ from .engine import NetlistSimulator
 from .patterns import PatternBatch, RandomPatternSource, ReplayBuffer
 
 __all__ = [
-    "FUZZ_ENV_VAR",
-    "fuzz_enabled",
     "FuzzOutcome",
     "FUZZ_EXHAUSTIVE_LIMIT",
     "DEFAULT_FUZZ_PATTERNS",
@@ -59,29 +55,11 @@ __all__ = [
     "possibility_refute",
 ]
 
-#: Environment variable enabling the fuzz-before-SAT paths ("1" = on).
-FUZZ_ENV_VAR = "REPRO_FUZZ"
-
 #: Input counts up to this bound are fuzzed exhaustively (a complete check).
 FUZZ_EXHAUSTIVE_LIMIT = 12
 
 #: Random patterns per fuzz round when the input space is too wide to enumerate.
 DEFAULT_FUZZ_PATTERNS = 64
-
-
-def fuzz_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve a fuzz-before-SAT switch: explicit argument wins, else env.
-
-    The pre-filters are **on by default**; the environment variable
-    ``REPRO_FUZZ`` opts *out* when set to ``0``/``false``/``no``/``off``
-    (anything else, including unset, leaves them on).  Call sites that need
-    bit-stable solver transcripts pass ``prefilter=False`` explicitly.
-    """
-    if explicit is not None:
-        return explicit
-    return os.environ.get(FUZZ_ENV_VAR, "").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
 
 
 @dataclass

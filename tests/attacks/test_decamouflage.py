@@ -83,8 +83,7 @@ class TestOracleOnTinyCircuit:
 class TestIncrementalOracle:
     def test_queries_share_one_persistent_solver(self, tiny_camo_netlist):
         # prefilter=False: this test pins the solver call count, which the
-        # simulation pre-filter would legitimately reduce (REPRO_FUZZ must
-        # not change the outcome of the tier-1 suite).
+        # simulation pre-filter would legitimately reduce.
         netlist, plausible = tiny_camo_netlist
         oracle = PlausibleFunctionOracle(netlist, plausible, prefilter=False)
         a = TruthTable.variable(0, 2)

@@ -157,15 +157,13 @@ class TestPresampleTranscript:
         )
         return obfuscate_with_assignment([f_and, f_xor], library=library, effort="fast")
 
-    def test_default_transcript_is_presampled_and_seeded(self, small_mapping, monkeypatch):
+    def test_default_transcript_is_presampled_and_seeded(self, small_mapping):
         from repro.sim.patterns import RandomPatternSource
-        from repro.sim.prefilter import FUZZ_ENV_VAR
 
-        monkeypatch.delenv(FUZZ_ENV_VAR, raising=False)
         first = attack_mapping(small_mapping.mapping, true_select=1, max_queries=32)
         second = attack_mapping(small_mapping.mapping, true_select=1, max_queries=32)
         assert first.success and second.success
-        # The fuzz default turns presampling on; the presample words are the
+        # Presampling is on by default; the presample words are the
         # seeded distinct stream, capped at the input space, and the whole
         # transcript (presample + DIPs) is reproducible run to run.
         assert len(first.presample_queries) > 0
@@ -178,10 +176,7 @@ class TestPresampleTranscript:
         assert first.queries == second.queries
         assert first.recovered_function == second.recovered_function
 
-    def test_presample_matches_cold_transcript_function(self, small_mapping, monkeypatch):
-        from repro.sim.prefilter import FUZZ_ENV_VAR
-
-        monkeypatch.delenv(FUZZ_ENV_VAR, raising=False)
+    def test_presample_matches_cold_transcript_function(self, small_mapping):
         presampled = attack_mapping(small_mapping.mapping, true_select=0, max_queries=32)
         cold = attack_mapping(
             small_mapping.mapping, true_select=0, max_queries=32, presample=0
@@ -193,29 +188,15 @@ class TestPresampleTranscript:
         # workload: the miter UNSAT proof is skipped, not just accelerated.
         assert presampled.total_oracle_queries >= len(presampled.presample_queries)
 
-    def test_opt_out_restores_cold_transcript(self, small_mapping, monkeypatch):
-        from repro.sim.prefilter import FUZZ_ENV_VAR
-
-        monkeypatch.setenv(FUZZ_ENV_VAR, "0")
-        opted_out = attack_mapping(small_mapping.mapping, true_select=1, max_queries=32)
-        cold = attack_mapping(
-            small_mapping.mapping, true_select=1, max_queries=32, presample=0
-        )
-        assert opted_out.presample_queries == []
-        assert opted_out.queries == cold.queries
-        assert opted_out.recovered_function == cold.recovered_function
-
 
 class TestSolveBudgetExhaustion:
     def test_budget_exhaustion_reports_timed_out(self, single_camo_nand, monkeypatch):
         from repro.faults import FAULTS_ENV_VAR, reset_fault_state
-        from repro.sim.prefilter import FUZZ_ENV_VAR
 
         netlist, plausible = single_camo_nand
         # Every solver call returns UNKNOWN: the attack must surface the
         # exhaustion as timed_out=False-success instead of claiming the
         # camouflage "withstood" the attack.
-        monkeypatch.setenv(FUZZ_ENV_VAR, "0")  # no presample shortcut
         monkeypatch.setenv(FAULTS_ENV_VAR, "solver_unknown:count=0")
         reset_fault_state()
         try:

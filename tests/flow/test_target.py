@@ -1,12 +1,9 @@
-"""Tests for obfuscation targets and the windowed netlist flow."""
+"""Tests for the windowed netlist flow."""
 
 import pytest
 
 from repro.netlist.generate import random_netlist as build_random_netlist
-from repro.flow.obfuscate import obfuscate_target
 from repro.flow.target import (
-    FunctionTarget,
-    NetlistTarget,
     decoy_functions,
     obfuscate_netlist,
     obfuscate_window,
@@ -42,31 +39,6 @@ class TestDecoyFunctions:
         assert decoy_functions(present, 0, seed=1) == []
         with pytest.raises(ValueError):
             decoy_functions(present, -1, seed=1)
-
-
-class TestFunctionTarget:
-    def test_dispatch_matches_direct_flow(self, two_sboxes):
-        from repro.flow.obfuscate import obfuscate
-
-        direct = obfuscate(
-            two_sboxes, ga_parameters=TINY_GA,
-            fitness_effort="fast", final_effort="fast",
-        )
-        target = FunctionTarget(two_sboxes, ga_parameters=TINY_GA)
-        via_target = obfuscate_target(
-            target, fitness_effort="fast", final_effort="fast"
-        )
-        assert (
-            via_target.assignment.to_genotype() == direct.assignment.to_genotype()
-        )
-        assert via_target.camouflaged_area == direct.camouflaged_area
-
-    def test_rejects_non_target(self):
-        with pytest.raises(TypeError):
-            obfuscate_target(object())
-
-    def test_describe(self, two_sboxes):
-        assert "2 viable" in FunctionTarget(two_sboxes).describe()
 
 
 class TestObfuscateWindow:
@@ -170,38 +142,3 @@ class TestObfuscateNetlist:
         )
         assert all(record.verification_ok for record in result.records)
         assert result.verification.ok
-
-    def test_netlist_target_dispatch(self, library):
-        netlist = build_random_netlist(7, library, num_cells=12)
-        target = NetlistTarget(
-            netlist, max_window_inputs=6, decoys_per_window=0,
-            ga_parameters=TINY_GA, seed=2,
-        )
-        assert "windows" in target.describe()
-        assert len(target.windows()) >= 1
-        result = obfuscate_target(target)
-        assert result.verification.ok
-
-
-class TestWorkloadTargets:
-    def test_function_workload_targets(self):
-        from repro.scenarios.registry import build_workload
-
-        workload = build_workload("PRESENT", 2)
-        targets = workload.targets()
-        assert len(targets) == 1
-        assert isinstance(targets[0], FunctionTarget)
-
-    def test_netlist_workload_targets(self, tmp_path, library):
-        from repro.scenarios.registry import build_workload
-
-        netlist = build_random_netlist(
-            3, library, num_inputs=20, num_cells=12, num_outputs=3
-        )
-        path = tmp_path / "wide.blif"
-        path.write_text(write_blif(netlist), encoding="utf-8")
-        workload = build_workload("BLIF", 1, paths=str(path))
-        assert workload.is_netlist_only
-        targets = workload.targets()
-        assert len(targets) == 1
-        assert isinstance(targets[0], NetlistTarget)

@@ -92,8 +92,7 @@ class TestNetlistEquivalence:
 class TestReusableChecker:
     def test_many_candidates_one_solver(self, present, present_netlist):
         # prefilter=False: this test pins the *solver* call count, which the
-        # fuzz fast path would legitimately reduce (REPRO_FUZZ must not
-        # change the outcome of the tier-1 suite).
+        # fuzz fast path would legitimately reduce.
         checker = EquivalenceChecker(present_netlist, prefilter=False)
         assert checker.check_function(present)
         for shift in (1, 5, 11):

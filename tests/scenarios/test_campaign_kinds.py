@@ -47,6 +47,18 @@ class TestAdversaryJobKinds:
         assert payload["all_plausible"] is True
         assert payload["prefilter"]["queries"] == 2
 
+    def test_attack_payload_ignores_the_environment(self, monkeypatch):
+        """The payload is what the job's fingerprint names: a variable the
+        fingerprint does not see (``REPRO_FUZZ`` once switched presampling
+        off) must not change the recorded transcript."""
+        spec = CampaignSpec.attacks([("PRESENT", 2)], population=4, generations=1)
+        (default,) = run_campaign(spec).results
+        monkeypatch.setenv("REPRO_FUZZ", "0")
+        (under_variable,) = run_campaign(spec).results
+        assert default.job_id == "attack_PRESENT_x2"
+        assert default.ok and under_variable.ok
+        assert under_variable.payload == default.payload
+
     def test_random_camo_job_runs(self):
         spec = CampaignSpec.adversary(
             [("PRESENT", 2)], decamouflage=False, fraction=0.5, seed=3

@@ -46,8 +46,7 @@ class TestParser:
 
 
 class TestServeCommand:
-    def test_serve_without_root_is_a_clean_error(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVICE_ROOT", raising=False)
+    def test_serve_without_root_is_a_clean_error(self):
         with pytest.raises(SystemExit) as info:
             main(["serve"])
         assert "root" in str(info.value)

@@ -4,9 +4,8 @@ import pytest
 
 from repro.logic import BoolFunction, TruthTable
 from repro.netlist import Netlist
-from repro.sim import ReplayBuffer, fuzz_enabled
+from repro.sim import ReplayBuffer
 from repro.sim.prefilter import (
-    FUZZ_ENV_VAR,
     fuzz_netlist_vs_function,
     fuzz_netlist_vs_netlist,
     possibility_refute,
@@ -21,24 +20,6 @@ def and_netlist(library):
     netlist.add_output("y")
     netlist.add_instance("AND2", [a, b], output="y")
     return netlist
-
-
-class TestFuzzEnabled:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.delenv(FUZZ_ENV_VAR, raising=False)
-        assert fuzz_enabled(True) is True
-        assert fuzz_enabled(False) is False
-        # Fuzz-before-SAT is on by default; REPRO_FUZZ opts *out*.
-        assert fuzz_enabled(None) is True
-
-    def test_environment_variable_opts_out(self, monkeypatch):
-        monkeypatch.setenv(FUZZ_ENV_VAR, "1")
-        assert fuzz_enabled(None) is True
-        assert fuzz_enabled(False) is False
-        for value in ("0", "false", "no", "off", " OFF "):
-            monkeypatch.setenv(FUZZ_ENV_VAR, value)
-            assert fuzz_enabled(None) is False
-            assert fuzz_enabled(True) is True
 
 
 class TestFuzzNetlistVsFunction:

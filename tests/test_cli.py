@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+WIDE30 = str(
+    Path(__file__).resolve().parents[1] / "examples" / "circuits" / "wide30.blif"
+)
 
 
 class TestParser:
@@ -55,7 +61,7 @@ class TestParser:
         assert kwargs["retry_policy"].max_attempts == 2
         assert kwargs["solve_budget"].max_conflicts == 100
         assert kwargs["solve_budget"].max_seconds == 2.5
-        # Defaults contribute nothing: environment/runner defaults apply.
+        # Defaults contribute nothing: the runner's defaults apply.
         bare = build_parser().parse_args(["campaign", "--workload", "PRESENT:2"])
         assert _campaign_robustness_kwargs(bare) == {}
 
@@ -131,6 +137,27 @@ class TestCommands:
         with pytest.raises(SystemExit) as info:
             main(["campaign", "--workload", "RANDOM:0"])
         assert "count must be at least 1" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["campaign", "--workload", "PRESENT:2", "--windowing", "hardness",
+              "--probe-hardness", "--decoys", "3", "--limit", "0"], "--decoys"),
+            (["campaign", "--blif", WIDE30, "--with-attack", "--workload", "AES:2",
+              "--limit", "0"], "--workload"),
+            (["obfuscate", "--count", "2", "--population", "4", "--generations", "1",
+              "--attack"], "--attack"),
+            (["obfuscate", "--blif-in", WIDE30, "--family", "DES", "--population", "4",
+              "--generations", "1", "--max-window-inputs", "6", "--decoys", "0"],
+             "--family"),
+        ],
+        ids=["campaign", "campaign-blif", "obfuscate", "obfuscate-blif-in"],
+    )
+    def test_flags_of_the_other_mode_are_rejected(self, argv, flag):
+        """A flag the chosen mode would silently ignore is an argument error."""
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert flag in str(info.value)
 
     def test_campaign_list_workloads(self, capsys):
         assert main(["campaign", "--list-workloads"]) == 0

@@ -9,9 +9,6 @@ import pytest
 from repro.faults import FAULTS_DIR_ENV_VAR, FAULTS_ENV_VAR, reset_fault_state
 from repro.jobstore import (
     DEFAULT_LEASE_TTL,
-    LEASE_TTL_ENV_VAR,
-    RETRY_ATTEMPTS_ENV_VAR,
-    RETRY_BASE_DELAY_ENV_VAR,
     JobStore,
     LeaseLost,
     RetryPolicy,
@@ -43,6 +40,9 @@ def store_pair(tmp_path, clock):
 
 
 class TestClaiming:
+    def test_default_lease_ttl(self, tmp_path):
+        assert JobStore(str(tmp_path)).lease_ttl == DEFAULT_LEASE_TTL
+
     def test_claim_is_exclusive(self, store_pair):
         a, b = store_pair
         lease = a.claim("job")
@@ -154,21 +154,6 @@ class TestClockSkew:
         assert peer.claim("job") is not None
         monkeypatch.delenv(FAULTS_ENV_VAR)
         reset_fault_state()
-
-
-class TestEnvironment:
-    def test_lease_ttl_from_environment(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(LEASE_TTL_ENV_VAR, raising=False)
-        assert JobStore(str(tmp_path)).lease_ttl == DEFAULT_LEASE_TTL
-        monkeypatch.setenv(LEASE_TTL_ENV_VAR, "7.5")
-        assert JobStore(str(tmp_path)).lease_ttl == 7.5
-
-    def test_retry_policy_from_environment(self, monkeypatch):
-        monkeypatch.setenv(RETRY_ATTEMPTS_ENV_VAR, "5")
-        monkeypatch.setenv(RETRY_BASE_DELAY_ENV_VAR, "0.25")
-        policy = RetryPolicy.from_environment()
-        assert policy.max_attempts == 5
-        assert policy.base_delay == 0.25
 
 
 class TestRetryPolicy:
