@@ -21,7 +21,7 @@ from repro.attacks import PlausibleFunctionOracle, random_camouflage_experiment
 from repro.attacks.oracle_guided import attack_mapping
 from repro.flow import obfuscate_with_assignment
 from repro.flow.report import format_solver_stats
-from repro.sat.solver import BUDGET_ENV_VAR, FORGET_ENV_VAR, SolveBudget
+from repro.sat.solver import BUDGET_ENV_VAR, SolveBudget
 from repro.sboxes import optimal_sboxes
 from repro.synth import synthesize
 
@@ -58,9 +58,8 @@ def obfuscated_pair():
 
 @pytest.fixture
 def default_search(monkeypatch):
-    """Unset the knobs that change the pinned transcripts."""
-    for variable in (FORGET_ENV_VAR, BUDGET_ENV_VAR):
-        monkeypatch.delenv(variable, raising=False)
+    """Unset the solve budget, the one knob that changes the pinned transcripts."""
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
 
 
 def _transcript(stats, keys):

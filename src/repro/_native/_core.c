@@ -640,7 +640,7 @@ static int reduce_learned(SolverCore *s)
     return s->mem_error ? -1 : 0;
 }
 
-/* LBD policy (REPRO_CLAUSE_FORGET): glue clauses (LBD <= 2) are permanent;
+/* LBD policy (clause_forget=): glue clauses (LBD <= 2) are permanent;
  * of the rest, the half with the highest LBD is forgotten (ties broken by
  * age — newer clauses survive).  Mirrors _reduce_learned_lbd exactly. */
 static int reduce_learned_lbd(SolverCore *s)

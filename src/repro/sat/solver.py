@@ -66,17 +66,11 @@ __all__ = [
     "SolveBudgetExceeded",
     "solve",
     "BUDGET_ENV_VAR",
-    "FORGET_ENV_VAR",
     "DEFAULT_FORGET_LIMIT",
 ]
 
 #: Environment variable supplying a default per-call solve budget spec.
 BUDGET_ENV_VAR = "REPRO_SOLVE_BUDGET"
-
-#: Environment variable enabling LBD clause forgetting ("1"/"true" for the
-#: default schedule, an integer for a custom initial database limit, unset
-#: or "0" for the transcript-identical historic behaviour).
-FORGET_ENV_VAR = "REPRO_CLAUSE_FORGET"
 
 #: Initial learned-database size that triggers the first LBD reduction.
 DEFAULT_FORGET_LIMIT = 2000
@@ -89,32 +83,20 @@ _FALSE = -1
 #: call began; each result reports the differences.
 _StatsBase = Tuple[int, int, int]
 
-_FORGET_OFF_WORDS = ("", "0", "false", "no", "off")
-_FORGET_ON_WORDS = ("1", "true", "yes", "on")
-
 
 def _resolve_clause_forget(value) -> int:
-    """Resolve the clause-forgetting knob to an initial DB limit (0 = off)."""
-    if value is None:
-        raw = os.environ.get(FORGET_ENV_VAR, "").strip().lower()
-        if raw in _FORGET_OFF_WORDS:
-            return 0
-        if raw in _FORGET_ON_WORDS:
-            return DEFAULT_FORGET_LIMIT
-        try:
-            limit = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{FORGET_ENV_VAR} must be a boolean word or an integer "
-                f"limit, got {raw!r}"
-            ) from None
-        return limit if limit > 0 else 0
+    """Resolve ``clause_forget=`` to an initial DB limit (0, None, False: off)."""
+    if value is None or value is False:
+        return 0
     if value is True:
         return DEFAULT_FORGET_LIMIT
-    if value is False:
-        return 0
     limit = int(value)
     return limit if limit > 0 else 0
+
+
+def _code(literal: int) -> int:
+    """The pure solver's code of a DIMACS literal: ``v`` is ``2v``, ``-v`` is ``2v + 1``."""
+    return 2 * literal if literal > 0 else 1 - 2 * literal
 
 
 class SolveBudgetExceeded(RuntimeError):
@@ -292,22 +274,28 @@ class SatSolver:
         # Problem clauses as added by the client, including units and
         # clauses simplified away at level 0 (which never reach _clauses).
         self._num_problem_clauses = 0
-        # Literal-indexed arrays: entry ``l`` belongs to literal ``l`` and
-        # entry ``-l`` (a negative index) to its negation, so positive
-        # literals fill slots 1..capacity and negative ones the tail.  The
-        # capacity doubles when reserve_vars outgrows it.  Every literal is
-        # reserved before it is used as an index: an unreserved one would
-        # silently read another literal's slot.
-        self._capacity = 0
-        self._value: List[int] = [_UNASSIGNED]
+        # Inside the pure solver a literal is a code, as in MiniSat: ``v``
+        # is ``2v`` and ``-v`` is ``2v + 1``, so negation is ``l ^ 1`` and
+        # the variable is ``l >> 1``.  Clauses, the trail and the
+        # per-literal lists below use codes; DIMACS literals appear only
+        # at the API (add_clause, assumptions, SatResult.model).  Each
+        # per-literal list has one entry per code, 0 .. 2 * num_vars + 1
+        # (codes 0 and 1 are unused), so every index is non-negative, as
+        # CPython's specialised list subscript needs, and an unreserved
+        # literal raises IndexError.  _codes holds one int object per
+        # code, which every stored problem clause shares.
+        self._codes: List[int] = [0, 1]
+        self._value: List[int] = [_UNASSIGNED, _UNASSIGNED]
         # Watch lists hold the watched clauses themselves.
-        self._watches: List[List[List[int]]] = [[]]
+        self._watches: List[List[List[int]]] = [[], []]
         self._level: List[int] = [0]
         # The reason clause of each variable on the trail (None for
         # decisions and level-0 units); stale once the variable is undone.
         self._reason: List[Optional[List[int]]] = [None]
         self._activity: List[float] = [0.0]
-        self._phase: List[bool] = [False]
+        # The code of each variable's last assigned literal (saved phase);
+        # it starts negative, at 2v + 1.
+        self._phase: List[int] = [1]
         # Conflict-analysis marks, all clear between conflicts.
         self._seen: List[bool] = [False]
         self._trail: List[int] = []
@@ -368,7 +356,9 @@ class SatSolver:
         self._trivially_unsat = bool(core.trivially_unsat)
 
     def reserve_vars(self, num_vars: int) -> None:
-        """Grow the per-variable and per-literal arrays up to ``num_vars``."""
+        """Grow the per-variable arrays up to ``num_vars``, and the per-literal
+        ones (``_codes``, ``_value``, ``_watches``) by the codes ``2v`` and
+        ``2v + 1`` of each new variable ``v``."""
         if self._core is not None:
             self._core.reserve_vars(num_vars)
             self._num_vars = self._core.num_vars
@@ -376,17 +366,15 @@ class SatSolver:
         grow = num_vars - self._num_vars
         if grow <= 0:
             return
-        capacity = self._capacity
-        if num_vars > capacity:
-            extra = max(num_vars, 2 * capacity) - capacity
-            # New slots go between the halves; the negative half moves up.
-            self._value[capacity + 1:capacity + 1] = [_UNASSIGNED] * (2 * extra)
-            self._watches[capacity + 1:capacity + 1] = [[] for _ in range(2 * extra)]
-            self._capacity = capacity + extra
+        first_code = 2 * self._num_vars + 2
+        end_code = 2 * num_vars + 2
+        self._codes.extend(range(first_code, end_code))
+        self._value.extend([_UNASSIGNED] * (2 * grow))
+        self._watches.extend([] for _ in range(2 * grow))
         self._level.extend([0] * grow)
         self._reason.extend([None] * grow)
         self._activity.extend([0.0] * grow)
-        self._phase.extend([False] * grow)
+        self._phase.extend(range(first_code + 1, end_code, 2))
         self._seen.extend([False] * grow)
         self._heap_key.extend([0.0] * grow)
         for variable in range(self._num_vars + 1, num_vars + 1):
@@ -432,20 +420,23 @@ class SatSolver:
             self.reserve_vars(max(abs(literal) for literal in clause))
         # Remove duplicates and level-0-falsified literals; drop tautologies
         # and clauses already satisfied at level 0.
+        codes = self._codes
+        values = self._value
         seen = set()
         cleaned: List[int] = []
         for literal in clause:
-            if -literal in seen:
+            code = codes[_code(literal)]
+            if (code ^ 1) in seen:
                 return
-            if literal in seen:
+            if code in seen:
                 continue
-            value = self._literal_value(literal)
+            value = values[code]
             if value == _TRUE:
                 return
             if value == _FALSE:
                 continue
-            seen.add(literal)
-            cleaned.append(literal)
+            seen.add(code)
+            cleaned.append(code)
         if not cleaned:
             self._trivially_unsat = True
             return
@@ -475,9 +466,6 @@ class SatSolver:
     # -------------------------------------------------------------- #
     # Assignment helpers
     # -------------------------------------------------------------- #
-    def _literal_value(self, literal: int) -> int:
-        return self._value[literal]
-
     def _enqueue(self, literal: int, reason: Optional[List[int]]) -> bool:
         values = self._value
         value = values[literal]
@@ -486,11 +474,11 @@ class SatSolver:
         if value == _FALSE:
             return False
         values[literal] = _TRUE
-        values[-literal] = _FALSE
-        variable = abs(literal)
+        values[literal ^ 1] = _FALSE
+        variable = literal >> 1
         self._level[variable] = len(self._trail_lim)
         self._reason[variable] = reason
-        self._phase[variable] = literal > 0
+        self._phase[variable] = literal
         self._trail.append(literal)
         return True
 
@@ -500,15 +488,20 @@ class SatSolver:
     def _propagate(self) -> Optional[List[int]]:
         """Propagate the queued trail literals; return a conflict or None.
 
-        The hot loop of the solver, written against locals: a literal's
-        value is ``values[l]``, and units are enqueued inline at the
-        current decision level.  A clause whose other watch is already true
-        keeps its literal order; every other visit first moves the
-        falsified literal to position 1, so conflict and reason clauses
-        reach conflict analysis in the order it expects.  Swaps move the
-        clause's own literal objects, never a freshly negated int, so
-        clauses keep sharing the ints they were built from.
+        The hot loop of the solver, written against locals: literals are
+        codes, so a literal's value is ``values[l]`` at a non-negative
+        index, its negation is ``l ^ 1`` and its variable ``l >> 1``.
+        Units are enqueued inline at the current decision level, and a
+        unit's code becomes its variable's saved phase.  A clause whose
+        other watch is already true keeps its literal order; every other
+        visit first moves the falsified literal to position 1, so conflict
+        and reason clauses reach conflict analysis in the order it
+        expects.  Swaps move the clause's own literal objects, never a
+        freshly negated int, so problem clauses keep sharing the ``_codes``
+        objects they were built from.
         """
+        TRUE = _TRUE
+        FALSE = _FALSE
         trail = self._trail
         values = self._value
         watches = self._watches
@@ -518,7 +511,7 @@ class SatSolver:
         current_level = len(self._trail_lim)
         start = head = self._queue_head
         while head < len(trail):
-            falsified = -trail[head]
+            falsified = trail[head] ^ 1
             head += 1
             watchers = watches[falsified]
             index = 0
@@ -529,20 +522,20 @@ class SatSolver:
                 if first == falsified:
                     first = clause[1]
                     value = values[first]
-                    if value == _TRUE:
+                    if value == TRUE:
                         index += 1
                         continue
                     # Move the falsified literal to position 1.
                     clause[0], clause[1] = first, clause[0]
                 else:
                     value = values[first]
-                    if value == _TRUE:
+                    if value == TRUE:
                         index += 1
                         continue
                 # Look for a new literal to watch.
                 for position in range(2, len(clause)):
                     candidate = clause[position]
-                    if values[candidate] != _FALSE:
+                    if values[candidate] != FALSE:
                         clause[1], clause[position] = candidate, clause[1]
                         watches[candidate].append(clause)
                         end -= 1
@@ -551,16 +544,16 @@ class SatSolver:
                         break
                 else:
                     # Clause is unit or conflicting.
-                    if value == _FALSE:
+                    if value == FALSE:
                         self._queue_head = head
                         self.propagations += head - start
                         return clause
-                    values[first] = _TRUE
-                    values[-first] = _FALSE
-                    variable = first if first > 0 else -first
+                    values[first] = TRUE
+                    values[first ^ 1] = FALSE
+                    variable = first >> 1
                     level[variable] = current_level
                     reason[variable] = clause
-                    phase[variable] = first > 0
+                    phase[variable] = first
                     trail.append(first)
                     index += 1
         self._queue_head = head
@@ -590,7 +583,7 @@ class SatSolver:
                 # the reason clause); everything else is examined.
                 if clause_literal == literal:
                     continue
-                variable = clause_literal if clause_literal > 0 else -clause_literal
+                variable = clause_literal >> 1
                 if seen[variable]:
                     continue
                 variable_level = level[variable]
@@ -610,7 +603,7 @@ class SatSolver:
             while True:
                 literal = trail[trail_index]
                 trail_index -= 1
-                variable = literal if literal > 0 else -literal
+                variable = literal >> 1
                 if seen[variable]:
                     break
             seen[variable] = False
@@ -621,17 +614,17 @@ class SatSolver:
 
         # Only the lower-level literals kept their marks; clear them.
         for clause_literal in learned[1:]:
-            seen[clause_literal if clause_literal > 0 else -clause_literal] = False
-        learned[0] = -literal
+            seen[clause_literal >> 1] = False
+        learned[0] = literal ^ 1
         if len(learned) == 1:
             backtrack_level = 0
         else:
             # Move the highest-level literal (other than the asserting one)
             # to position 1 so it can be watched.
             best = 1
-            best_level = level[abs(learned[1])]
+            best_level = level[learned[1] >> 1]
             for position in range(2, len(learned)):
-                position_level = level[abs(learned[position])]
+                position_level = level[learned[position] >> 1]
                 if position_level > best_level:
                     best = position
                     best_level = position_level
@@ -641,7 +634,7 @@ class SatSolver:
         if self._forget_limit:
             # Literal block distance: distinct decision levels among the
             # learned literals, measured before backtracking.
-            lbd = len({level[abs(literal)] for literal in learned})
+            lbd = len({level[literal >> 1] for literal in learned})
         return learned, backtrack_level, lbd
 
     def _rescale_activities(self) -> None:
@@ -659,7 +652,7 @@ class SatSolver:
         heap_key = self._heap_key
         heap = []
         for variable in range(1, self._num_vars + 1):
-            if values[variable] == _UNASSIGNED:
+            if values[2 * variable] == _UNASSIGNED:
                 heap.append((-activity[variable], variable))
                 heap_key[variable] = activity[variable]
             else:
@@ -682,8 +675,8 @@ class SatSolver:
         push = heapq.heappush
         boundary = trail_lim[level]
         for literal in trail[boundary:]:
-            values[literal] = values[-literal] = _UNASSIGNED
-            variable = literal if literal > 0 else -literal
+            values[literal] = values[literal ^ 1] = _UNASSIGNED
+            variable = literal >> 1
             key = activity[variable]
             if heap_key[variable] != key:
                 heap_key[variable] = key
@@ -692,13 +685,13 @@ class SatSolver:
         del trail_lim[level:]
         self._queue_head = boundary
 
-    def _reduce_learned(self, keep_fraction: float = 0.5) -> None:
+    def _reduce_learned(self) -> None:
         """Halve the long learned clauses (a size-based policy).
 
         Every problem clause and every learned clause of at most four
         literals is kept; of the longer learned clauses only the newest
-        ``keep_fraction`` survives.  Runs at decision level 0 once 2000
-        learned clauses have accumulated.
+        half survives.  Runs at decision level 0 once 2000 learned clauses
+        have accumulated.
         """
         # Only safe at decision level 0 with no active reasons.
         if self._trail_lim:
@@ -721,7 +714,7 @@ class SatSolver:
             else:
                 long_clauses.append(clause)
                 long_lbd.append(lbd)
-        keep_count = int(len(long_clauses) * keep_fraction)
+        keep_count = len(long_clauses) // 2
         if keep_count:
             kept_clauses.extend(long_clauses[-keep_count:])
             kept_flags.extend([True] * keep_count)
@@ -733,7 +726,7 @@ class SatSolver:
         self._rebuild_watches_and_reasons()
 
     def _reduce_learned_lbd(self) -> None:
-        """LBD-scored learned-clause forgetting (``REPRO_CLAUSE_FORGET``).
+        """LBD-scored learned-clause forgetting (``clause_forget=``).
 
         Glue clauses (LBD <= 2) are permanent.  Of the remaining learned
         clauses, the half with the highest LBD is dropped (ties broken by
@@ -825,7 +818,7 @@ class SatSolver:
         pop = heapq.heappop
         while heap:
             negated_activity, variable = heap[0]
-            if values[variable] == _UNASSIGNED and -negated_activity == activity[variable]:
+            if values[2 * variable] == _UNASSIGNED and -negated_activity == activity[variable]:
                 return variable
             pop(heap)
             if heap_key[variable] == -negated_activity:
@@ -882,7 +875,7 @@ class SatSolver:
         # limit grows by 1.5x after every restart.
         restart_limit = 100
         conflicts_since_restart = 0
-        assumption_queue = list(assumptions)
+        assumption_queue = [_code(literal) for literal in assumptions]
         trail = self._trail
         trail_lim = self._trail_lim
         values = self._value
@@ -929,7 +922,7 @@ class SatSolver:
             decision_level = len(trail_lim)
             if decision_level < len(assumption_queue):
                 literal = assumption_queue[decision_level]
-                value = self._literal_value(literal)
+                value = values[literal]
                 if value == _FALSE:
                     # Failed under the assumptions only; the clause database
                     # may well be satisfiable under other assumptions.
@@ -946,9 +939,9 @@ class SatSolver:
             trail_lim.append(len(trail))
             # The variable is unassigned, so deciding it on its saved phase
             # leaves that phase as it is.
-            literal = variable if phase[variable] else -variable
+            literal = phase[variable]
             values[literal] = _TRUE
-            values[-literal] = _FALSE
+            values[literal ^ 1] = _FALSE
             trail.append(literal)
             level[variable] = decision_level + 1
             reason[variable] = None
@@ -1024,11 +1017,11 @@ class SatSolver:
         model: Optional[Dict[int, bool]] = None,
     ) -> SatResult:
         if model is None:
-            values = self._value
+            # Entry 2v of the pure solver's values is the value of v.
             model = {
-                variable: values[variable] == _TRUE
-                for variable in range(1, self._num_vars + 1)
-                if values[variable] != _UNASSIGNED
+                variable: value == _TRUE
+                for variable, value in enumerate(self._value[2::2], 1)
+                if value != _UNASSIGNED
             }
         return SatResult(
             True,

@@ -11,23 +11,6 @@ import random
 
 import pytest
 
-from repro.sat.solver import FORGET_ENV_VAR
-
-
-@pytest.fixture(autouse=True)
-def _pin_default_strategies(monkeypatch):
-    """Pin every test to the byte-identical default solver strategy.
-
-    The clause-forgetting knob changes solver-count transcripts; the suite's
-    pinned expectations assume the default, so a developer's ambient
-    environment must not leak in.  Tests that exercise the knob set it
-    explicitly via monkeypatch.
-    ``REPRO_BACKEND`` is deliberately *not* pinned: both backends produce
-    identical transcripts, and CI's native leg runs this suite under
-    ``REPRO_BACKEND=native`` to prove it.
-    """
-    monkeypatch.delenv(FORGET_ENV_VAR, raising=False)
-
 from repro.camo import default_camouflage_library
 from repro.flow import obfuscate, obfuscate_with_assignment
 from repro.ga import GAParameters

@@ -33,7 +33,7 @@ class ScanCheckedSolver(SatSolver):
         unassigned = [
             variable
             for variable in range(1, self.num_vars + 1)
-            if self._literal_value(variable) == _UNASSIGNED
+            if self._value[2 * variable] == _UNASSIGNED
         ]
         # Each unassigned variable has an entry with its current activity
         # (stale entries may sit beside it); one without could be skipped

@@ -47,13 +47,17 @@ class TestAdversaryJobKinds:
         assert payload["all_plausible"] is True
         assert payload["prefilter"]["queries"] == 2
 
-    def test_attack_payload_ignores_the_environment(self, monkeypatch):
+    @pytest.mark.parametrize(
+        ("variable", "value"), [("REPRO_FUZZ", "0"), ("REPRO_CLAUSE_FORGET", "1")]
+    )
+    def test_attack_payload_ignores_the_environment(self, monkeypatch, variable, value):
         """The payload is what the job's fingerprint names: a variable the
-        fingerprint does not see (``REPRO_FUZZ`` once switched presampling
-        off) must not change the recorded transcript."""
+        fingerprint does not see must not change the recorded transcript.
+        Each case once did, until its variable was deleted: the first
+        switched presampling off, the second clause forgetting on."""
         spec = CampaignSpec.attacks([("PRESENT", 2)], population=4, generations=1)
         (default,) = run_campaign(spec).results
-        monkeypatch.setenv("REPRO_FUZZ", "0")
+        monkeypatch.setenv(variable, value)
         (under_variable,) = run_campaign(spec).results
         assert default.job_id == "attack_PRESENT_x2"
         assert default.ok and under_variable.ok
