@@ -1,33 +1,16 @@
-"""Campaign runner and sharded-fuzzing benchmarks.
+"""Campaign runner benchmark.
 
-Two measurements:
-
-* ``test_campaign_aes_row`` runs a one-row AES-style campaign (8-bit S-box
-  workload, tiny GA budget) through the campaign runner — the end-to-end
-  cost of the scenario subsystem on the wide workload the registry added.
-* ``test_sharded_fuzz_scaling`` times one wide fuzz comparison (a 16-input
-  random netlist against a reference function over 2^16 patterns — both the
-  packed netlist lanes and the word-by-word reference side are sharded)
-  single-core and fanned over the worker pool (``REPRO_JOBS`` or 4), and
-  asserts the verdicts are identical.  On a multi-core host the sharded
-  pass beats the single-core pass (that assertion only arms when worker
-  processes are actually available); the measured ratio is recorded in the
-  ``BENCH_*.json`` payload either way — a single-CPU runner degrades to the
-  serial path and reports a ratio near 1.
+``test_campaign_aes_row`` runs a one-row AES-style campaign (8-bit S-box
+workload, tiny GA budget) through the campaign runner — the end-to-end cost
+of the scenario subsystem on the wide workload the registry added.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import random
-import time
 
 from repro.evaluation.workloads import get_profile
-from repro.netlist import Netlist, standard_cell_library
-from repro.netlist.simulate import extract_function
-from repro.parallel import available_cpus
 from repro.scenarios import CampaignSpec, run_campaign
-from repro.sim.prefilter import fuzz_netlist_vs_function
 
 #: GA budget of the campaign row: deliberately tiny — the benchmark measures
 #: the runner and the 8-bit workload, not GA convergence.
@@ -68,91 +51,5 @@ def test_campaign_aes_row(benchmark, record, bench_json, jobs):
             "row": row,
             "campaign": outcome.bench_payload()["campaign"],
             "telemetry": outcome.telemetry().to_dict()["scopes"],
-        },
-    )
-
-
-def _wide_random_netlist(seed=5, num_inputs=16, num_cells=120):
-    rng = random.Random(seed)
-    library = standard_cell_library()
-    netlist = Netlist("wide", library)
-    nets = [netlist.add_input(f"i{k}") for k in range(num_inputs)]
-    cells = [cell for cell in library.cells() if cell.num_inputs >= 1]
-    for index in range(num_cells):
-        cell = rng.choice(cells)
-        netlist.add_instance(
-            cell.name,
-            [rng.choice(nets) for _ in range(cell.num_inputs)],
-            output=f"w{index}",
-        )
-        nets.append(f"w{index}")
-    for k in range(4):
-        netlist.add_output(nets[-(k + 1)])
-    return netlist
-
-
-FUZZ_PATTERNS = 1 << 16
-
-
-def _worker_pool_usable() -> bool:
-    """True when real worker processes can run on this host.
-
-    `repro.parallel` deliberately degrades to serial when process pools are
-    unavailable (restricted sandboxes, broken multiprocessing); the speedup
-    assertion must only arm when parallelism actually engaged.
-    """
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=2) as executor:
-            return list(executor.map(int, ["1", "2"])) == [1, 2]
-    except Exception:
-        return False
-
-
-def test_sharded_fuzz_scaling(benchmark, record, bench_json, jobs):
-    shard_jobs = max(jobs, 4)
-    netlist = _wide_random_netlist()
-    # The truth function itself: the fuzz pass scans every pattern with no
-    # early exit, which is exactly the fuzzing-campaign workload shape.
-    truth = extract_function(netlist)
-
-    start = time.perf_counter()
-    serial = fuzz_netlist_vs_function(netlist, truth, patterns=FUZZ_PATTERNS, jobs=1)
-    serial_seconds = time.perf_counter() - start
-
-    def _sharded():
-        return fuzz_netlist_vs_function(
-            netlist, truth, patterns=FUZZ_PATTERNS, jobs=shard_jobs
-        )
-
-    sharded = benchmark.pedantic(_sharded, rounds=1, iterations=1)
-    sharded_seconds = benchmark.stats.stats.total
-
-    assert (sharded.counterexample, sharded.complete, sharded.patterns) == (
-        serial.counterexample, serial.complete, serial.patterns,
-    ), "sharded verdict diverged from single-core"
-    ratio = serial_seconds / sharded_seconds if sharded_seconds else 0.0
-    if available_cpus() >= 2 and _worker_pool_usable():
-        assert ratio > 1.0, (
-            f"sharded fuzzing must beat single-core on a multi-core host "
-            f"(serial {serial_seconds:.3f}s vs jobs={shard_jobs} {sharded_seconds:.3f}s)"
-        )
-    benchmark.extra_info["serial_seconds"] = serial_seconds
-    benchmark.extra_info["speedup"] = ratio
-    record(
-        "sharded_fuzz_scaling",
-        f"fuzz over {FUZZ_PATTERNS} patterns: single-core {serial_seconds:.3f}s, "
-        f"jobs={shard_jobs} {sharded_seconds:.3f}s (x{ratio:.2f}); "
-        f"verdicts identical (cpus={available_cpus()})",
-    )
-    bench_json(
-        "sharded_fuzz_scaling",
-        {
-            "patterns": FUZZ_PATTERNS,
-            "shard_jobs": shard_jobs,
-            "cpus": available_cpus(),
-            "serial_seconds": serial_seconds,
-            "speedup": ratio,
         },
     )

@@ -14,8 +14,7 @@ The package is organised as a small EDA flow:
 * :mod:`repro.sat`, :mod:`repro.attacks` -- the adversary model: a CDCL SAT
   solver and the viable-function plausibility tests;
 * :mod:`repro.sim` -- packed word-parallel simulation (pattern batches,
-  netlist/AIG engines, fuzz-before-SAT pre-filters, sharded multi-core
-  batches);
+  netlist/AIG engines, fuzz-before-SAT pre-filters);
 * :mod:`repro.sboxes` -- the PRESENT, optimal 4-bit, DES, and AES-style
   S-box workloads;
 * :mod:`repro.scenarios` -- the workload registry (pluggable families) and

@@ -459,7 +459,6 @@ def attack_mapping(
     true_select: int,
     max_queries: int = 256,
     presample: Optional[int] = None,
-    jobs: int = 1,
     budget: Optional[SolveBudget] = None,
 ) -> OracleGuidedResult:
     """Run the oracle-guided attack against a Phase III mapping.
@@ -467,23 +466,17 @@ def attack_mapping(
     The oracle is the camouflaged netlist configured for ``true_select`` —
     i.e. the chip as manufactured for one particular viable function.  All
     oracle queries are answered from one packed word-parallel extraction of
-    the configured netlist (a single batch, not ``2**n`` row simulations);
-    with ``jobs > 1`` that exhaustive batch is sharded over the worker pool
-    (:func:`repro.sim.shard.sharded_extract_function`), so wide workloads
-    presample at multi-core speed.  The recovered function, the presample
-    word set, and the DIP sequence are identical for every ``jobs`` value.
+    the configured netlist (a single batch, not ``2**n`` row simulations).
 
     ``presample`` controls the fuzz-before-SAT presampling phase (see the
     module docstring); ``None`` means :data:`DEFAULT_PRESAMPLE` words, and
     ``0`` preserves the classic cold-DIP transcript.
     """
-    from ..sim.shard import sharded_extract_function
+    from ..sim.engine import NetlistSimulator
 
     configuration = mapping.configuration_for_select(true_select)
-    truth = sharded_extract_function(
-        mapping.netlist,
-        cell_functions=configuration.as_cell_functions(),
-        jobs=jobs,
+    truth = NetlistSimulator(mapping.netlist).extract_function(
+        configuration.as_cell_functions()
     ).lookup_table()
 
     if presample is None:
@@ -508,7 +501,6 @@ def attack_netlist(
     max_queries: int = 256,
     presample: Optional[int] = None,
     verify_samples: int = 256,
-    jobs: int = 1,
     budget: Optional[SolveBudget] = None,
 ) -> OracleGuidedResult:
     """Oracle-guided attack on an arbitrary-width camouflaged netlist.
@@ -519,35 +511,17 @@ def attack_netlist(
     call, DIP queries through single-word packed passes.  Unlike
     :func:`attack_mapping` no exhaustive truth table is ever built, so
     stitched windowed netlists with dozens of inputs attack at the same
-    per-query cost as S-boxes.  ``jobs`` shards the bulk simulation batches
-    over the worker pool when they are wide enough to amortise it.
+    per-query cost as S-boxes.
     """
-    from ..sim.engine import NetlistSimulator, _word_from_lanes
-    from ..sim.shard import MIN_SHARD_PATTERNS, sharded_output_lanes
-    from ..sim.patterns import PatternBatch
+    from ..sim.engine import NetlistSimulator
 
-    configuration = dict(true_configuration)
-    simulator = NetlistSimulator(netlist, cell_functions=configuration)
+    simulator = NetlistSimulator(netlist, cell_functions=dict(true_configuration))
 
     def oracle(word: int) -> int:
         return simulator.simulate_words([word])[0]
 
     def oracle_batch(words: Sequence[int]) -> List[int]:
-        words = list(words)
-        if not words:
-            return []
-        if jobs > 1 and len(words) >= 2 * MIN_SHARD_PATTERNS:
-            batch = PatternBatch.from_words(
-                len(netlist.primary_inputs), words
-            )
-            lanes = sharded_output_lanes(
-                netlist, batch, cell_functions=configuration, jobs=jobs
-            )
-            return [
-                _word_from_lanes(lanes, position)
-                for position in range(batch.num_patterns)
-            ]
-        return simulator.simulate_words(words)
+        return simulator.simulate_words(list(words))
 
     if presample is None:
         presample = DEFAULT_PRESAMPLE
@@ -569,7 +543,6 @@ def attack_windowed(
     max_queries: int = 256,
     presample: Optional[int] = None,
     verify_samples: int = 256,
-    jobs: int = 1,
     budget: Optional[SolveBudget] = None,
 ) -> OracleGuidedResult:
     """Attack a stitched windowed obfuscation end-to-end.
@@ -586,6 +559,5 @@ def attack_windowed(
         max_queries=max_queries,
         presample=presample,
         verify_samples=verify_samples,
-        jobs=jobs,
         budget=budget,
     )

@@ -58,13 +58,11 @@ def verify_viable_functions(
     design: MergedDesign,
     use_sat: bool = False,
     prefilter: bool = True,
-    jobs: int = 1,
 ) -> PlausibilityReport:
     """Check that the camouflaged circuit can realise every viable function.
 
     ``use_sat=False`` (default) compares exhaustively simulated truth tables
-    — all select configurations swept packed (select-dimension shards over
-    ``jobs`` workers when the combined width is large); ``use_sat=True``
+    — all select configurations swept packed; ``use_sat=True``
     runs a miter-based equivalence check instead, which exercises the SAT
     substrate and scales to wider circuits (``prefilter`` adds the
     fuzz-before-SAT fast path there).
@@ -72,7 +70,7 @@ def verify_viable_functions(
     report = PlausibilityReport(total=len(design.viable_functions))
     realised_tables: Optional[List[List[int]]] = None
     if not use_sat:
-        realised_tables = mapping.realised_lookup_tables(jobs=jobs)
+        realised_tables = mapping.realised_lookup_tables()
     for select_value in range(len(design.viable_functions)):
         expected = design.function_for_select(select_value)
         if use_sat:

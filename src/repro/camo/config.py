@@ -72,7 +72,6 @@ def sweep_configurations(
     select_order: Sequence[str],
     instance_selects: Mapping[str, Sequence[str]],
     instance_configs: Mapping[str, Mapping[Tuple[int, ...], TruthTable]],
-    jobs: int = 1,
 ) -> List[List[int]]:
     """Realised lookup tables of every select configuration, packed.
 
@@ -80,12 +79,11 @@ def sweep_configurations(
     implements when every camouflaged instance is configured for select word
     ``s`` — the same tables per-configuration exhaustive extraction yields.
     Narrow combined spaces are one packed simulation pass over the
-    (data × select) pattern product; wider select spaces are sharded along
-    the select dimension and fanned over the worker pool (``jobs``), with
-    identical tables for every ``jobs`` value.
+    (data × select) pattern product; wider select spaces take one pass per
+    block of select words.
     """
     from ..sim.engine import sweep_select_space
 
     return sweep_select_space(
-        netlist, select_order, instance_selects, instance_configs, jobs=jobs
+        netlist, select_order, instance_selects, instance_configs
     )

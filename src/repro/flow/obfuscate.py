@@ -86,13 +86,8 @@ def obfuscate_with_assignment(
     effort: str = SynthesisEffort.STANDARD,
     max_cover_depth: int = 2,
     verify: bool = True,
-    jobs: int = 1,
 ) -> ObfuscationResult:
-    """Run Phases I and III with a fixed (already chosen) pin assignment.
-
-    ``jobs`` parallelises the Phase III per-tree covering across worker
-    processes (1 = serial); the mapping is identical for every value.
-    """
+    """Run Phases I and III with a fixed (already chosen) pin assignment."""
     if not functions:
         raise ValueError("at least one viable function is required")
     library = library or standard_cell_library()
@@ -103,10 +98,10 @@ def obfuscate_with_assignment(
     select_nets = [f"sel[{k}]" for k in range(design.num_selects)]
     mapping = camouflage_map(
         synthesis.netlist, select_nets, camo_library=camo_library,
-        max_depth=max_cover_depth, jobs=jobs,
+        max_depth=max_cover_depth,
     )
     if verify:
-        verification = verify_viable_functions(mapping, design, jobs=jobs)
+        verification = verify_viable_functions(mapping, design)
     else:
         verification = PlausibilityReport(total=len(functions))
     return ObfuscationResult(
@@ -133,9 +128,8 @@ def obfuscate(
 ) -> ObfuscationResult:
     """Run the full three-phase flow (GA pin optimisation included).
 
-    ``jobs`` parallelises the Phase II fitness evaluations and the Phase III
-    per-tree camouflage covering across worker processes (1 = serial);
-    seeded results are identical for every value.
+    ``jobs`` parallelises the Phase II fitness evaluations across worker
+    processes (1 = serial); seeded results are identical for every value.
     """
     if not functions:
         raise ValueError("at least one viable function is required")
@@ -159,7 +153,6 @@ def obfuscate(
         effort=final_effort,
         max_cover_depth=max_cover_depth,
         verify=verify,
-        jobs=jobs,
     )
     result.pin_optimization = optimization
     return result

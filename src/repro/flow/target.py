@@ -250,7 +250,6 @@ def obfuscate_window(
             camo_library=camo_library,
             effort=final_effort,
             verify=verify,
-            jobs=jobs,
         )
     configuration = result.mapping.configuration_for_select(0)
     true_configuration = dict(configuration.as_cell_functions())
@@ -420,7 +419,6 @@ def assemble_windowed_result(
     verify_patterns: int = 1024,
     verify_seed: int = 7,
     sat_check: Optional[bool] = None,
-    jobs: int = 1,
 ) -> WindowedObfuscationResult:
     """Stitch per-window records into the parent and verify the result.
 
@@ -429,7 +427,7 @@ def assemble_windowed_result(
     * per-window designer checks carried by the records (exhaustive);
     * a whole-netlist packed cross-check of original vs stitched under the
       true configuration — exhaustive (complete) for small input counts,
-      seeded random batches (sharded over ``jobs``) otherwise;
+      seeded random batches otherwise;
     * a whole-netlist SAT miter check — by default only attempted up to
       :data:`DEFAULT_SAT_CHECK_LIMIT` inputs (``sat_check`` forces it on or
       off explicitly).
@@ -457,7 +455,6 @@ def assemble_windowed_result(
             cell_functions_b=true_configuration,
             patterns=verify_patterns,
             seed=verify_seed,
-            jobs=jobs,
         )
         verification.simulation_ok = not outcome.refuted
         verification.simulation_complete = outcome.complete
@@ -557,5 +554,4 @@ def obfuscate_netlist(
         verify=verify,
         verify_patterns=verify_patterns,
         sat_check=sat_check,
-        jobs=jobs,
     )

@@ -250,11 +250,25 @@ class WorkerPool:
         exception = future.exception()
         return exception is None or not isinstance(exception, BrokenExecutor)
 
+    @staticmethod
+    def _submit(executor, item) -> Future:
+        """Submit one item; a broken pool yields an already-failed future.
+
+        ``ProcessPoolExecutor.submit`` itself raises ``BrokenProcessPool``
+        once a worker has died.  Recording that as the item's outcome lets
+        supervision handle it exactly like a crash reported by ``result()``:
+        the same blame rule, restart budget and resubmission.
+        """
+        try:
+            return executor.submit(_call_worker, _ship(item))
+        except BrokenExecutor as error:
+            future: Future = Future()
+            future.set_exception(error)
+            return future
+
     def _supervised(self, items: Sequence[T], executor):
         """Yield results in order, respawning the pool around dead workers."""
-        futures: List[Future] = [
-            executor.submit(_call_worker, _ship(item)) for item in items
-        ]
+        futures: List[Future] = [self._submit(executor, item) for item in items]
         blamed: Optional[int] = None
         restarts_this_batch = 0
         index = 0
@@ -311,9 +325,7 @@ class WorkerPool:
                     return
                 for position in range(index, len(items)):
                     if not self._keepable(futures[position]):
-                        futures[position] = executor.submit(
-                            _call_worker, _ship(items[position])
-                        )
+                        futures[position] = self._submit(executor, items[position])
                 continue
             yield result
             index += 1

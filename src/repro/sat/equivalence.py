@@ -259,7 +259,6 @@ def check_netlist_equivalence(
     cell_functions_b: Optional[Mapping[str, TruthTable]] = None,
     prefilter: bool = True,
     fuzz_patterns: Optional[int] = None,
-    jobs: int = 1,
     budget: Optional[SolveBudget] = None,
 ) -> EquivalenceResult:
     """Check that two netlists implement the same function.
@@ -269,8 +268,7 @@ def check_netlist_equivalence(
     enabled, a packed simulation pass over a shared pattern batch refutes
     (or, for small input counts, fully decides) the check before any CNF is
     built; ``fuzz_patterns`` widens that batch for wide (e.g. stitched
-    windowed) netlists and ``jobs`` shards it over the worker pool — the
-    verdict is identical for every setting.
+    windowed) netlists.
     """
     if len(netlist_a.primary_inputs) != len(netlist_b.primary_inputs):
         raise ValueError("netlists have different numbers of primary inputs")
@@ -282,7 +280,7 @@ def check_netlist_equivalence(
 
         outcome = fuzz_netlist_vs_netlist(
             netlist_a, netlist_b, cell_functions_a, cell_functions_b,
-            patterns=fuzz_patterns or DEFAULT_FUZZ_PATTERNS, jobs=jobs,
+            patterns=fuzz_patterns or DEFAULT_FUZZ_PATTERNS,
         )
         if outcome.refuted:
             return EquivalenceResult(

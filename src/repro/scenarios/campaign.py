@@ -231,7 +231,6 @@ def _run_attack(params: Dict[str, Any], task_jobs: int) -> Tuple[Any, dict]:
         true_select=int(params.get("true_select", 0)),
         max_queries=int(params.get("max_queries", 256)),
         presample=params.get("presample"),
-        jobs=task_jobs,
     )
     if outcome.timed_out:
         # A partial attack transcript must not be persisted as a verdict;
@@ -1746,7 +1745,6 @@ def run_windowed_campaign(
     """
     from ..flow.target import assemble_windowed_result
     from ..netlist.window import extract_windows
-    from ..parallel import resolve_jobs as _resolve
 
     spec = spec if spec is not None else CampaignSpec.windowed(path, **window_params)
     outcome = run_campaign(
@@ -1788,6 +1786,5 @@ def run_windowed_campaign(
         records,
         verify=verify,
         sat_check=sat_check,
-        jobs=_resolve(jobs),
     )
     return outcome, assembled

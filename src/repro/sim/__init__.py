@@ -25,12 +25,6 @@ from .engine import (
     sweep_select_space,
 )
 from .patterns import PatternBatch, RandomPatternSource, ReplayBuffer
-from .shard import (
-    MIN_SHARD_PATTERNS,
-    resolve_shards,
-    sharded_extract_function,
-    sharded_output_lanes,
-)
 from .prefilter import (
     FuzzOutcome,
     PossibilityAnalysis,
@@ -48,10 +42,6 @@ __all__ = [
     "simulate_batch",
     "simulate_words",
     "sweep_select_space",
-    "MIN_SHARD_PATTERNS",
-    "resolve_shards",
-    "sharded_output_lanes",
-    "sharded_extract_function",
     "FuzzOutcome",
     "fuzz_netlist_vs_function",
     "fuzz_netlist_vs_netlist",

@@ -290,9 +290,8 @@ def simulate_words(
 
 
 #: Beyond this many combined (data + select) variables a single packed sweep
-#: would manipulate multi-megabit integers; wider sweeps are sharded over the
-#: select dimension (one block of select words per packed pass, fanned over
-#: the worker pool — see :func:`repro.sim.shard.sharded_sweep_select_space`).
+#: would manipulate multi-megabit integers; wider sweeps run one packed pass
+#: per block of select words (see :func:`sweep_select_space`).
 SWEEP_WIDTH_LIMIT = 20
 
 
@@ -301,7 +300,6 @@ def sweep_select_space(
     select_order: Sequence[str],
     instance_selects: Mapping[str, Sequence[str]],
     instance_configs: Mapping[str, Mapping[Tuple[int, ...], TruthTable]],
-    jobs: int = 1,
 ) -> List[List[int]]:
     """Evaluate every camouflage configuration with packed passes.
 
@@ -314,34 +312,32 @@ def sweep_select_space(
     configurations.
 
     When the combined (data + select) width exceeds
-    :data:`SWEEP_WIDTH_LIMIT`, the sweep is split along the select
-    dimension into blocks that fit the packed width — the high select bits
-    are pinned per block and the blocks fan out over the worker pool
-    (``jobs``).  The result is identical for every ``jobs`` value and for
-    the sharded vs single-pass path.
+    :data:`SWEEP_WIDTH_LIMIT`, the high select bits are pinned per block
+    and each block is one packed pass over ``data × low selects``, exactly
+    at the width limit.  Select word ``s`` lands in block
+    ``s >> num_free_selects``, so concatenating the block tables in block
+    order reproduces the single-pass result.
 
     Returns one word-level lookup table per select word (the same tables
     ``extract_function(...).lookup_table()`` yields per configuration).
     """
     num_data = len(netlist.primary_inputs)
-    num_selects = len(select_order)
-    width = num_data + num_selects
-    if width > SWEEP_WIDTH_LIMIT:
-        if num_data > SWEEP_WIDTH_LIMIT:
-            raise ValueError(
-                f"select sweep needs {num_data} data variables per packed "
-                f"pass, more than the width limit ({SWEEP_WIDTH_LIMIT}); "
-                f"exhaustive data enumeration is infeasible at this width"
-            )
-        from .shard import sharded_sweep_select_space
-
-        return sharded_sweep_select_space(
-            netlist, select_order, instance_selects, instance_configs, jobs=jobs
+    if num_data > SWEEP_WIDTH_LIMIT:
+        raise ValueError(
+            f"select sweep needs {num_data} data variables per packed "
+            f"pass, more than the width limit ({SWEEP_WIDTH_LIMIT}); "
+            f"exhaustive data enumeration is infeasible at this width"
         )
-    lanes = _sweep_lanes(
-        netlist, select_order, instance_selects, instance_configs, {}
-    )
-    return _tables_from_sweep_lanes(lanes, num_data, num_selects)
+    num_free = min(len(select_order), SWEEP_WIDTH_LIMIT - num_data)
+    fixed_nets = list(select_order[num_free:])
+    tables: List[List[int]] = []
+    for block in range(1 << len(fixed_nets)):
+        fixed = {net: (block >> offset) & 1 for offset, net in enumerate(fixed_nets)}
+        lanes = _sweep_lanes(
+            netlist, select_order, instance_selects, instance_configs, fixed
+        )
+        tables.extend(_tables_from_sweep_lanes(lanes, num_data, num_free))
+    return tables
 
 
 def _sweep_lanes(
@@ -353,8 +349,8 @@ def _sweep_lanes(
 ) -> List[int]:
     """Primary-output lanes of one packed sweep pass.
 
-    ``fixed_selects`` pins a subset of the select nets to constants (the
-    block sharding uses this to sweep a slice of the select space); the
+    ``fixed_selects`` pins a subset of the select nets to constants (a
+    wide sweep uses this to sweep one block of the select space); the
     remaining *free* selects become pattern variables above the data inputs,
     in ``select_order`` order.
     """

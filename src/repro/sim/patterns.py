@@ -132,46 +132,6 @@ class PatternBatch:
         """Return every pattern as an input word, in batch order."""
         return [self.word_at(position) for position in range(self._num_patterns)]
 
-    # ------------------------------------------------------------------ #
-    # Sharding
-    # ------------------------------------------------------------------ #
-    def slice(self, start: int, count: int) -> "PatternBatch":
-        """Return the sub-batch of ``count`` patterns starting at ``start``.
-
-        Pattern ``p`` of the slice is pattern ``start + p`` of this batch, so
-        slicing preserves batch order (shard-local indices map back to global
-        ones by adding ``start``).
-        """
-        if start < 0 or count < 1 or start + count > self._num_patterns:
-            raise ValueError(
-                f"slice [{start}, {start + count}) out of range for "
-                f"{self._num_patterns} patterns"
-            )
-        mask = (1 << count) - 1
-        lanes = [(lane >> start) & mask for lane in self._lanes]
-        return PatternBatch(self._num_inputs, count, lanes)
-
-    def split(self, num_shards: int) -> List[Tuple[int, "PatternBatch"]]:
-        """Split into at most ``num_shards`` contiguous shards.
-
-        Returns ``(offset, shard)`` pairs in batch order; concatenating the
-        shards reproduces the batch exactly.  The shard count is clamped to
-        the number of patterns (a batch of ``p`` patterns yields at most
-        ``p`` one-pattern shards), so callers may pass any worker count
-        without tripping over small batches.
-        """
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
-        num_shards = min(num_shards, self._num_patterns)
-        base, extra = divmod(self._num_patterns, num_shards)
-        shards: List[Tuple[int, PatternBatch]] = []
-        start = 0
-        for index in range(num_shards):
-            count = base + (1 if index < extra else 0)
-            shards.append((start, self.slice(start, count)))
-            start += count
-        return shards
-
     def __len__(self) -> int:
         return self._num_patterns
 

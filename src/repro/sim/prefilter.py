@@ -24,13 +24,6 @@ that the solver would also have returned.  They are **enabled by default**;
 passing ``prefilter=False`` at the call sites opts *out*, which is what the
 solver-call-count regression tests do — they pin solver behaviour
 explicitly.
-
-Wide batches can additionally be **sharded** over the worker pool
-(``jobs > 1``): the batch is split into contiguous shards evaluated
-concurrently via :mod:`repro.sim.shard`, and the globally first
-counterexample is reported — verdicts, replay-buffer contents and
-counterexample words are identical to the single-core pass for every
-``jobs`` value.
 """
 
 from __future__ import annotations
@@ -140,7 +133,6 @@ def fuzz_netlist_vs_function(
     replay: Optional[ReplayBuffer] = None,
     simulator: Optional[NetlistSimulator] = None,
     exhaustive_lanes: Optional[Sequence[int]] = None,
-    jobs: int = 1,
 ) -> FuzzOutcome:
     """Fuzz a netlist against a reference function.
 
@@ -149,21 +141,13 @@ def fuzz_netlist_vs_function(
     first, topped up with seeded random patterns.  A found counterexample is
     recorded in the replay buffer.  Callers checking many candidates against
     one netlist can pass the (candidate-independent) ``exhaustive_lanes``
-    they cached so the exhaustive pass is simulated only once.  With
-    ``jobs > 1`` a wide batch is sharded over the worker pool (see
-    :mod:`repro.sim.shard`); the outcome is identical for every ``jobs``.
+    they cached so the exhaustive pass is simulated only once.
     """
-    from .shard import resolve_shards, sharded_first_difference_vs_function
-
     num_inputs = len(netlist.primary_inputs)
     batch, complete = _fuzz_batch(num_inputs, patterns, seed, replay)
     if complete and exhaustive_lanes is not None:
         expected = [table.bits for table in function.outputs]
         position = _first_difference(list(zip(exhaustive_lanes, expected)))
-    elif resolve_shards(batch.num_patterns, jobs) > 1:
-        position = sharded_first_difference_vs_function(
-            netlist, function, batch, cell_functions, exhaustive=complete, jobs=jobs
-        )
     else:
         simulator = simulator if simulator is not None else NetlistSimulator(netlist)
         actual = simulator.output_lanes(batch, cell_functions)
@@ -189,27 +173,15 @@ def fuzz_netlist_vs_netlist(
     patterns: int = DEFAULT_FUZZ_PATTERNS,
     seed: int = 1,
     replay: Optional[ReplayBuffer] = None,
-    jobs: int = 1,
 ) -> FuzzOutcome:
-    """Fuzz two netlists against each other on a shared pattern batch.
-
-    With ``jobs > 1`` a wide batch is sharded over the worker pool; the
-    outcome is identical for every ``jobs`` value.
-    """
-    from .shard import resolve_shards, sharded_first_difference_vs_netlist
-
+    """Fuzz two netlists against each other on a shared pattern batch."""
     num_inputs = len(netlist_a.primary_inputs)
     if num_inputs != len(netlist_b.primary_inputs):
         raise ValueError("netlists have different numbers of primary inputs")
     batch, complete = _fuzz_batch(num_inputs, patterns, seed, replay)
-    if resolve_shards(batch.num_patterns, jobs) > 1:
-        position = sharded_first_difference_vs_netlist(
-            netlist_a, netlist_b, batch, cell_functions_a, cell_functions_b, jobs=jobs
-        )
-    else:
-        lanes_a = NetlistSimulator(netlist_a).output_lanes(batch, cell_functions_a)
-        lanes_b = NetlistSimulator(netlist_b).output_lanes(batch, cell_functions_b)
-        position = _first_difference(list(zip(lanes_a, lanes_b)))
+    lanes_a = NetlistSimulator(netlist_a).output_lanes(batch, cell_functions_a)
+    lanes_b = NetlistSimulator(netlist_b).output_lanes(batch, cell_functions_b)
+    position = _first_difference(list(zip(lanes_a, lanes_b)))
     if position is None:
         return FuzzOutcome(None, complete, batch.num_patterns)
     word = batch.word_at(position)

@@ -16,7 +16,6 @@ and attack modules can reason about plausible functions per instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..camo.config import CircuitConfiguration
@@ -24,30 +23,10 @@ from ..camo.library import CamouflageLibrary, default_camouflage_library
 from ..logic.truthtable import TruthTable
 from ..netlist.library import CellLibrary
 from ..netlist.netlist import Netlist
-from ..parallel import parallel_map
 from .cover import CoverError, CoveredCell, TreeCover, cover_tree
-from .trees import Tree, decompose_into_trees
+from .trees import decompose_into_trees
 
 __all__ = ["CamouflagedMapping", "camouflage_map"]
-
-
-def _cover_one_tree(
-    tree: Tree,
-    netlist: Netlist,
-    select_nets: Sequence[str],
-    camo_library: CamouflageLibrary,
-    max_depth: int,
-    padding_net: Optional[str],
-) -> TreeCover:
-    """Cover a single tree (top-level so worker processes can pickle it)."""
-    return cover_tree(
-        netlist,
-        tree,
-        select_nets,
-        camo_library,
-        max_depth=max_depth,
-        padding_net=padding_net,
-    )
 
 
 @dataclass
@@ -97,14 +76,13 @@ class CamouflagedMapping:
             configuration.set(instance_name, by_select[local])
         return configuration
 
-    def realised_lookup_tables(self, jobs: int = 1) -> List[List[int]]:
+    def realised_lookup_tables(self) -> List[List[int]]:
         """Lookup table realised by every select configuration (packed sweep).
 
         Entry ``s`` equals ``extract_function(netlist, cell_functions=
         configuration_for_select(s).as_cell_functions()).lookup_table()`` but
         the whole select space is swept word-parallel — one pass when the
-        combined width fits, select-dimension shards over the worker pool
-        (``jobs``) otherwise.  Tables are identical for every ``jobs`` value.
+        combined width fits, one pass per block of select words otherwise.
         """
         from ..camo.config import sweep_configurations
 
@@ -113,7 +91,6 @@ class CamouflagedMapping:
             self.select_order,
             self.instance_selects,
             self.instance_configs,
-            jobs=jobs,
         )
 
     def plausible_functions_of(self, instance_name: str) -> Tuple[TruthTable, ...]:
@@ -132,15 +109,8 @@ def camouflage_map(
     camo_library: Optional[CamouflageLibrary] = None,
     max_depth: int = 2,
     name: Optional[str] = None,
-    jobs: int = 1,
 ) -> CamouflagedMapping:
-    """Map a synthesised merged netlist onto camouflaged cells (Phase III).
-
-    Tree covers are independent of one another, so with ``jobs > 1`` the
-    per-tree dynamic programming fans out over the shared
-    :mod:`repro.parallel` worker pool; results are assembled in tree order,
-    so the mapping is identical for every ``jobs`` value.
-    """
+    """Map a synthesised merged netlist onto camouflaged cells (Phase III)."""
     camo_library = camo_library or default_camouflage_library(synthesized.library)
     select_set = set(select_nets)
     missing = [net for net in select_nets if net not in synthesized.primary_inputs]
@@ -150,19 +120,17 @@ def camouflage_map(
     data_inputs = [net for net in synthesized.primary_inputs if net not in select_set]
     padding_net = data_inputs[0] if data_inputs else None
 
-    trees = decompose_into_trees(synthesized)
-    covers: List[TreeCover] = parallel_map(
-        partial(
-            _cover_one_tree,
-            netlist=synthesized,
-            select_nets=list(select_nets),
-            camo_library=camo_library,
+    covers: List[TreeCover] = [
+        cover_tree(
+            synthesized,
+            tree,
+            select_nets,
+            camo_library,
             max_depth=max_depth,
             padding_net=padding_net,
-        ),
-        trees,
-        jobs=jobs,
-    )
+        )
+        for tree in decompose_into_trees(synthesized)
+    ]
 
     mapped_library = camo_library.as_cell_library(include=synthesized.library)
     result = Netlist(name or f"{synthesized.name}_camo", mapped_library)

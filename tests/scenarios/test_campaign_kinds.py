@@ -1,5 +1,6 @@
 """Tests for the adversary-side and windowed campaign job kinds."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,28 @@ class TestAdversaryJobKinds:
         assert default.job_id == "attack_PRESENT_x2"
         assert default.ok and under_variable.ok
         assert under_variable.payload == default.payload
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CampaignSpec.attacks([("PRESENT", 2)], population=4, generations=1),
+            CampaignSpec.adversary([("PRESENT", 2)], random_camo=False),
+        ],
+        ids=["attack", "decamouflage"],
+    )
+    def test_payload_identical_across_jobs(self, monkeypatch, spec):
+        """A single-job campaign hands its job every worker (task_jobs=2),
+        so the job's GA runs on a real pool; the payload must not change.
+        Four CPUs are reported so the pool forks on any host."""
+        import repro.parallel as parallel_module
+
+        monkeypatch.setattr(parallel_module, "available_cpus", lambda: 4)
+        payloads = []
+        for jobs in (1, 2):
+            (result,) = run_campaign(spec, jobs=jobs).results
+            assert result.ok
+            payloads.append(json.dumps(result.payload, sort_keys=True))
+        assert payloads[1] == payloads[0]
 
     def test_random_camo_job_runs(self):
         spec = CampaignSpec.adversary(

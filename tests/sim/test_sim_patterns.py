@@ -49,6 +49,13 @@ class TestPatternBatch:
         with pytest.raises(ValueError):
             PatternBatch.from_words(2, [])
 
+    def test_zero_input_batches_survive(self):
+        # 0-input workloads must not crash any constructor.
+        exhaustive = PatternBatch.exhaustive(0)
+        assert exhaustive.num_patterns == 1
+        randomized = PatternBatch.random(0, 5, seed=1)
+        assert randomized.words() == [0] * 5
+
 
 class TestRandomPatternSource:
     def test_stream_is_deterministic(self):
@@ -68,6 +75,11 @@ class TestRandomPatternSource:
         source = RandomPatternSource(1)
         words = source.words(3, 100, distinct=True)
         assert sorted(words) == list(range(8))
+
+    def test_zero_input_random_source(self):
+        source = RandomPatternSource(3)
+        assert source.words(0, 4) == [0, 0, 0, 0]
+        assert source.words(0, 4, distinct=True) == [0]
 
 
 class TestReplayBuffer:

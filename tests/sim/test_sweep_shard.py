@@ -1,10 +1,10 @@
-"""Tests for the select-dimension sharding of the camouflage sweep.
+"""Tests for the select-block loop of the camouflage sweep.
 
-The historical ``sweep_select_space`` refused combined (data + select)
-widths beyond ``SWEEP_WIDTH_LIMIT``.  It now shards the select dimension
-into blocks that fit the packed width and fans them over the worker pool;
-these tests pin that the sharded path is bit-identical to the single-pass
-path by shrinking the limit so both are cheap to compute.
+Beyond ``SWEEP_WIDTH_LIMIT`` combined (data + select) variables,
+``sweep_select_space`` splits the select dimension into blocks that fit
+the packed width, one packed pass each.  These tests pin that the block
+loop is bit-identical to the single pass by shrinking the limit so both
+are cheap to compute.
 """
 
 import pytest
@@ -14,7 +14,6 @@ from repro.camo.config import sweep_configurations
 from repro.merge.merged import merge_functions
 from repro.sboxes.optimal4 import optimal_sboxes
 from repro.sim.engine import sweep_select_space
-from repro.sim.shard import sharded_sweep_select_space
 from repro.synth.script import synthesize
 from repro.techmap.mapper import camouflage_map
 
@@ -30,24 +29,8 @@ def mapping_and_width():
 
 
 class TestShardedSweep:
-    def test_sharded_matches_single_pass(self, mapping_and_width):
-        mapping, _ = mapping_and_width
-        reference = sweep_select_space(
-            mapping.netlist,
-            mapping.select_order,
-            mapping.instance_selects,
-            mapping.instance_configs,
-        )
-        sharded = sharded_sweep_select_space(
-            mapping.netlist,
-            mapping.select_order,
-            mapping.instance_selects,
-            mapping.instance_configs,
-        )
-        assert sharded == reference
-
     def test_width_limit_lifted(self, mapping_and_width, monkeypatch):
-        """Widths beyond the packed limit now shard instead of raising."""
+        """Widths beyond the packed limit run in blocks instead of raising."""
         mapping, _ = mapping_and_width
         reference = sweep_select_space(
             mapping.netlist,
@@ -56,17 +39,15 @@ class TestShardedSweep:
             mapping.instance_configs,
         )
         # Shrink the limit below the real combined width (4 data + selects):
-        # the sweep must transparently fall over to select-block sharding.
+        # the sweep must transparently fall over to select blocks.
         monkeypatch.setattr(engine, "SWEEP_WIDTH_LIMIT", 4)
-        for jobs in (1, 2):
-            sharded = sweep_select_space(
-                mapping.netlist,
-                mapping.select_order,
-                mapping.instance_selects,
-                mapping.instance_configs,
-                jobs=jobs,
-            )
-            assert sharded == reference
+        blocked = sweep_select_space(
+            mapping.netlist,
+            mapping.select_order,
+            mapping.instance_selects,
+            mapping.instance_configs,
+        )
+        assert blocked == reference
 
     def test_data_width_beyond_limit_still_raises(
         self, mapping_and_width, monkeypatch
@@ -90,7 +71,6 @@ class TestShardedSweep:
             mapping.select_order,
             mapping.instance_selects,
             mapping.instance_configs,
-            jobs=2,
         )
         assert tables == reference
         # And the realised tables still match each configured extraction.

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -41,6 +43,25 @@ def _kill_worker_always(value):
     if value == 3:
         os.kill(os.getpid(), signal.SIGKILL)
     return value * value
+
+
+def _executor_failing_submit(fail_on_call):
+    """A ``ProcessPoolExecutor`` whose ``fail_on_call``-th ``submit`` raises.
+
+    Calls are counted over every instance, so respawned pools share the
+    count.  ``submit`` raises ``BrokenProcessPool`` on a real pool once one
+    of its workers has died; this makes that race deterministic.
+    """
+    calls = [0]
+
+    class FailingSubmitExecutor(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            calls[0] += 1
+            if calls[0] == fail_on_call:
+                raise BrokenProcessPool("a worker died before this submit")
+            return super().submit(*args, **kwargs)
+
+    return FailingSubmitExecutor
 
 
 class TestResolveJobs:
@@ -202,6 +223,35 @@ class TestWorkerSupervision:
             with pytest.raises(WorkerCrashed) as excinfo:
                 pool.map([3, 1, 2, 4])
         assert excinfo.value.item_index is not None
+
+    def test_broken_first_submission_is_respawned(self, monkeypatch):
+        # The second submit of a fresh batch finds the pool broken: the
+        # item must be resubmitted to a respawned pool, not leak
+        # BrokenProcessPool to the caller.
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", _executor_failing_submit(2)
+        )
+        with WorkerPool(_square, jobs=2, oversubscribe=True) as pool:
+            assert pool.map([1, 2, 3, 4]) == [1, 4, 9, 16]
+            assert pool.worker_crashes == 1
+            assert pool.pool_restarts == 1
+
+    def test_broken_resubmission_follows_the_blame_rule(self, tmp_path, monkeypatch):
+        # Six submits fill the first pool, and item 3 kills a worker.  The
+        # first resubmission to the respawned pool then finds it broken too:
+        # the blamed item was in flight across two crashes, so supervision
+        # raises WorkerCrashed instead of leaking BrokenProcessPool.
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", _executor_failing_submit(7)
+        )
+        marker = str(tmp_path / "killed.marker")
+        items = [(value, marker) for value in range(6)]
+        with WorkerPool(_kill_worker_once, jobs=2, oversubscribe=True) as pool:
+            with pytest.raises(WorkerCrashed) as excinfo:
+                pool.map(items)
+            assert pool.worker_crashes == 2
+            assert pool.pool_restarts == 1
+        assert excinfo.value.item_index in range(4)
 
     def test_restart_budget_is_per_batch(self, tmp_path):
         # A recovered crash in one batch must not eat into the budget of
