@@ -18,7 +18,7 @@ The class offers:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..logic.boolfunc import BoolFunction
 from ..logic.truthtable import TruthTable
@@ -361,26 +361,51 @@ class Aig:
     # Compaction
     # ------------------------------------------------------------------ #
     def compact(self, name: Optional[str] = None) -> "Aig":
-        """Return a copy containing only the logic reachable from the outputs."""
-        result = Aig(name or self.name)
-        mapping: Dict[int, int] = {0: FALSE_LIT}
-        for index, node in enumerate(self._input_nodes):
-            mapping[node] = result.add_input(self._input_names[index])
-        live = set(self.live_nodes())
-        for node in range(1, self.num_nodes):
-            if self._is_input[node] or node not in live:
-                continue
-            f0 = self._map_literal(self._fanin0[node], mapping)
-            f1 = self._map_literal(self._fanin1[node], mapping)
-            mapping[node] = result.and_(f0, f1)
-        for literal, name_ in zip(self._outputs, self._output_names):
-            result.add_output(self._map_literal(literal, mapping), name_)
-        return result
+        """Return a copy containing only the logic reachable from the outputs.
 
-    @staticmethod
-    def _map_literal(literal: int, mapping: Dict[int, int]) -> int:
-        mapped = mapping[node_of(literal)]
-        return negate(mapped) if is_complemented(literal) else mapped
+        Every input comes first, then the live AND nodes in their order.  The
+        nodes are copied, not rebuilt through :meth:`and_`: since only
+        ``and_`` adds AND nodes, none has a constant, repeated or
+        complementary fanin, nor the fanin pair of another, and an injective
+        renumbering keeps that true.  Each pair is re-sorted, because an
+        input added after an AND node moves in front of it.
+        """
+        fanins0, fanins1, is_input = self._fanin0, self._fanin1, self._is_input
+        live = [False] * len(fanins0)
+        stack = [literal >> 1 for literal in self._outputs]
+        while stack:
+            node = stack.pop()
+            if live[node]:
+                continue
+            live[node] = True
+            if node and not is_input[node]:
+                stack.append(fanins0[node] >> 1)
+                stack.append(fanins1[node] >> 1)
+        result = Aig(name or self.name)
+        # Old node -> its literal in ``result``; the constant node stays 0.
+        mapping = [FALSE_LIT] * len(fanins0)
+        for node, input_name in zip(self._input_nodes, self._input_names):
+            mapping[node] = result.add_input(input_name)
+        new_fanins0, new_fanins1 = result._fanin0, result._fanin1
+        new_is_input, new_strash = result._is_input, result._strash
+        for node in range(1, len(fanins0)):
+            if not live[node] or is_input[node]:
+                continue
+            fanin0 = fanins0[node]
+            fanin1 = fanins1[node]
+            a = mapping[fanin0 >> 1] | (fanin0 & 1)
+            b = mapping[fanin1 >> 1] | (fanin1 & 1)
+            if a > b:
+                a, b = b, a
+            new_node = len(new_fanins0)
+            new_fanins0.append(a)
+            new_fanins1.append(b)
+            new_is_input.append(False)
+            new_strash[(a, b)] = new_node
+            mapping[node] = new_node << 1
+        for literal, output_name in zip(self._outputs, self._output_names):
+            result.add_output(mapping[literal >> 1] | (literal & 1), output_name)
+        return result
 
     def __repr__(self) -> str:
         return (

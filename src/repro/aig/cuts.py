@@ -6,9 +6,11 @@ can be expressed over the leaves alone.  The module also provides the cut
 function computation and the maximum-fanout-free-cone (MFFC) size used to
 estimate the gain of replacing a cone.
 
-Cut functions are simulated afresh on every call, in one post-order walk
-over packed integers.  A cut-bounded cone has only a handful of AND nodes,
-so the walk costs no more than building a structural cache key would.
+The enumerator computes each kept cut's function and cone size bottom-up,
+from the two fanin cuts it was merged from, as priority-cut mappers do
+(Mishchenko et al., ICCAD'07).  The few cuts for which that would differ
+from a walk of the cone bounded by the leaves take the walk instead, which
+:func:`simulate_cone` also runs for a single cut.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .aig import Aig, node_of
 
 __all__ = [
     "enumerate_cuts",
-    "enumerate_cut_leaves",
+    "enumerate_cut_tables",
     "simulate_cone",
     "cut_function",
     "mffc_size",
@@ -30,6 +32,11 @@ __all__ = [
 ]
 
 Cut = FrozenSet[int]
+
+#: A cut with its function: ``(leaves, bits, cone_ands)``, the sorted leaf
+#: ids, the packed truth table of the node over them (leaf ``i`` is variable
+#: ``i``) and the number of AND nodes in the cone they bound.
+CutTable = Tuple[Tuple[int, ...], int, int]
 
 
 def enumerate_cuts(
@@ -42,15 +49,18 @@ def enumerate_cuts(
     always the first element.
     """
     return {
-        node: [frozenset(leaves) for leaves in node_cuts]
-        for node, node_cuts in enumerate_cut_leaves(aig, max_leaves, max_cuts_per_node).items()
+        node: [frozenset(leaves) for leaves, _, _ in node_cuts]
+        for node, node_cuts in enumerate_cut_tables(aig, max_leaves, max_cuts_per_node).items()
     }
 
 
-def enumerate_cut_leaves(
+def enumerate_cut_tables(
     aig: Aig, max_leaves: int = 4, max_cuts_per_node: int = 8
-) -> Dict[int, List[Tuple[int, ...]]]:
-    """The cuts of :func:`enumerate_cuts`, each as its sorted tuple of leaf ids.
+) -> Dict[int, List[CutTable]]:
+    """The cuts of :func:`enumerate_cuts`, each with its function and cone size.
+
+    Every cut is a :data:`CutTable`, equal to ``(leaves,) +
+    simulate_cone(aig, node, leaves)``.
 
     Cuts are merged as bit masks over node ids, one cut of each fanin at a
     time (fanin0-major).  A merge is rejected when it has too many leaves or
@@ -58,21 +68,39 @@ def enumerate_cut_leaves(
     rejected, because the accepted list only grows, so each mask is tried
     once.  The trivial cut comes first, then the smallest others by
     ``(size, sorted leaves)``.
+
+    A kept cut's table is the AND of the tables of the two fanin cuts that
+    first produced it, each re-expressed over the merged leaves and
+    complemented with its fanin literal.  Its cone is theirs plus the node.
+    When a leaf of one side lies inside the other side's cone, the cone walk
+    stops at that leaf, so such a cut takes the walk.
     """
     fanins0, fanins1, is_input = aig.node_arrays()
+    stretched_tables = _STRETCHED_TABLES
+    cuts: Dict[int, List[CutTable]] = {}
     masks: Dict[int, List[int]] = {}
-    cuts: Dict[int, List[Tuple[int, ...]]] = {}
+    # The AND nodes of each cut's cone, as a bit mask over node ids.
+    cones: Dict[int, List[int]] = {}
     for node in range(1, aig.num_nodes):
         trivial = 1 << node
+        # The trivial cut: the projection of the node itself, with no cone.
+        node_cuts: List[CutTable] = [((node,), 0b10, 0)]
+        node_masks = [trivial]
+        node_cones = [0]
+        cuts[node] = node_cuts
+        masks[node] = node_masks
+        cones[node] = node_cones
         if is_input[node]:
-            masks[node] = [trivial]
-            cuts[node] = [(node,)]
             continue
-        masks1 = masks[fanins1[node] >> 1]
+        fanin0 = fanins0[node]
+        fanin1 = fanins1[node]
+        masks0 = masks[fanin0 >> 1]
+        masks1 = masks[fanin1 >> 1]
         tried = set()
         accepted: List[int] = []
-        for mask0 in masks[fanins0[node] >> 1]:
-            for mask1 in masks1:
+        sources: List[Tuple[int, int]] = []
+        for index0, mask0 in enumerate(masks0):
+            for index1, mask1 in enumerate(masks1):
                 merged = mask0 | mask1
                 if merged in tried:
                     continue
@@ -84,10 +112,52 @@ def enumerate_cut_leaves(
                         break
                 else:
                     accepted.append(merged)
-        ranked = sorted((mask.bit_count(), _leaves_of(mask), mask) for mask in accepted)
-        ranked = ranked[: max_cuts_per_node - 1]
-        masks[node] = [trivial] + [mask for _, _, mask in ranked]
-        cuts[node] = [(node,)] + [leaves for _, leaves, _ in ranked]
+                    sources.append((index0, index1))
+        ranked = sorted(
+            (mask.bit_count(), _leaves_of(mask), index) for index, mask in enumerate(accepted)
+        )
+        cuts0 = cuts[fanin0 >> 1]
+        cuts1 = cuts[fanin1 >> 1]
+        cones0 = cones[fanin0 >> 1]
+        cones1 = cones[fanin1 >> 1]
+        for size, leaves, index in ranked[: max_cuts_per_node - 1]:
+            index0, index1 = sources[index]
+            mask0 = masks0[index0]
+            mask1 = masks1[index1]
+            cone0 = cones0[index0]
+            cone1 = cones1[index1]
+            if cone0 & mask1 or cone1 & mask0:
+                values = _cone_values(aig, node, leaves)
+                bits = values[node]
+                cone = 0
+                for cone_node in values:
+                    cone |= 1 << cone_node
+                cone ^= accepted[index]
+            else:
+                positions0 = positions1 = 0
+                for position, leaf in enumerate(leaves):
+                    if mask0 >> leaf & 1:
+                        positions0 |= 1 << position
+                    if mask1 >> leaf & 1:
+                        positions1 |= 1 << position
+                key0 = (cuts0[index0][1], positions0, size)
+                bits0 = stretched_tables.get(key0)
+                if bits0 is None:
+                    bits0 = _stretch_table(*key0)
+                key1 = (cuts1[index1][1], positions1, size)
+                bits1 = stretched_tables.get(key1)
+                if bits1 is None:
+                    bits1 = _stretch_table(*key1)
+                full = (1 << (1 << size)) - 1
+                if fanin0 & 1:
+                    bits0 ^= full
+                if fanin1 & 1:
+                    bits1 ^= full
+                bits = bits0 & bits1
+                cone = cone0 | cone1 | trivial
+            node_cuts.append((leaves, bits, cone.bit_count()))
+            node_masks.append(accepted[index])
+            node_cones.append(cone)
     return cuts
 
 
@@ -99,6 +169,32 @@ def _leaves_of(mask: int) -> Tuple[int, ...]:
         leaves.append(lowest.bit_length() - 1)
         mask ^= lowest
     return tuple(leaves)
+
+
+#: (bits, positions, width) -> the table re-expressed over ``width`` leaves.
+#: The tables of small cuts recur across every rewrite call, so the memo is
+#: process-wide; the bound keeps memory in check at wide leaf limits.
+_STRETCHED_TABLES: Dict[Tuple[int, int, int], int] = {}
+_STRETCHED_TABLES_LIMIT = 1 << 16
+
+
+def _stretch_table(bits: int, positions: int, width: int) -> int:
+    """Re-express a packed table over ``width`` variables, and memoise it.
+
+    Variable ``i`` of ``bits`` becomes the ``i``-th set bit of ``positions``;
+    the result does not depend on the other variables.
+    """
+    variables = [var for var in range(width) if positions >> var & 1]
+    stretched = 0
+    for row in range(1 << width):
+        index = 0
+        for bit, var in enumerate(variables):
+            index |= (row >> var & 1) << bit
+        stretched |= (bits >> index & 1) << row
+    if len(_STRETCHED_TABLES) >= _STRETCHED_TABLES_LIMIT:
+        _STRETCHED_TABLES.clear()
+    _STRETCHED_TABLES[(bits, positions, width)] = stretched
+    return stretched
 
 
 @lru_cache(maxsize=16)
@@ -115,6 +211,12 @@ def simulate_cone(aig: Aig, root: int, leaves: Sequence[int]) -> Tuple[int, int]
     Raises :class:`ValueError` when a node that is not an AND node is
     reachable from ``root`` without passing through a leaf.
     """
+    values = _cone_values(aig, root, leaves)
+    return values[root], len(values) - len(leaves)
+
+
+def _cone_values(aig: Aig, root: int, leaves: Sequence[int]) -> Dict[int, int]:
+    """The packed table of every leaf and every AND node in the cone of ``root``."""
     num_vars = len(leaves)
     mask = mask_for(num_vars)
     values: Dict[int, int] = dict(zip(leaves, _projections(num_vars)))
@@ -144,7 +246,7 @@ def simulate_cone(aig: Aig, root: int, leaves: Sequence[int]) -> Tuple[int, int]
         if fanin1 & 1:
             value1 ^= mask
         values[node] = value0 & value1
-    return values[root], len(values) - num_vars
+    return values
 
 
 def cut_function(aig: Aig, root: int, cut: Cut) -> Tuple[TruthTable, List[int]]:
@@ -210,7 +312,7 @@ def collect_cone_cut(aig: Aig, root: int, max_leaves: int) -> Cut:
         if not expandable:
             break
         progressed = False
-        # Expand the leaf whose expansion keeps the cut smallest.
+        # Expand the highest-id leaf whose expansion stays within the limit.
         expandable.sort(key=lambda leaf: leaf, reverse=True)
         for leaf in expandable:
             fanin0, fanin1 = aig.fanins(leaf)

@@ -20,15 +20,18 @@ from typing import Dict, List, Optional, Tuple
 from ..logic.expr import Expression
 from ..logic.factoring import factor_table
 from ..logic.truthtable import TruthTable
-from .aig import FALSE_LIT, TRUE_LIT, Aig, is_complemented, negate, node_of
+from .aig import FALSE_LIT, Aig, is_complemented, negate, node_of
 from .build import build_expression
-from .cuts import collect_cone_cut, enumerate_cut_leaves, mffc_size, simulate_cone
+from .cuts import CutTable, collect_cone_cut, enumerate_cut_tables, mffc_size, simulate_cone
 
 __all__ = ["balance", "rewrite", "refactor", "strash", "apply_pass", "known_passes"]
 
 
 def strash(aig: Aig) -> Aig:
-    """Re-hash the AIG (removes dead and duplicate nodes)."""
+    """Compact the AIG: drop the nodes no output reaches.
+
+    Structural hashing at construction already keeps duplicate nodes out.
+    """
     return aig.compact()
 
 
@@ -150,7 +153,7 @@ def rewrite(
     zero_gain: bool = False,
 ) -> Aig:
     """Cut-based resynthesis (the ABC ``rewrite`` analogue)."""
-    cuts = enumerate_cut_leaves(aig, max_leaves=max_leaves, max_cuts_per_node=max_cuts_per_node)
+    cuts = enumerate_cut_tables(aig, max_leaves=max_leaves, max_cuts_per_node=max_cuts_per_node)
     plans = _plan_replacements(aig, cuts, zero_gain)
     return _rebuild(aig, plans)
 
@@ -161,10 +164,10 @@ def refactor(
     zero_gain: bool = False,
 ) -> Aig:
     """Cone-based resynthesis (the ABC ``refactor`` analogue)."""
-    cone_cuts = {
-        node: [tuple(sorted(collect_cone_cut(aig, node, max_leaves)))]
-        for node in aig.and_nodes()
-    }
+    cone_cuts: Dict[int, List[CutTable]] = {}
+    for node in aig.and_nodes():
+        leaves = tuple(sorted(collect_cone_cut(aig, node, max_leaves)))
+        cone_cuts[node] = [(leaves,) + simulate_cone(aig, node, leaves)]
     plans = _plan_replacements(aig, cone_cuts, zero_gain)
     return _rebuild(aig, plans)
 
@@ -190,13 +193,14 @@ _PASS_REGISTRY = {
 
 def _plan_replacements(
     aig: Aig,
-    cuts: Dict[int, List[Tuple[int, ...]]],
+    cuts: Dict[int, List[CutTable]],
     zero_gain: bool,
 ) -> Dict[int, Tuple[Expression, Tuple[int, ...]]]:
     """Select, per node, the best resynthesis (if any improves on the MFFC).
 
-    Each cut is its sorted tuple of leaf ids; leaf ``i`` is variable ``i``
-    of the resynthesised expression.
+    Each cut is ``(leaves, bits, cone_ands)`` as
+    :func:`~repro.aig.cuts.enumerate_cut_tables` gives it; leaf ``i`` is
+    variable ``i`` of the resynthesised expression.
     """
     resynthesizer = _Resynthesizer()
     reference = aig.reference_counts()
@@ -205,10 +209,9 @@ def _plan_replacements(
     for node in aig.and_nodes():
         best_gain = minimum_gain - 1
         best_plan: Optional[Tuple[Expression, Tuple[int, ...]]] = None
-        for leaves in cuts.get(node, []):
+        for leaves, bits, cone_ands in cuts.get(node, []):
             if len(leaves) < 2 or node in leaves:
                 continue
-            bits, cone_ands = simulate_cone(aig, node, leaves)
             expression, cost = resynthesizer.factored_form(len(leaves), bits)
             # The MFFC lies inside the cut-bounded cone, so a cut whose whole
             # cone cannot beat the best gain is skipped before the MFFC walk.

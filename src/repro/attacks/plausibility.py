@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..logic.boolfunc import BoolFunction
 from ..merge.merged import MergedDesign
 from ..sat.equivalence import check_netlist_function
 from ..techmap.mapper import CamouflagedMapping

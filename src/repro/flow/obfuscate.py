@@ -9,7 +9,7 @@ plausibility report).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from ..attacks.plausibility import PlausibilityReport, verify_viable_functions

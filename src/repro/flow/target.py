@@ -26,12 +26,11 @@ from ..camo.library import CamouflageLibrary, default_camouflage_library
 from ..ga.engine import GAParameters
 from ..logic.boolfunc import BoolFunction
 from ..logic.truthtable import TruthTable
-from ..netlist.library import CellLibrary, standard_cell_library
+from ..netlist.library import CellLibrary
 from ..netlist.netlist import Netlist
 from ..netlist.window import (
     StitchedNetlist,
     Window,
-    WindowError,
     WindowingStrategy,
     extract_windows,
     stitch_windows,

@@ -21,9 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..camo.config import CircuitConfiguration
 from ..camo.library import CamouflageLibrary, default_camouflage_library
 from ..logic.truthtable import TruthTable
-from ..netlist.library import CellLibrary
 from ..netlist.netlist import Netlist
-from .cover import CoverError, CoveredCell, TreeCover, cover_tree
+from .cover import TreeCover, cover_tree
 from .trees import decompose_into_trees
 
 __all__ = ["CamouflagedMapping", "camouflage_map"]

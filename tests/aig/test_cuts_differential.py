@@ -6,8 +6,9 @@ the rewrite pass consumes: merge as the union of one cut per fanin
 or one that an earlier accepted cut is a subset of, then rank by
 ``(size, sorted leaves)`` and keep the trivial cut plus the first
 ``max_cuts_per_node - 1``.  ``enumerate_cuts`` must return the same cuts in
-the same order for every node, and ``enumerate_cut_leaves`` the same cuts
-as sorted leaf tuples.
+the same order for every node, and ``enumerate_cut_tables`` the same cuts
+as sorted leaf tuples, each with the table and cone size that
+``simulate_cone`` gives for it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig import Aig, aig_from_tables, balance, enumerate_cuts, rewrite
-from repro.aig.cuts import enumerate_cut_leaves
-from repro.aig.aig import node_of
+from repro.aig import cuts as cuts_module
+from repro.aig.aig import negate, node_of
+from repro.aig.cuts import enumerate_cut_tables, simulate_cone
 from repro.logic import TruthTable
 
 Cut = FrozenSet[int]
@@ -79,6 +81,38 @@ def test_enumerate_cuts_matches_reference(aig):
     for max_leaves, max_cuts_per_node in LIMITS:
         expected = reference_cuts(aig, max_leaves, max_cuts_per_node)
         assert enumerate_cuts(aig, max_leaves, max_cuts_per_node) == expected
-        assert enumerate_cut_leaves(aig, max_leaves, max_cuts_per_node) == {
-            node: [tuple(sorted(cut)) for cut in cuts] for node, cuts in expected.items()
-        }
+        cut_tables = enumerate_cut_tables(aig, max_leaves, max_cuts_per_node)
+        assert {
+            node: [leaves for leaves, _, _ in node_cuts] for node, node_cuts in cut_tables.items()
+        } == {node: [tuple(sorted(cut)) for cut in cuts] for node, cuts in expected.items()}
+        for node, node_cuts in cut_tables.items():
+            for leaves, bits, cone_ands in node_cuts:
+                assert (bits, cone_ands) == simulate_cone(aig, node, leaves)
+
+
+def test_leaf_inside_other_fanin_cone_takes_the_cone_walk(monkeypatch):
+    """z = ~x & y with x = a & b and y = b & ~x.
+
+    z's cut {a, b, x} first arises from x's trivial cut and y's cut {a, b},
+    whose cone holds the leaf x.  The walk stops at x, so z is b & ~x over
+    the cut, with 2 AND nodes, not the merge's b & ~a & ~x with 3.
+    """
+    aig = Aig("overlap")
+    a = aig.add_input("a")
+    b = aig.add_input("b")
+    x = aig.and_(a, b)
+    y = aig.and_(b, negate(x))
+    z = aig.and_(negate(x), y)
+    aig.add_output(z)
+    walks = []
+    cone_values = cuts_module._cone_values
+
+    def recording_cone_values(aig, root, leaves):
+        walks.append((root, tuple(leaves)))
+        return cone_values(aig, root, leaves)
+
+    monkeypatch.setattr(cuts_module, "_cone_values", recording_cone_values)
+    cut_tables = enumerate_cut_tables(aig)
+    leaves = tuple(sorted({node_of(a), node_of(b), node_of(x)}))
+    assert walks == [(node_of(z), leaves)]
+    assert (leaves, 0b00001100, 2) in cut_tables[node_of(z)]
