@@ -3,8 +3,8 @@
 A green tier-1 run must mean the tests ran.  The only tests under
 ``tests/`` that may skip are those of the native-backend harness in
 ``tests/native/``, which need the optional compiled extension; any other
-skipped test fails the session.  Benchmarks (``benchmarks/``) are not
-covered: they skip rows that a profile does not include.
+skipped test fails the session.  The guard files in ``benchmarks/`` are
+not covered: ``bench_backend.py`` skips when the extension is not built.
 """
 
 from __future__ import annotations

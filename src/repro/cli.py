@@ -188,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
             "family (PRESENT, DES, AES, RANDOM, ...) as a campaign of jobs, "
             "executed over worker processes with resumable on-disk state: "
             "rerunning with the same --state-dir skips every job that "
-            "already completed.  Results are written as JSON/CSV artifacts "
-            "compatible with benchmarks/bench_diff.py."
+            "already completed.  Results are written as JSON/CSV artifacts; "
+            "--bench-dir also writes the header of the --json artifact alone."
         ),
     )
     campaign_parser.add_argument(
@@ -770,7 +770,18 @@ def _command_campaign(args: argparse.Namespace) -> int:
     )
     for path in written:
         print(f"wrote {path}")
-    return 1 if outcome.failed else 0
+    # A row whose circuit lost a viable function still finishes "ok"; fresh
+    # and cached rows both record the verdict in their payload.
+    unverified = [
+        result.job_id
+        for result in outcome.results
+        if result.kind == "table1_row"
+        and result.ok
+        and not result.payload.get("verification_ok", True)
+    ]
+    if unverified:
+        print(f"verification failed: {', '.join(unverified)}")
+    return 1 if outcome.failed or unverified else 0
 
 
 def _submit_campaign(args: argparse.Namespace, spec) -> int:

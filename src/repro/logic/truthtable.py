@@ -229,7 +229,7 @@ class TruthTable:
         """
         if not 0 <= var < self._num_vars:
             raise ValueError(f"variable index {var} out of range")
-        pattern = variable_pattern(var, self._num_vars)
+        pattern = TruthTable.variable(var, self._num_vars)._bits
         if value:
             kept = self._bits & pattern
             shifted = kept >> (1 << var)

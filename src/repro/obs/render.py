@@ -2,9 +2,7 @@
 
 Consumes the merged records of :func:`repro.obs.trace.load_trace` and
 produces the ``repro trace`` CLI surfaces.  The SVG timeline is
-stdlib-only and follows the visual idiom of ``benchmarks/bench_diff.py
---plot`` (same surface/grid/ink palette, rounded bars, escaped text) so
-the repo's plots read as one family.
+stdlib-only: a surface/grid/ink palette, rounded bars and escaped text.
 """
 
 from __future__ import annotations

@@ -18,9 +18,10 @@ Three properties the ad-hoc sweep loops did not have:
   with a fingerprint of its parameters; a rerun skips jobs whose state file
   matches and only executes what is missing, so an interrupted campaign
   completes from where it stopped instead of recomputing finished rows.
-* **Artifact emission** — results render to CSV and to a ``BENCH_*.json``
-  payload compatible with ``benchmarks/bench_diff.py``, so campaign timings
-  plug into the existing trajectory tooling.
+* **Artifact emission** — results render to CSV and to JSON; the header
+  of the ``--json`` artifact (campaign counts, per-job seconds, merged
+  telemetry, robustness counters) is also written alone as
+  ``BENCH_campaign_<name>.json``.
 
 Seeding discipline is inherited from the harnesses: every job is seeded
 independently, so results are bit-identical for any ``jobs`` value and any
@@ -693,8 +694,9 @@ class CampaignSpec:
         the byte-identical default — and keeps job fingerprints compatible
         with specs built before the strategy layer existed).
         ``probe_hardness`` runs a bounded oracle-guided attack on each
-        finished window and records its work counters in the job telemetry; ``hardness`` feeds such measurements (window
-        index -> score, e.g. from
+        finished window and records its work counters in the job
+        telemetry; ``hardness`` feeds such measurements (window index ->
+        score, e.g. from
         :func:`repro.telemetry.window_hardness_from_payloads`) back in to
         weight the per-window decoy budgets.
         """
@@ -860,13 +862,13 @@ class CampaignResult:
     # Artifacts
     # -------------------------------------------------------------- #
     def bench_payload(self) -> Dict[str, Any]:
-        """A ``BENCH_*.json``-style payload (``bench_diff.py`` compatible).
+        """The header of the ``--json`` artifact, also written alone as
+        ``BENCH_campaign_<name>.json``.
 
-        ``total_seconds`` / ``mean_seconds`` are the timing keys the diff
-        tool enforces thresholds on.  They sum the *recorded per-job*
+        ``total_seconds`` / ``mean_seconds`` sum the *recorded per-job*
         seconds over every completed job — cached jobs contribute the
-        seconds persisted when they actually ran — so the metric measures
-        the campaign's compute cost and stays comparable between fresh and
+        seconds persisted when they actually ran — so they measure the
+        campaign's compute cost and stay comparable between fresh and
         partially-cached invocations.  The wall clock of this invocation is
         reported separately (``wall_seconds``, informational).
         """
@@ -896,8 +898,8 @@ class CampaignResult:
 
         Counters sum across jobs scope by scope, so the campaign-level
         record answers "how much work did this campaign do" (solver
-        conflicts, synthesis passes, attack queries, ...) and lands in
-        ``BENCH_*.json`` where ``bench_diff.py`` can diff it run to run.
+        conflicts, synthesis passes, attack queries, ...) and is the
+        ``"telemetry"`` key of the ``--json`` artifact's header.
         """
         records = [
             RunTelemetry.from_dict(result.payload["telemetry"])

@@ -2,13 +2,16 @@
 
 These use a deliberately tiny profile so the whole module runs in tens of
 seconds while still exercising the real GA + random search + technology
-mapping pipeline and checking the *shape* of the paper's results.
+mapping pipeline and checking the *shape* of the paper's results.  Two
+Figure 4 cases run the quick profile at seed 11: the random areas must
+spread, and the GA must end within 5% of the best random assignment.
 """
 
 import pytest
 
 from repro.evaluation import (
     PRESENT_FAMILY,
+    get_profile,
     run_figure4a,
     run_figure4b,
     run_table1,
@@ -127,3 +130,20 @@ class TestFigure4:
         crossover = data.crossover_generation()
         if data.ga_beats_best_random:
             assert crossover is not None
+
+    def test_figure4a_quick_profile_spread(self):
+        data = run_figure4a(profile=get_profile("quick"), seed=11)
+        assert len(data.areas) >= 2
+        assert sum(count for _, count in data.histogram) == len(data.areas)
+        assert data.best <= data.average <= data.worst
+        # The figure must show an actual spread, or Phase II would be pointless.
+        assert data.worst > data.best
+
+    def test_figure4b_quick_profile_ga_reaches_random_best(self):
+        profile = get_profile("quick")
+        data = run_figure4b(profile=profile, seed=11)
+        assert len(data.generations) == profile.ga_generations + 1
+        assert all(b <= a for a, b in zip(data.best_so_far, data.best_so_far[1:]))
+        assert data.random_best <= data.random_average
+        # The paper's Fig. 4b claim on the quick profile's budget.
+        assert data.best_so_far[-1] <= data.random_best * 1.05

@@ -8,6 +8,7 @@ discard results instead of double-writing, and the artifacts a service
 campaign produces are byte-identical to a local run of the same spec.
 """
 
+import dataclasses
 import http.client
 import json
 import os
@@ -17,6 +18,8 @@ from urllib.parse import urlsplit
 
 import pytest
 
+from repro.evaluation.workloads import get_profile
+from repro.ga.pinopt import CACHE_DIR_ENV_VAR
 from repro.jobstore import JobStore, RetryPolicy
 from repro.sat.solver import BUDGET_ENV_VAR, SolveBudget, SolveBudgetExceeded
 from repro.scenarios.campaign import (
@@ -25,6 +28,7 @@ from repro.scenarios.campaign import (
     CampaignSpec,
     run_campaign,
 )
+from repro.service.cache import CACHE_URL_ENV_VAR, RemoteCacheTier
 from repro.service.client import ServiceClient
 from repro.service.protocol import (
     ServiceError,
@@ -237,6 +241,39 @@ class TestWorkerExecution:
                     if record.get("status") == "ok"
                 ]
                 assert len(finished) == 1, (job.job_id, records)
+
+    def test_fresh_worker_reads_syntheses_from_a_warm_coordinator(
+        self, tmp_path, monkeypatch
+    ):
+        """The fleet-shared cache tier saves a new worker synthesis calls.
+
+        One worker runs a Table I row against a cold coordinator cache;
+        then a worker with an empty local tier runs the same row at another
+        seed.  Its remote-cache hits ride its job uploads into the
+        campaign's robustness counters, and the coordinator must have
+        served at least that many.
+        """
+        monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
+        profile = dataclasses.replace(
+            get_profile("quick"), ga_population=4, ga_generations=1
+        )
+        with ServiceThread(root=str(tmp_path), poll=0.02) as service:
+            monkeypatch.setenv(CACHE_URL_ENV_VAR, service.url)
+            client = ServiceClient(service.url)
+            for seed in (1, 2):
+                # A new worker process starts with an empty local tier.
+                monkeypatch.setitem(
+                    RemoteCacheTier._SHARED, service.url, RemoteCacheTier(service.url)
+                )
+                spec = CampaignSpec.table1(
+                    profile, [("PRESENT", 2)], seed=seed, name=f"cache_{seed}"
+                )
+                campaign_id = client.submit(spec.to_dict())["campaign"]
+                run_worker(service.url, campaign=campaign_id, remote_cache=True)
+            robustness = client.status(campaign_id)["robustness"]
+            hits = robustness.get("remote_cache_hits", 0)
+            assert hits > 0, robustness
+            assert client.cache_stats()["get_hits"] >= hits
 
     def test_transient_failure_retries_over_http(self, tmp_path):
         marker = tmp_path / "flaky.marker"

@@ -186,3 +186,36 @@ class TestCommands:
         captured = capsys.readouterr()
         assert "cached (state matches)" in captured.out
         assert "1 cached" in captured.out
+
+    def test_campaign_exits_1_when_a_row_fails_verification(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import dataclasses
+
+        import repro.evaluation.table1 as table1
+
+        run_entry = table1.run_table1_entry
+        monkeypatch.setattr(
+            table1,
+            "run_table1_entry",
+            lambda *args, **kwargs: dataclasses.replace(
+                run_entry(*args, **kwargs), verification_ok=False
+            ),
+        )
+        argv = [
+            "campaign",
+            "--workload", "PRESENT:2",
+            "--population", "4",
+            "--generations", "1",
+            "--state-dir", str(tmp_path / "state"),
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "1/1 jobs complete" in captured.out
+        assert "verification failed: table1_PRESENT_x2" in captured.out
+        # The cached row keeps its verdict.
+        monkeypatch.undo()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "cached (state matches)" in captured.out
+        assert "verification failed: table1_PRESENT_x2" in captured.out
