@@ -19,8 +19,8 @@ The package is organised as a small EDA flow:
   S-box workloads;
 * :mod:`repro.scenarios` -- the workload registry (pluggable families) and
   the resumable campaign runner;
-* :mod:`repro.telemetry` -- the unified run-telemetry record every layer's
-  counters flow into (and the windowing strategy reads back from);
+* :mod:`repro.telemetry` -- the unified run-telemetry record that carries
+  every layer's counters across processes and files;
 * :mod:`repro.flow`, :mod:`repro.evaluation` -- the end-to-end obfuscation flow
   and the Table I / Figure 4 experiment harnesses.
 """

@@ -238,10 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument("--windowing", choices=list(WINDOWING_NAMES),
                                  default="",
                                  help="window partition strategy (--blif mode)")
-    campaign_parser.add_argument("--probe-hardness", action="store_true",
-                                 help="probe each finished window with a bounded "
-                                      "oracle-guided attack and record its work "
-                                      "counters in the job telemetry (--blif mode)")
     campaign_parser.add_argument("--lease-ttl", type=float, default=0.0,
                                  help="job-lease time-to-live in seconds for shared "
                                       "--state-dir campaigns (default 60; heartbeats "
@@ -360,6 +356,28 @@ def _reject_flags(args: argparse.Namespace, mode: str, flags: Sequence[str]) -> 
             raise SystemExit(f"{mode} does not support {flag}")
 
 
+def _checked_ga_parameters(
+    population: int, generations: int, seed: int, decoys: int = 0
+) -> GAParameters:
+    """The GA parameters a command will run, or an argument error.
+
+    Built before any job starts, so that an impossible population or a
+    negative ``--decoys`` exits with one line instead of a traceback or a
+    campaign of permanently failed jobs.
+    """
+    if decoys < 0:
+        raise SystemExit(f"--decoys must be at least 0, got {decoys}")
+    try:
+        return GAParameters(
+            population_size=population, generations=generations, seed=seed
+        )
+    except ValueError as exc:
+        raise SystemExit(
+            f"invalid GA parameters (population {population}, "
+            f"generations {generations}): {exc}"
+        ) from exc
+
+
 def _command_obfuscate(args: argparse.Namespace) -> int:
     if args.blif_in:
         _reject_flags(args, "obfuscate --blif-in", ("--family", "--count", "--report"))
@@ -370,10 +388,8 @@ def _command_obfuscate(args: argparse.Namespace) -> int:
         ("--max-window-inputs", "--decoys", "--attack", "--attack-queries",
          "--presample", "--sat-check", "--windowing"),
     )
+    parameters = _checked_ga_parameters(args.population, args.generations, args.seed)
     functions = workload_functions(args.family, args.count)
-    parameters = GAParameters(
-        population_size=args.population, generations=args.generations, seed=args.seed
-    )
     result = obfuscate(
         functions,
         ga_parameters=parameters,
@@ -398,18 +414,17 @@ def _command_obfuscate_windowed(args: argparse.Namespace) -> int:
     """Windowed mode of the ``obfuscate`` command (BLIF in, stitched out)."""
     from .attacks.oracle_guided import attack_windowed
     from .flow.target import obfuscate_netlist
-    from .ga.engine import GAParameters
     from .netlist.blif import read_blif
     from .netlist.library import standard_cell_library
 
+    parameters = _checked_ga_parameters(
+        args.population, args.generations, args.seed, decoys=args.decoys
+    )
     with open(args.blif_in, "r", encoding="utf-8") as handle:
         netlist = read_blif(handle.read(), standard_cell_library())
     print(
         f"windowed obfuscation of {netlist.name!r}: "
         f"{len(netlist.primary_inputs)} inputs, {netlist.num_instances()} cells"
-    )
-    parameters = GAParameters(
-        population_size=args.population, generations=args.generations, seed=args.seed
     )
     result = obfuscate_netlist(
         netlist,
@@ -494,10 +509,8 @@ def _command_figure4(args: argparse.Namespace) -> int:
 
 
 def _command_attack(args: argparse.Namespace) -> int:
+    parameters = _checked_ga_parameters(args.population, args.generations, seed=1)
     functions = workload_functions(args.family, args.count)
-    parameters = GAParameters(
-        population_size=args.population, generations=args.generations, seed=1
-    )
     result = obfuscate(functions, ga_parameters=parameters)
     print(result.summary())
     print()
@@ -658,7 +671,7 @@ def _command_campaign(args: argparse.Namespace) -> int:
     _reject_flags(
         args,
         "campaign without --blif",
-        ("--max-window-inputs", "--decoys", "--windowing", "--probe-hardness"),
+        ("--max-window-inputs", "--decoys", "--windowing"),
     )
 
     profile = get_workload_profile(args.profile)
@@ -669,6 +682,7 @@ def _command_campaign(args: argparse.Namespace) -> int:
         overrides["ga_generations"] = args.generations
     if overrides:
         profile = dataclasses.replace(profile, **overrides)
+    _checked_ga_parameters(profile.ga_population, profile.ga_generations, args.seed)
 
     if args.workload:
         families = [_parse_workload_selector(selector) for selector in args.workload]
@@ -996,17 +1010,19 @@ def _command_campaign_windowed(args: argparse.Namespace) -> int:
     """``campaign --blif``: windowed obfuscation with resumable window jobs."""
     from .scenarios.campaign import CampaignSpec, run_windowed_campaign
 
+    parameters = _checked_ga_parameters(
+        args.population or 4, args.generations or 2, args.seed, decoys=args.decoys
+    )
     spec = CampaignSpec.windowed(
         args.blif,
         max_window_inputs=args.max_window_inputs,
         decoys=args.decoys,
         seed=args.seed,
-        population=args.population or 4,
-        generations=args.generations or 2,
+        population=parameters.population_size,
+        generations=parameters.generations,
         verify=not args.no_verify,
         name=args.name,
         windowing=args.windowing or None,
-        probe_hardness=args.probe_hardness,
     )
     from .obs.log import get_logger
 

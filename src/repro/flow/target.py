@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..camo.library import CamouflageLibrary, default_camouflage_library
 from ..ga.engine import GAParameters
@@ -31,7 +31,6 @@ from ..netlist.netlist import Netlist
 from ..netlist.window import (
     StitchedNetlist,
     Window,
-    WindowingStrategy,
     extract_windows,
     stitch_windows,
     window_subnetlist,
@@ -44,7 +43,6 @@ __all__ = [
     "WindowedVerification",
     "WindowedObfuscationResult",
     "decoy_functions",
-    "decoy_budgets",
     "obfuscate_window",
     "obfuscate_netlist",
     "assemble_windowed_result",
@@ -114,60 +112,6 @@ def decoy_functions(
     return decoys
 
 
-def decoy_budgets(
-    windows: Sequence[Window],
-    decoys_per_window: int,
-    hardness: Optional[Mapping[int, float]] = None,
-) -> Dict[int, int]:
-    """Distribute the total decoy budget over windows, hardness-weighted.
-
-    The total budget is ``decoys_per_window * len(windows)`` — the same
-    spend as the uniform historic allocation.  Without hardness measurements
-    every window gets exactly ``decoys_per_window`` (the historic split).
-    With measurements (window index -> attack-hardness score: DIP counts
-    plus solver conflicts from previous campaign telemetry), the budget is
-    weighted *inversely* to hardness: a window the attack cracked cheaply is
-    under-protected and receives more decoys, a window that already cost the
-    attacker dearly needs fewer.  Unmeasured windows weigh as the median
-    measured hardness.  Integerisation is by deterministic largest
-    remainder, ties broken by window index.
-    """
-    if decoys_per_window < 0:
-        raise ValueError("decoys_per_window must be non-negative")
-    if not windows:
-        return {}
-    budgets = {window.index: decoys_per_window for window in windows}
-    if not hardness or decoys_per_window == 0:
-        return budgets
-    scores = sorted(
-        float(hardness[window.index])
-        for window in windows
-        if window.index in hardness
-    )
-    if not scores:
-        return budgets
-    median = scores[len(scores) // 2]
-    weights = {
-        window.index: 1.0
-        / (1.0 + max(float(hardness.get(window.index, median)), 0.0))
-        for window in windows
-    }
-    total_budget = decoys_per_window * len(windows)
-    total_weight = sum(weights.values())
-    shares = {
-        index: total_budget * weight / total_weight
-        for index, weight in weights.items()
-    }
-    budgets = {index: int(share) for index, share in shares.items()}
-    leftover = total_budget - sum(budgets.values())
-    by_remainder = sorted(
-        shares, key=lambda index: (-(shares[index] - int(shares[index])), index)
-    )
-    for index in by_remainder[:leftover]:
-        budgets[index] += 1
-    return budgets
-
-
 @dataclass
 class WindowRecord:
     """The obfuscation outcome of one window.
@@ -177,15 +121,13 @@ class WindowRecord:
     instances to the configured functions realising the window's *true*
     function (select word 0 — the window function is viable function 0 and
     the first function's pin view is pinned to identity).  ``telemetry``
-    carries per-window measurements (synthesis counters; attack-hardness
-    probe results under the ``window`` scope when the probe ran).
+    carries per-window counters under the ``window`` scope.
     """
 
     window: Window
     netlist: Netlist
     true_configuration: Dict[str, TruthTable]
     num_viable: int
-    seed: int
     synthesized_area: float = 0.0
     camouflaged_area: float = 0.0
     verification_ok: bool = True
@@ -204,8 +146,6 @@ def obfuscate_window(
     final_effort: str = SynthesisEffort.FAST,
     verify: bool = True,
     jobs: int = 1,
-    probe_hardness: bool = False,
-    probe_queries: int = 64,
 ) -> WindowRecord:
     """Run the full Phase I–III flow on one window subnetlist.
 
@@ -215,12 +155,6 @@ def obfuscate_window(
     select word 0 realises the window function exactly, and
     ``true_configuration`` captures that configuration of the camouflaged
     cells.
-
-    With ``probe_hardness`` the camouflaged window is additionally attacked
-    with the oracle-guided DIP attack (cheap: windows are exhaustively
-    simulable) and the measured cost — oracle queries and solver conflicts —
-    is recorded in the record's telemetry under the ``window`` scope.  Those
-    measurements are what :func:`decoy_budgets` consumes on the next run.
     """
     from ..sim.engine import NetlistSimulator
     from .obfuscate import obfuscate, obfuscate_with_assignment
@@ -255,33 +189,11 @@ def obfuscate_window(
     telemetry = RunTelemetry(label=f"window{window.index}")
     telemetry.record("window", "num_viable", len(viable))
     telemetry.record("window", "decoys", decoys)
-    if probe_hardness:
-        from ..attacks.oracle_guided import attack_netlist
-
-        plausible = {
-            name: list(result.mapping.plausible_functions_of(name))
-            for name in result.mapping.camouflaged_instances()
-        }
-        outcome = attack_netlist(
-            result.netlist,
-            plausible,
-            true_configuration,
-            max_queries=probe_queries,
-            verify_samples=0,
-        )
-        telemetry.record("window", "attack_queries", outcome.num_queries)
-        telemetry.record(
-            "window",
-            "solver_conflicts",
-            int(outcome.solver_stats.get("conflicts", 0)),
-        )
-        telemetry.record("window", "attack_success", int(bool(outcome.success)))
     return WindowRecord(
         window=window,
         netlist=result.netlist,
         true_configuration=true_configuration,
         num_viable=len(viable),
-        seed=seed,
         synthesized_area=result.synthesized_area,
         camouflaged_area=result.camouflaged_area,
         # A skipped check is not a failed one: the skip-verify path returns
@@ -302,7 +214,6 @@ def _obfuscate_window_task(task: Tuple) -> WindowRecord:
         fitness_effort,
         final_effort,
         verify,
-        probe_hardness,
     ) = task
     return obfuscate_window(
         subnetlist,
@@ -313,7 +224,6 @@ def _obfuscate_window_task(task: Tuple) -> WindowRecord:
         fitness_effort=fitness_effort,
         final_effort=final_effort,
         verify=verify,
-        probe_hardness=probe_hardness,
     )
 
 
@@ -496,9 +406,7 @@ def obfuscate_netlist(
     sat_check: Optional[bool] = None,
     jobs: int = 1,
     progress: Optional[Callable[[str], None]] = None,
-    windowing: Union[None, str, WindowingStrategy] = None,
-    hardness: Optional[Mapping[int, float]] = None,
-    probe_hardness: bool = False,
+    windowing: Optional[str] = None,
 ) -> WindowedObfuscationResult:
     """Obfuscate a wide netlist window-by-window and stitch the result.
 
@@ -507,12 +415,9 @@ def obfuscate_netlist(
     are identical for every ``jobs`` value (windows are seeded
     independently, deterministically).
 
-    ``windowing`` selects the clustering strategy (default: the historic
-    levelized greedy).  ``hardness`` (window index -> measured attack
-    hardness, e.g. from :func:`repro.telemetry.window_hardness_from_payloads`)
-    redistributes the decoy budget via :func:`decoy_budgets`;
-    ``probe_hardness`` measures each window's hardness during this run so
-    the *next* run can consume it.
+    ``windowing`` names the window partition (``greedy`` by default, or
+    ``hardness``; see :func:`repro.netlist.window.extract_windows`).  Every
+    window gets ``decoys_per_window`` decoy viable functions.
     """
     from ..parallel import parallel_map
 
@@ -525,18 +430,16 @@ def obfuscate_netlist(
         f"windowing {netlist.name}: {len(windows)} windows over "
         f"{netlist.num_instances()} cells"
     )
-    budgets = decoy_budgets(windows, decoys_per_window, hardness)
     tasks = [
         (
             window_subnetlist(netlist, window),
             window,
-            budgets[window.index],
+            decoys_per_window,
             seed + window.index,
             ga_parameters,
             fitness_effort,
             final_effort,
             verify,
-            probe_hardness,
         )
         for window in windows
     ]

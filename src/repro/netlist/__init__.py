@@ -8,24 +8,16 @@ from .validate import assert_valid, validate_netlist
 from .verilog import sanitize_identifier, write_verilog
 from .window import (
     WINDOWING_NAMES,
-    LevelizedGreedy,
-    MinCutSeeded,
     Window,
     WindowError,
-    WindowingStrategy,
     extract_windows,
-    resolve_windowing,
     stitch_windows,
 )
 
 __all__ = [
     "Window",
     "WindowError",
-    "WindowingStrategy",
-    "LevelizedGreedy",
-    "MinCutSeeded",
     "WINDOWING_NAMES",
-    "resolve_windowing",
     "extract_windows",
     "stitch_windows",
     "CellType",

@@ -22,7 +22,10 @@ closed windows, or members of the open window — and (b) the window's
 reconvergence-aware part), and a window's inputs can only come from earlier
 windows, so replacing each window with an arbitrary pin-compatible black box
 can never create a combinational cycle.  The partition is total and a pure,
-deterministic function of the netlist and the bounds.
+deterministic function of the netlist, the bounds and the partition name:
+``hardness`` (min-cut windowing) cuts each window back to the prefix with
+the narrowest boundary late in its growth, which gives more, smaller
+windows.
 
 :func:`stitch_windows` is the inverse: given one replacement netlist per
 window (pin-compatible: replacement primary input ``k`` corresponds to
@@ -34,9 +37,8 @@ per-window cell configurations can be carried over to the stitched whole.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .library import CellLibrary
 from .netlist import CONST0_NET, CONST1_NET, Instance, Netlist, NetlistError
@@ -45,18 +47,14 @@ __all__ = [
     "Window",
     "WindowError",
     "StitchedNetlist",
-    "WindowingStrategy",
-    "LevelizedGreedy",
-    "MinCutSeeded",
     "WINDOWING_NAMES",
-    "resolve_windowing",
     "extract_windows",
     "window_subnetlist",
     "window_function",
     "stitch_windows",
 ]
 
-#: Strategy names accepted by :func:`resolve_windowing` and ``--windowing``.
+#: Partition names accepted by :func:`extract_windows` and ``--windowing``.
 WINDOWING_NAMES = ("greedy", "hardness")
 
 _CONST_NETS = (CONST0_NET, CONST1_NET)
@@ -98,196 +96,70 @@ class Window:
         return len(self.instance_names)
 
 
-class WindowingStrategy(ABC):
-    """Strategy partitioning a netlist's instances into window member lists.
+def _partition(
+    netlist: Netlist,
+    order: Sequence[Instance],
+    max_inputs: int,
+    max_instances: int,
+    min_cut: bool,
+) -> List[List[str]]:
+    """Partition the instances into ordered window member lists.
 
-    ``partition`` receives the netlist, its topological instance order and
-    the bounds, and returns the member-name lists, one per window, in window
-    order.  Every strategy must honour the two invariants the stitching
-    machinery relies on — the partition is *total* (every instance in exactly
-    one window) and *levelized* (window ``k``'s members read only primary
-    inputs, constants, outputs of windows ``< k``, or fellow members).
-    :func:`extract_windows` re-validates both, so a buggy strategy fails
-    loudly instead of producing a cyclic stitch.
+    Each window sweeps the unassigned instances in topological order and
+    greedily absorbs an instance when all its fanins are available and the
+    boundary stays within ``max_inputs``.  With ``min_cut`` the window is
+    then cut back to the latest minimum-boundary prefix in the second half
+    of its growth; a prefix of a valid absorb sequence is itself valid, so
+    the levelized invariant holds either way.  The next window starts from
+    the instances not kept.
     """
-
-    #: Registry name; also the value accepted by ``--windowing``.
-    name: str = ""
-
-    @abstractmethod
-    def partition(
-        self,
-        netlist: Netlist,
-        order: Sequence[Instance],
-        max_inputs: int,
-        max_instances: int,
-    ) -> List[List[str]]:
-        """Partition the instances into ordered window member lists."""
-
-
-class LevelizedGreedy(WindowingStrategy):
-    """The historic levelized greedy clustering, bit-identical default.
-
-    Sweeps the instances in topological order and greedily absorbs each
-    instance into the currently open window when all its fanins are available
-    and the boundary stays within ``max_inputs``; deferred instances seed the
-    following windows.
-    """
-
-    name = "greedy"
-
-    def partition(
-        self,
-        netlist: Netlist,
-        order: Sequence[Instance],
-        max_inputs: int,
-        max_instances: int,
-    ) -> List[List[str]]:
-        available: Set[str] = set(netlist.primary_inputs) | set(_CONST_NETS)
-        remaining: List[Instance] = list(order)
-        member_lists: List[List[str]] = []
-        while remaining:
-            members: List[str] = []
-            member_outputs: Set[str] = set()
-            boundary: Set[str] = set()
-            leftover: List[Instance] = []
-            for instance in remaining:
-                if len(members) >= max_instances:
-                    leftover.append(instance)
-                    continue
-                inputs = set(instance.inputs)
-                if not inputs <= (available | member_outputs):
-                    # Some fanin is neither closed-window output nor a member:
-                    # joining now would let this window's (densified)
-                    # replacement depend on a later window.  Defer it.
-                    leftover.append(instance)
-                    continue
-                external = {
-                    net
-                    for net in inputs
-                    if net not in member_outputs and net not in _CONST_NETS
-                }
-                if len(boundary | external) > max_inputs:
-                    leftover.append(instance)
-                    continue
-                members.append(instance.name)
-                member_outputs.add(instance.output)
-                boundary |= external
-            # Progress is guaranteed: the first remaining instance always has
-            # all fanins available (its producers precede it in topological
-            # order, so an unassigned producer would itself be first).
-            if not members:
-                raise WindowError(
-                    "window extraction failed to make progress (inconsistent "
-                    "netlist topological order)"
-                )
-            member_lists.append(members)
-            available |= member_outputs
-            remaining = leftover
-        return member_lists
-
-
-class MinCutSeeded(WindowingStrategy):
-    """Hardness-aware clustering: close windows at min-cut boundaries.
-
-    Windows grow exactly like :class:`LevelizedGreedy`, but the boundary size
-    is recorded after every absorption and, at close time, the membership is
-    truncated back to the latest minimum-boundary position in the second half
-    of the growth sequence.  A truncation to a prefix of a valid absorb
-    sequence is itself valid (every kept member's fanins were available or
-    produced by earlier kept members), so the levelized invariant holds by
-    construction.  Smaller boundaries mean fewer shared nets between windows
-    — the min-cut seeds — which concentrates each window's function behind a
-    narrow interface and is where decoy budget weighting (driven by measured
-    per-window attack hardness, see ``repro.flow.target.decoy_budgets``) pays
-    off most.
-    """
-
-    name = "hardness"
-
-    def partition(
-        self,
-        netlist: Netlist,
-        order: Sequence[Instance],
-        max_inputs: int,
-        max_instances: int,
-    ) -> List[List[str]]:
-        available: Set[str] = set(netlist.primary_inputs) | set(_CONST_NETS)
-        remaining: List[Instance] = list(order)
-        member_lists: List[List[str]] = []
-        while remaining:
-            members: List[str] = []
-            member_outputs: Set[str] = set()
-            boundary: Set[str] = set()
-            boundary_history: List[int] = []
-            for instance in remaining:
-                if len(members) >= max_instances:
-                    continue
-                inputs = set(instance.inputs)
-                if not inputs <= (available | member_outputs):
-                    continue
-                external = {
-                    net
-                    for net in inputs
-                    if net not in member_outputs and net not in _CONST_NETS
-                }
-                if len(boundary | external) > max_inputs:
-                    continue
-                members.append(instance.name)
-                member_outputs.add(instance.output)
-                boundary |= external
-                boundary_history.append(len(boundary))
-            if not members:
-                raise WindowError(
-                    "window extraction failed to make progress (inconsistent "
-                    "netlist topological order)"
-                )
-            # Min-cut seeding: keep the longest prefix ending at the latest
-            # minimum-boundary position within the second half of the growth.
-            lo = (len(members) + 1) // 2
-            best_position = lo
-            for position in range(lo, len(members) + 1):
-                if boundary_history[position - 1] <= boundary_history[best_position - 1]:
-                    best_position = position
-            kept = members[:best_position]
-            kept_set = set(kept)
-            available |= {
-                netlist.instance(name).output for name in kept
+    available: Set[str] = set(netlist.primary_inputs) | set(_CONST_NETS)
+    remaining: List[Instance] = list(order)
+    member_lists: List[List[str]] = []
+    while remaining:
+        members: List[str] = []
+        member_outputs: Set[str] = set()
+        boundary: Set[str] = set()
+        boundary_sizes: List[int] = []
+        for instance in remaining:
+            if len(members) >= max_instances:
+                break
+            inputs = set(instance.inputs)
+            if not inputs <= (available | member_outputs):
+                # Some fanin is neither closed-window output nor a member:
+                # joining now would let this window's (densified)
+                # replacement depend on a later window.  Defer it.
+                continue
+            external = {
+                net
+                for net in inputs
+                if net not in member_outputs and net not in _CONST_NETS
             }
-            member_lists.append(kept)
-            remaining = [
-                instance for instance in remaining if instance.name not in kept_set
-            ]
-        return member_lists
-
-
-_WINDOWING_REGISTRY = {
-    LevelizedGreedy.name: LevelizedGreedy,
-    MinCutSeeded.name: MinCutSeeded,
-}
-
-
-def resolve_windowing(
-    strategy: Union[None, str, WindowingStrategy] = None,
-) -> WindowingStrategy:
-    """Resolve a windowing argument to a strategy instance.
-
-    ``strategy`` may be a :class:`WindowingStrategy` (returned as-is), a name
-    from :data:`WINDOWING_NAMES`, or ``None`` for ``greedy``.  Strategies
-    are plumbed through worker-pool boundaries by name, so campaign specs
-    stay picklable, and no environment variable picks one: a job
-    fingerprint records only the name the spec was built with.
-    """
-    if isinstance(strategy, WindowingStrategy):
-        return strategy
-    name = strategy or "greedy"
-    try:
-        return _WINDOWING_REGISTRY[name]()
-    except KeyError:
-        raise WindowError(
-            f"unknown windowing strategy {name!r}; expected one of "
-            f"{sorted(_WINDOWING_REGISTRY)}"
-        ) from None
+            if len(boundary | external) > max_inputs:
+                continue
+            members.append(instance.name)
+            member_outputs.add(instance.output)
+            boundary |= external
+            boundary_sizes.append(len(boundary))
+        # Progress is guaranteed: the first remaining instance always has
+        # all fanins available (its producers precede it in topological
+        # order, so an unassigned producer would itself be first).
+        if not members:
+            raise WindowError(
+                "window extraction failed to make progress (inconsistent "
+                "netlist topological order)"
+            )
+        if min_cut:
+            keep = (len(members) + 1) // 2
+            for position in range(keep, len(members) + 1):
+                if boundary_sizes[position - 1] <= boundary_sizes[keep - 1]:
+                    keep = position
+            members = members[:keep]
+        member_lists.append(members)
+        available.update(netlist.instance(name).output for name in members)
+        kept = set(members)
+        remaining = [instance for instance in remaining if instance.name not in kept]
+    return member_lists
 
 
 def _validate_partition(
@@ -295,12 +167,11 @@ def _validate_partition(
     order: Sequence[Instance],
     member_lists: Sequence[Sequence[str]],
 ) -> None:
-    """Check the strategy invariants: total partition, levelized windows."""
+    """Check the partition invariants: total partition, levelized windows."""
     flattened = [name for members in member_lists for name in members]
     if sorted(flattened) != sorted(instance.name for instance in order):
         raise WindowError(
-            "windowing strategy produced a non-total partition (instances "
-            "missing or duplicated)"
+            "window partition is not total (instances missing or duplicated)"
         )
     available: Set[str] = set(netlist.primary_inputs) | set(_CONST_NETS)
     for ordinal, members in enumerate(member_lists):
@@ -308,7 +179,7 @@ def _validate_partition(
         for name in members:
             if not set(netlist.instance(name).inputs) <= (available | outputs):
                 raise WindowError(
-                    f"windowing strategy violated the levelized invariant: "
+                    f"window partition violates the levelized invariant: "
                     f"instance {name!r} in window {ordinal} reads a net "
                     f"driven by a later window"
                 )
@@ -319,20 +190,31 @@ def extract_windows(
     netlist: Netlist,
     max_inputs: int = 8,
     max_instances: int = 48,
-    strategy: Union[None, str, WindowingStrategy] = None,
+    strategy: Optional[str] = None,
 ) -> List[Window]:
     """Partition every instance of ``netlist`` into bounded-input windows.
 
+    ``strategy`` is a name from :data:`WINDOWING_NAMES`: ``greedy`` (the
+    default, also for ``None``) keeps every window as the absorb loop grew
+    it, and ``hardness`` cuts each window back to a minimum-boundary prefix
+    (see :func:`_partition`).  Names cross worker-pool boundaries, and a job
+    fingerprint records the name its spec was built with.
+
     Deterministic: the result depends only on the netlist, the bounds and
-    the chosen strategy (default: :class:`LevelizedGreedy`, bit-identical to
-    the historic behaviour).  ``max_inputs`` must be at least the widest cell
-    arity in use (a single instance must always fit a window of its own).
+    the name.  ``max_inputs`` must be at least the widest cell arity in use
+    (a single instance must always fit a window of its own).
     The window sequence is levelized — window ``k`` reads only primary
     inputs and outputs of windows ``< k`` — so any pin-compatible
     replacement of every window stitches back without creating a
     combinational cycle, even if the replacement structurally connects all
     of its outputs to all of its inputs.
     """
+    name = strategy or "greedy"
+    if name not in WINDOWING_NAMES:
+        raise WindowError(
+            f"unknown windowing strategy {name!r}; expected one of "
+            f"{list(WINDOWING_NAMES)}"
+        )
     if max_inputs < 1:
         raise WindowError("max_inputs must be at least 1")
     if max_instances < 1:
@@ -346,8 +228,9 @@ def extract_windows(
                 f"than max_inputs={max_inputs}; no window can contain it"
             )
 
-    chosen = resolve_windowing(strategy)
-    member_lists = chosen.partition(netlist, order, max_inputs, max_instances)
+    member_lists = _partition(
+        netlist, order, max_inputs, max_instances, min_cut=name == "hardness"
+    )
     _validate_partition(netlist, order, member_lists)
 
     # Second pass: boundary bookkeeping per window, in deterministic order.

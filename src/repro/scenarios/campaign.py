@@ -337,6 +337,18 @@ def _run_random_camo(params: Dict[str, Any], task_jobs: int) -> Tuple[Any, dict]
     return experiment, payload
 
 
+#: Window-job params of deleted mechanisms, each with the only value the
+#: code still runs: the pass scheduler, the per-window attack probe and the
+#: hardness-weighted decoy budgets.  A spec that names another value was
+#: built for a run this code cannot reproduce, so it must not store uniform
+#: results under that spec's fingerprint.
+_RETIRED_WINDOW_PARAMS: Dict[str, Any] = {
+    "scheduler": "fixed",
+    "probe_hardness": False,
+    "hardness": {},
+}
+
+
 def _run_window_obfuscate(params: Dict[str, Any], task_jobs: int) -> Tuple[Any, dict]:
     """Obfuscate one window of a BLIF circuit (resumable windowed pipeline).
 
@@ -347,11 +359,18 @@ def _run_window_obfuscate(params: Dict[str, Any], task_jobs: int) -> Tuple[Any, 
     serialised true configuration — so a resumed campaign can stitch
     without re-running finished windows.
     """
-    from ..flow.target import decoy_budgets, obfuscate_window
+    from ..flow.target import obfuscate_window
     from ..ga.engine import GAParameters
     from ..netlist.blif import write_blif
     from ..netlist.window import extract_windows, window_subnetlist
 
+    for name, runs in _RETIRED_WINDOW_PARAMS.items():
+        value = params.get(name, runs)
+        if value != runs:
+            raise CampaignError(
+                f"{params['path']}: window param {name!r} is {value!r}, but "
+                f"only {runs!r} still runs — rebuild the campaign spec"
+            )
     netlist = _read_blif_workload(params["path"])
     windows = extract_windows(
         netlist,
@@ -366,16 +385,6 @@ def _run_window_obfuscate(params: Dict[str, Any], task_jobs: int) -> Tuple[Any, 
             f"but the spec was built for {expected}; the BLIF changed — "
             f"rebuild the campaign spec"
         )
-    # Specs built while synthesis had a second pass scheduler may still
-    # name it; running them on the one fixed pass loop would store fixed
-    # results under their fingerprint.
-    scheduler = params.get("scheduler", "fixed")
-    if scheduler != "fixed":
-        raise CampaignError(
-            f"{params['path']}: window param 'scheduler' is {scheduler!r}, but "
-            f"synthesis runs only the fixed pass sequence — rebuild the "
-            f"campaign spec"
-        )
     index = int(params["index"])
     if not 0 <= index < len(windows):
         raise CampaignError(f"window index {index} out of range")
@@ -385,24 +394,16 @@ def _run_window_obfuscate(params: Dict[str, Any], task_jobs: int) -> Tuple[Any, 
         generations=int(params.get("generations", 2)),
         seed=int(params.get("seed", 1)),
     )
-    hardness_param = params.get("hardness")
-    hardness = (
-        {int(key): float(value) for key, value in hardness_param.items()}
-        if hardness_param
-        else None
-    )
-    budgets = decoy_budgets(windows, int(params.get("decoys", 1)), hardness)
     record = obfuscate_window(
         window_subnetlist(netlist, window),
         window,
-        decoys=budgets[window.index],
+        decoys=int(params.get("decoys", 1)),
         seed=int(params.get("seed", 1)) + window.index,
         ga_parameters=parameters,
         fitness_effort=params.get("fitness_effort", "fast"),
         final_effort=params.get("final_effort", "fast"),
         verify=bool(params.get("verify", True)),
         jobs=task_jobs,
-        probe_hardness=bool(params.get("probe_hardness", False)),
     )
     payload = {
         "index": window.index,
@@ -504,7 +505,6 @@ def window_record_from_payload(payload: Dict[str, Any], window) -> "object":
         netlist=netlist,
         true_configuration=true_configuration,
         num_viable=int(payload.get("num_viable", 1)),
-        seed=0,
         synthesized_area=float(payload.get("synthesized_area", 0.0)),
         camouflaged_area=float(payload.get("camouflaged_area", 0.0)),
         verification_ok=bool(payload.get("verification_ok", True)),
@@ -680,8 +680,6 @@ class CampaignSpec:
         verify: bool = True,
         name: Optional[str] = None,
         windowing: Optional[str] = None,
-        probe_hardness: bool = False,
-        hardness: Optional[Dict[int, float]] = None,
     ) -> "CampaignSpec":
         """One ``window_obfuscate`` job per window of a BLIF circuit.
 
@@ -690,15 +688,9 @@ class CampaignSpec:
         count is baked into the params so a changed BLIF fails loudly
         instead of stitching stale windows.
 
-        ``windowing`` picks the windowing strategy by name (``None`` keeps
-        the byte-identical default — and keeps job fingerprints compatible
-        with specs built before the strategy layer existed).
-        ``probe_hardness`` runs a bounded oracle-guided attack on each
-        finished window and records its work counters in the job
-        telemetry; ``hardness`` feeds such measurements (window index ->
-        score, e.g. from
-        :func:`repro.telemetry.window_hardness_from_payloads`) back in to
-        weight the per-window decoy budgets.
+        ``windowing`` names the window partition (``None`` keeps the
+        greedy default and leaves the name out of the params, so job
+        fingerprints match specs built before ``hardness`` existed).
         """
         from ..netlist.window import extract_windows
 
@@ -722,12 +714,6 @@ class CampaignSpec:
         }
         if windowing is not None:
             common["windowing"] = windowing
-        if probe_hardness:
-            common["probe_hardness"] = True
-        if hardness:
-            common["hardness"] = {
-                str(index): float(score) for index, score in hardness.items()
-            }
         jobs = [
             CampaignJob(
                 job_id=f"window_{window.index:03d}",

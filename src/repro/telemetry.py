@@ -18,20 +18,14 @@ consumer needs are provided once:
   ``BENCH_*.json`` artifacts,
 * ``iter_counters`` for the flat view the service's metrics registry
   absorbs from uploaded job payloads.
-
-The windowing strategy reads its measurement feedback (per-window attack
-hardness) from persisted records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
-__all__ = [
-    "RunTelemetry",
-    "window_hardness_from_payloads",
-]
+__all__ = ["RunTelemetry"]
 
 Number = float
 
@@ -137,29 +131,3 @@ class RunTelemetry:
             f"counters={total})"
         )
 
-
-def window_hardness_from_payloads(
-    payloads: Iterable[Mapping[str, Any]],
-) -> Dict[int, float]:
-    """Extract per-window attack-hardness scores from campaign job payloads.
-
-    Accepts the JSON payload dicts persisted for ``window_obfuscate`` jobs and
-    returns ``window index -> hardness``, where hardness is the sum of the
-    DIP-query and solver-conflict counters measured when attacking that
-    window.  Windows without telemetry are skipped; callers treat missing
-    entries as "no measurement" and fall back to uniform budgets.
-    """
-    hardness: Dict[int, float] = {}
-    for payload in payloads:
-        if not isinstance(payload, Mapping) or "index" not in payload:
-            continue
-        telemetry = payload.get("telemetry")
-        if not isinstance(telemetry, Mapping):
-            continue
-        record = RunTelemetry.from_dict(telemetry)
-        score = record.get("window", "attack_queries") + record.get(
-            "window", "solver_conflicts"
-        )
-        if score > 0:
-            hardness[int(payload["index"])] = float(score)
-    return hardness

@@ -227,23 +227,35 @@ class TestWindowedCampaign:
             stitched.append(write_blif(assembled.netlist))
         assert stitched[0] == stitched[1]
 
-    def test_stale_scheduler_param(self):
-        """A spec that names a pass scheduler runs only if it names ``fixed``."""
+    @pytest.mark.parametrize(
+        "param, value, runs",
+        [
+            pytest.param("scheduler", "fixed", True, id="scheduler-fixed"),
+            pytest.param("scheduler", "adaptive", False, id="scheduler-adaptive"),
+            pytest.param("probe_hardness", False, True, id="probe_hardness-false"),
+            pytest.param("probe_hardness", True, False, id="probe_hardness-true"),
+            pytest.param("hardness", {}, True, id="hardness-empty"),
+            pytest.param("hardness", {"0": 5.0}, False, id="hardness-weights"),
+        ],
+    )
+    def test_retired_param(self, param, value, runs):
+        """A param of a deleted mechanism runs only at the value still run.
+
+        Any other value fails permanently, naming the param, instead of
+        storing a default run under a fingerprint that says otherwise.
+        """
         spec = CampaignSpec.windowed(
             str(WIDE30), max_window_inputs=6, decoys=1, population=4, generations=1
         )
-        payloads = {}
-        for scheduler in (None, "fixed", "adaptive"):
-            data = spec.to_dict()
-            data["jobs"] = data["jobs"][:1]
-            if scheduler is not None:
-                data["jobs"][0]["params"]["scheduler"] = scheduler
-            (result,) = run_campaign(CampaignSpec.from_dict(data)).results
-            payloads[scheduler] = result.payload
-            if scheduler == "adaptive":
-                assert result.status == "error"
-                assert result.attempts == 1
-                assert "'scheduler'" in result.error
-            else:
-                assert result.status == "ok"
-        assert payloads["fixed"] == payloads[None]
+        data = spec.to_dict()
+        data["jobs"] = data["jobs"][:1]
+        (default,) = run_campaign(CampaignSpec.from_dict(data)).results
+        data["jobs"][0]["params"][param] = value
+        (result,) = run_campaign(CampaignSpec.from_dict(data)).results
+        if runs:
+            assert result.status == "ok"
+            assert result.payload == default.payload
+        else:
+            assert result.status == "error"
+            assert result.attempts == 1
+            assert f"'{param}'" in result.error

@@ -142,7 +142,7 @@ class TestCommands:
         "argv, flag",
         [
             (["campaign", "--workload", "PRESENT:2", "--windowing", "hardness",
-              "--probe-hardness", "--decoys", "3", "--limit", "0"], "--decoys"),
+              "--decoys", "3", "--limit", "0"], "--decoys"),
             (["campaign", "--blif", WIDE30, "--with-attack", "--workload", "AES:2",
               "--limit", "0"], "--workload"),
             (["obfuscate", "--count", "2", "--population", "4", "--generations", "1",
@@ -158,6 +158,31 @@ class TestCommands:
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert flag in str(info.value)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["campaign", "--workload", "PRESENT:2", "--population", "2",
+              "--generations", "1", "--limit", "0"], "population 2"),
+            (["campaign", "--blif", WIDE30, "--population", "2", "--limit", "0"],
+             "population 2"),
+            (["campaign", "--blif", WIDE30, "--decoys", "-1", "--limit", "0"],
+             "--decoys"),
+            (["obfuscate", "--population", "2"], "population 2"),
+            (["obfuscate", "--blif-in", WIDE30, "--population", "4",
+              "--generations", "1", "--decoys", "-1"], "--decoys"),
+            (["attack", "--generations", "0"], "generations must be at least 1"),
+        ],
+        ids=["campaign", "campaign-blif", "campaign-blif-decoys", "obfuscate",
+             "obfuscate-blif-in-decoys", "attack"],
+    )
+    def test_bad_ga_or_decoys_exit_first(self, argv, message, capsys):
+        """Checked before any job starts: one line, not failed jobs or a traceback."""
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert message in str(info.value)
+        assert "\n" not in str(info.value)
+        assert capsys.readouterr().out == ""
 
     def test_campaign_list_workloads(self, capsys):
         assert main(["campaign", "--list-workloads"]) == 0

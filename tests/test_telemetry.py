@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.telemetry import RunTelemetry, window_hardness_from_payloads
+from repro.telemetry import RunTelemetry
 
 
 class TestAccumulation:
@@ -61,19 +61,3 @@ class TestMergeAndRoundTrip:
         with pytest.raises(ValueError):
             RunTelemetry.from_dict({"scopes": {"solver": 7}})
 
-
-class TestWindowHardness:
-    def test_extraction_from_payloads(self):
-        def payload(index, queries, conflicts):
-            record = RunTelemetry()
-            record.record("window", "attack_queries", queries)
-            record.record("window", "solver_conflicts", conflicts)
-            return {"index": index, "telemetry": record.to_dict()}
-
-        payloads = [
-            payload(0, 3, 10),
-            payload(1, 0, 0),  # unmeasured: score 0 is skipped
-            {"index": 2},  # no telemetry at all
-            {"no_index": True},
-        ]
-        assert window_hardness_from_payloads(payloads) == {0: 13.0}
