@@ -49,6 +49,15 @@ class CamouflageLibrary:
             if cell.name in self._cells:
                 raise ValueError(f"duplicate camouflaged cell {cell.name!r}")
             self._cells[cell.name] = cell
+        #: The cells in match order, each with its plausible functions as
+        #: packed truth-table bits (all over the cell's pins).
+        self._match_order: List[Tuple[CamouflagedCellType, FrozenSet[int]]] = [
+            (cell, frozenset(table.bits for table in cell.plausible))
+            for cell in sorted(self._cells.values(), key=lambda c: (c.area, c.name))
+        ]
+        #: Every leaf-to-pin injection with its row map, in ``permutations``
+        #: order, by ``(num_leaves, num_pins)``; built on first use.
+        self._injections: Dict[Tuple[int, int], List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = {}
         #: ``best_match`` answers by required functions.  The technology
         #: mapper asks the same few sets for every tree of every design.
         self._best_matches: Dict[Tuple[TruthTable, ...], Optional[CellMatch]] = {}
@@ -105,8 +114,13 @@ class CamouflageLibrary:
 
         The required functions must all share the same (small) number of
         variables — the subtree leaves, in a fixed order.  Matches are
-        returned sorted by cell area; ``max_candidates`` limits the list
+        returned in ``(cell area, cell name)`` order, each with the first
+        leaf-to-pin injection (in ``permutations`` order) under which every
+        required function is plausible; ``max_candidates`` limits the list
         (0 means unlimited).
+
+        Each unique required function is lifted onto an injection at most
+        once per query: cells with the same pin count share the lifted bits.
         """
         if not required:
             raise ValueError("at least one required function is needed")
@@ -115,16 +129,30 @@ class CamouflageLibrary:
             if function.num_vars != num_leaves:
                 raise ValueError("required functions must share the same leaf variables")
         unique_required = list(dict.fromkeys(required))
+        required_bits = [function.bits for function in unique_required]
 
+        # lifted[pins][i]: the required functions lifted onto the i-th
+        # injection of ``pins`` pins, shared by every cell with that pin count.
+        lifted: Dict[int, List[List[int]]] = {}
         matches: List[CellMatch] = []
-        for cell in sorted(self._cells.values(), key=lambda c: (c.area, c.name)):
-            if cell.num_inputs < num_leaves:
+        for cell, plausible in self._match_order:
+            pins = cell.num_inputs
+            if pins < num_leaves:
                 continue
-            match = self._match_cell(cell, unique_required, num_leaves)
-            if match is not None:
-                matches.append(match)
-                if max_candidates and len(matches) >= max_candidates:
+            shared = lifted.setdefault(pins, [])
+            injections = self._injections_of(num_leaves, pins)
+            for position, (pin_of_leaf, row_map) in enumerate(injections):
+                if position == len(shared):
+                    shared.append([_lift(bits, row_map) for bits in required_bits])
+                if plausible.issuperset(shared[position]):
+                    realisations = {
+                        function: TruthTable(pins, bits)
+                        for function, bits in zip(unique_required, shared[position])
+                    }
+                    matches.append(CellMatch(cell, pin_of_leaf, realisations, cell.area))
                     break
+            if max_candidates and len(matches) >= max_candidates:
+                break
         return matches
 
     def best_match(self, required: Sequence[TruthTable]) -> Optional[CellMatch]:
@@ -139,44 +167,41 @@ class CamouflageLibrary:
             self._best_matches[key] = matches[0] if matches else None
         return self._best_matches[key]
 
-    def _match_cell(
-        self,
-        cell: CamouflagedCellType,
-        required: List[TruthTable],
-        num_leaves: int,
-    ) -> Optional[CellMatch]:
-        pins = cell.num_inputs
-        plausible = cell.plausible
-        for chosen_pins in permutations(range(pins), num_leaves):
-            realisations: Dict[TruthTable, TruthTable] = {}
-            feasible = True
-            for function in required:
-                lifted = _lift_to_pins(function, chosen_pins, pins)
-                if lifted not in plausible:
-                    feasible = False
-                    break
-                realisations[function] = lifted
-            if feasible:
-                return CellMatch(
-                    cell=cell,
-                    pin_of_leaf=tuple(chosen_pins),
-                    realisations=realisations,
-                    cost=cell.area,
-                )
-        return None
+    def _injections_of(
+        self, num_leaves: int, num_pins: int
+    ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        key = (num_leaves, num_pins)
+        injections = self._injections.get(key)
+        if injections is None:
+            injections = self._injections[key] = [
+                (pin_of_leaf, _row_map(pin_of_leaf, num_pins))
+                for pin_of_leaf in permutations(range(num_pins), num_leaves)
+            ]
+        return injections
 
 
-def _lift_to_pins(
-    function: TruthTable, pin_of_leaf: Sequence[int], num_pins: int
-) -> TruthTable:
-    """Express a leaf-variable function over the cell-pin variable space."""
-    substitutions = [
-        TruthTable.variable(pin_of_leaf[leaf], num_pins)
-        for leaf in range(function.num_vars)
-    ]
-    if function.num_vars == 0:
-        return TruthTable.constant(num_pins, bool(function.bits & 1))
-    return function.compose(substitutions)
+def _row_map(pin_of_leaf: Tuple[int, ...], num_pins: int) -> Tuple[int, ...]:
+    """``row_map[r]`` is the mask of the pin rows that read leaf row ``r``.
+
+    Pin row ``p`` reads leaf row ``r`` when bit ``pin_of_leaf[i]`` of ``p``
+    equals bit ``i`` of ``r`` for every leaf ``i``.
+    """
+    row_map = [0] * (1 << len(pin_of_leaf))
+    for pin_row in range(1 << num_pins):
+        leaf_row = 0
+        for leaf, pin in enumerate(pin_of_leaf):
+            leaf_row |= ((pin_row >> pin) & 1) << leaf
+        row_map[leaf_row] |= 1 << pin_row
+    return tuple(row_map)
+
+
+def _lift(bits: int, row_map: Tuple[int, ...]) -> int:
+    """A leaf function's packed bits, expressed over the cell pins."""
+    lifted = 0
+    for leaf_row, pin_rows in enumerate(row_map):
+        if bits >> leaf_row & 1:
+            lifted |= pin_rows
+    return lifted
 
 
 def default_camouflage_library(

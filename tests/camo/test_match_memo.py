@@ -34,8 +34,8 @@ def _project(function: TruthTable, pin_of_leaf, tied) -> TruthTable:
 
 
 @st.composite
-def required_sets(draw):
-    cells = draw(st.lists(st.sampled_from(CELLS), min_size=1, max_size=2))
+def required_sets(draw, library_cells=CELLS):
+    cells = draw(st.lists(st.sampled_from(library_cells), min_size=1, max_size=2))
     num_leaves = draw(st.integers(min_value=0, max_value=min(c.num_inputs for c in cells)))
     required = []
     for cell in cells:

@@ -17,6 +17,14 @@ from repro.scenarios.campaign import (
     window_record_from_payload,
 )
 
+WIDE30 = Path(__file__).resolve().parents[2] / "examples" / "circuits" / "wide30.blif"
+
+
+def _one_wide30_window(job_id: str) -> CampaignSpec:
+    """A single-job spec: one window job of perfbench's wide30 campaign."""
+    spec = CampaignSpec.windowed(str(WIDE30), max_window_inputs=6, decoys=1, seed=1)
+    return CampaignSpec(name=spec.name, jobs=[job for job in spec.jobs if job.job_id == job_id])
+
 
 class TestAdversaryJobKinds:
     def test_kinds_registered(self):
@@ -69,8 +77,9 @@ class TestAdversaryJobKinds:
         [
             CampaignSpec.attacks([("PRESENT", 2)], population=4, generations=1),
             CampaignSpec.adversary([("PRESENT", 2)], random_camo=False),
+            _one_wide30_window("window_001"),
         ],
-        ids=["attack", "decamouflage"],
+        ids=["attack", "decamouflage", "window_obfuscate"],
     )
     def test_payload_identical_across_jobs(self, monkeypatch, spec):
         """A single-job campaign hands its job every worker (task_jobs=2),
@@ -97,8 +106,6 @@ class TestAdversaryJobKinds:
         # The true function is always plausible under its own camouflage.
         assert payload["verdicts"][0] is True
         assert payload["camouflaged_cells"] >= 1
-
-WIDE30 = Path(__file__).resolve().parents[2] / "examples" / "circuits" / "wide30.blif"
 
 
 @pytest.fixture(scope="module")

@@ -25,16 +25,23 @@ SRC_DIR = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..", "src")
 )
 
-#: Thief driver: run the spec against the shared state dir, skewed clock.
+#: Thief script: import, say so in the ready file, wait for the go file,
+#: then run the spec against the shared state dir, skewed clock.
 THIEF = """\
 import json
+import os
 import sys
+import time
 
 from repro.scenarios.campaign import CampaignSpec, run_campaign
 
-with open(sys.argv[1], "r", encoding="utf-8") as handle:
+spec_path, state_dir, ready_path, go_path = sys.argv[1:5]
+with open(spec_path, "r", encoding="utf-8") as handle:
     spec = CampaignSpec.from_dict(json.load(handle))
-outcome = run_campaign(spec, state_dir=sys.argv[2], jobs=1)
+open(ready_path, "w", encoding="utf-8").close()
+while not os.path.exists(go_path):
+    time.sleep(0.01)
+outcome = run_campaign(spec, state_dir=state_dir, jobs=1)
 print("THIEF_OK", outcome.all_ok)
 """
 
@@ -86,6 +93,10 @@ class TestLostLeaseDiscard:
         victim must finish ``all_ok`` by *adopting* the thief's result:
         its own computation is discarded (``lease_lost_discards``), and the
         attempt history shows exactly one successful run.
+
+        The thief starts first and waits, imported, for a go file that
+        appears once the victim holds the lease, so the theft happens inside
+        the probe's 2 s however long a subprocess takes to start.
         """
         spec = CampaignSpec(
             name="stolen",
@@ -96,6 +107,9 @@ class TestLostLeaseDiscard:
         spec_path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
         thief_path = tmp_path / "thief.py"
         thief_path.write_text(THIEF, encoding="utf-8")
+
+        ready_path = tmp_path / "thief.ready"
+        go_path = tmp_path / "thief.go"
 
         messages = []
         outcome_box = {}
@@ -109,27 +123,47 @@ class TestLostLeaseDiscard:
                 progress=messages.append,
             )
 
-        runner = threading.Thread(target=victim)
-        runner.start()
-        deadline = time.monotonic() + 30.0
-        lease_path = state / "slow.lease"
-        while not lease_path.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert lease_path.exists(), "victim never claimed the job"
-
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC_DIR
         env[FAULTS_ENV_VAR] = "clock_skew:seconds=3600"
         env.pop(FAULTS_DIR_ENV_VAR, None)
-        thief = subprocess.run(
-            [sys.executable, str(thief_path), str(spec_path), str(state)],
+        with subprocess.Popen(
+            [
+                sys.executable,
+                str(thief_path),
+                str(spec_path),
+                str(state),
+                str(ready_path),
+                str(go_path),
+            ],
             env=env,
-            capture_output=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
             text=True,
-            timeout=120,
-        )
-        assert thief.returncode == 0, thief.stdout + thief.stderr
-        assert "THIEF_OK True" in thief.stdout
+        ) as thief:
+            try:
+                deadline = time.monotonic() + 120.0
+                while not ready_path.exists() and thief.poll() is None:
+                    assert time.monotonic() < deadline, "thief never got ready"
+                    time.sleep(0.01)
+                assert ready_path.exists(), thief.communicate()[1]
+
+                runner = threading.Thread(target=victim)
+                runner.start()
+                deadline = time.monotonic() + 30.0
+                lease_path = state / "slow.lease"
+                while not lease_path.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert lease_path.exists(), "victim never claimed the job"
+                go_path.touch()
+
+                stdout, stderr = thief.communicate(timeout=120)
+            finally:
+                if thief.poll() is None:
+                    thief.kill()
+                    thief.communicate()
+        assert thief.returncode == 0, stdout + stderr
+        assert "THIEF_OK True" in stdout
 
         runner.join(timeout=120)
         assert not runner.is_alive()

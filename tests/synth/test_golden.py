@@ -10,7 +10,10 @@ result.  These tests compare against a committed fixture instead
 * every registered pass applied once to each strashed input;
 * the four areas of the quick-profile PRESENT x2 row of Table I, plus the
   Phase III choices behind its last area: the camouflaged-cell count and
-  digests of the mapped instances and of their configurations.
+  digests of the mapped instances and of their configurations;
+* every window job of the windowed ``wide30`` campaign that perfbench runs
+  (six window inputs, one decoy, seed 1): its camouflaged area and digests
+  of its payload's camouflaged BLIF and true configuration.
 
 Regenerate the fixture only after a deliberate change of results::
 
@@ -34,11 +37,13 @@ from repro.evaluation.table1 import run_table1_entry
 from repro.evaluation.workloads import get_profile
 from repro.logic import BoolFunction, TruthTable
 from repro.merge import merge_functions
+from repro.scenarios.campaign import JOB_KINDS, CampaignSpec
 from repro.sboxes import des_sboxes, optimal_sboxes, present_sbox
 from repro.synth import synthesize
 from repro.synth.script import _aig_structure_key
 
 FIXTURE = Path(__file__).with_name("golden_synthesis.jsonl")
+WIDE30_BLIF = Path(__file__).resolve().parents[2] / "examples" / "circuits" / "wide30.blif"
 EFFORTS = ("fast", "standard", "high")
 
 
@@ -118,6 +123,18 @@ def table1_record() -> dict:
     }
 
 
+def window_records() -> Iterator[dict]:
+    spec = CampaignSpec.windowed(str(WIDE30_BLIF), max_window_inputs=6, decoys=1, seed=1)
+    for job in spec.jobs:
+        _, payload = JOB_KINDS[job.kind](job.params, 1)
+        yield {
+            "job": job.job_id,
+            "camouflaged_area": payload["camouflaged_area"],
+            "camo_blif": _digest(payload["camo_blif"]),
+            "true_config": _digest(payload["true_config"]),
+        }
+
+
 def golden_lines() -> Iterator[str]:
     """Every fixture line, in fixture order."""
     for name, function in golden_inputs():
@@ -127,6 +144,8 @@ def golden_lines() -> Iterator[str]:
         for record in pass_records(function):
             yield json.dumps({"case": f"pass/{name}", **record})
     yield json.dumps({"case": "table1/PRESENTx2", **table1_record()})
+    for record in window_records():
+        yield json.dumps({"case": "window/wide30", **record})
 
 
 @lru_cache(maxsize=None)
@@ -148,7 +167,7 @@ def _function(name: str) -> BoolFunction:
 def test_fixture_covers_every_case():
     expected = {f"synthesize/{name}" for name in INPUT_NAMES}
     expected |= {f"pass/{name}" for name in INPUT_NAMES}
-    expected.add("table1/PRESENTx2")
+    expected |= {"table1/PRESENTx2", "window/wide30"}
     assert set(_pinned()) == expected
 
 
@@ -164,6 +183,10 @@ def test_each_pass_matches_fixture(name):
 
 def test_table1_present2_row_matches_fixture():
     assert [table1_record()] == _pinned()["table1/PRESENTx2"]
+
+
+def test_wide30_window_jobs_match_fixture():
+    assert list(window_records()) == _pinned()["window/wide30"]
 
 
 if __name__ == "__main__":
