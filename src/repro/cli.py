@@ -110,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     obfuscate_parser.add_argument("--report", action="store_true",
                                   help="print the per-cell area report")
     obfuscate_parser.add_argument("--jobs", type=int, default=0,
-                                  help="worker processes for fitness evaluation "
+                                  help="worker processes for fitness evaluation; "
+                                       "with --blif-in, for the windows "
                                        "(0 = REPRO_JOBS env var, else serial)")
     obfuscate_parser.add_argument("--blif-in", type=str, default="",
                                   help="obfuscate this BLIF netlist through the "
@@ -378,6 +379,37 @@ def _checked_ga_parameters(
         ) from exc
 
 
+def _windowed_spec(
+    args: argparse.Namespace,
+    path: str,
+    population: int,
+    generations: int,
+    verify: bool = True,
+    name: Optional[str] = None,
+):
+    """The ``CampaignSpec.windowed`` spec of ``path`` from the window flags.
+
+    Shared by ``obfuscate --blif-in`` and ``campaign --blif``; argument
+    errors exit before the BLIF is read.
+    """
+    from .scenarios.campaign import CampaignSpec
+
+    parameters = _checked_ga_parameters(
+        population, generations, args.seed, decoys=args.decoys
+    )
+    return CampaignSpec.windowed(
+        path,
+        max_window_inputs=args.max_window_inputs,
+        decoys=args.decoys,
+        seed=args.seed,
+        population=parameters.population_size,
+        generations=parameters.generations,
+        verify=verify,
+        name=name,
+        windowing=args.windowing or None,
+    )
+
+
 def _command_obfuscate(args: argparse.Namespace) -> int:
     if args.blif_in:
         _reject_flags(args, "obfuscate --blif-in", ("--family", "--count", "--report"))
@@ -413,30 +445,37 @@ def _command_obfuscate(args: argparse.Namespace) -> int:
 def _command_obfuscate_windowed(args: argparse.Namespace) -> int:
     """Windowed mode of the ``obfuscate`` command (BLIF in, stitched out)."""
     from .attacks.oracle_guided import attack_windowed
-    from .flow.target import obfuscate_netlist
     from .netlist.blif import read_blif
     from .netlist.library import standard_cell_library
+    from .scenarios.campaign import run_windowed_campaign
 
-    parameters = _checked_ga_parameters(
-        args.population, args.generations, args.seed, decoys=args.decoys
-    )
+    spec = _windowed_spec(args, args.blif_in, args.population, args.generations)
     with open(args.blif_in, "r", encoding="utf-8") as handle:
         netlist = read_blif(handle.read(), standard_cell_library())
     print(
         f"windowed obfuscation of {netlist.name!r}: "
         f"{len(netlist.primary_inputs)} inputs, {netlist.num_instances()} cells"
     )
-    result = obfuscate_netlist(
-        netlist,
-        max_window_inputs=args.max_window_inputs,
-        decoys_per_window=args.decoys,
-        ga_parameters=parameters,
-        seed=args.seed,
-        sat_check=True if args.sat_check else None,
-        jobs=resolve_jobs(args.jobs or None),
-        progress=print,
-        windowing=args.windowing or None,
+    print(
+        f"windowing {netlist.name}: {len(spec.jobs)} windows over "
+        f"{netlist.num_instances()} cells"
     )
+    campaign, result = run_windowed_campaign(
+        args.blif_in,
+        spec=spec,
+        jobs=resolve_jobs(args.jobs or None),
+        sat_check=True if args.sat_check else None,
+    )
+    if result is None:
+        for failed in campaign.failed:
+            print(f"{failed.job_id}: {failed.status} {failed.error}")
+        return 1
+    for record in result.records:
+        print(
+            f"window {record.window.index}: {record.window.num_inputs} inputs, "
+            f"{record.num_viable} viable, "
+            f"{record.camouflaged_area:.1f} GE camouflaged"
+        )
     print()
     print(result.summary())
     if args.verilog:
@@ -1008,24 +1047,17 @@ def _command_cache(args: argparse.Namespace) -> int:
 
 def _command_campaign_windowed(args: argparse.Namespace) -> int:
     """``campaign --blif``: windowed obfuscation with resumable window jobs."""
-    from .scenarios.campaign import CampaignSpec, run_windowed_campaign
+    from .obs.log import get_logger
+    from .scenarios.campaign import run_windowed_campaign
 
-    parameters = _checked_ga_parameters(
-        args.population or 4, args.generations or 2, args.seed, decoys=args.decoys
-    )
-    spec = CampaignSpec.windowed(
+    spec = _windowed_spec(
+        args,
         args.blif,
-        max_window_inputs=args.max_window_inputs,
-        decoys=args.decoys,
-        seed=args.seed,
-        population=parameters.population_size,
-        generations=parameters.generations,
+        args.population or 4,
+        args.generations or 2,
         verify=not args.no_verify,
         name=args.name,
-        windowing=args.windowing or None,
     )
-    from .obs.log import get_logger
-
     outcome, assembled = run_windowed_campaign(
         args.blif,
         spec=spec,

@@ -11,22 +11,24 @@ viable functions are generated per window, each window runs the full
 Phase I–III pipeline with its own GA budget, and the camouflaged windows
 are stitched back into the parent netlist.
 
-Per-window jobs fan out over :mod:`repro.parallel`;
-:func:`assemble_windowed_result` is the stitch-plus-verify half, shared
-with the campaign runner, whose per-window jobs resume from on-disk state.
+:func:`obfuscate_netlist` runs the windows one after another in memory.
+The pooled, resumable path, which ``obfuscate --blif-in`` and ``campaign
+--blif`` share, is one ``window_obfuscate`` campaign job per window
+(:func:`repro.scenarios.campaign.run_windowed_campaign`).  Both drivers run
+:func:`obfuscate_window` per window and :func:`assemble_windowed_result` to
+stitch and verify.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..camo.library import CamouflageLibrary, default_camouflage_library
 from ..ga.engine import GAParameters
 from ..logic.boolfunc import BoolFunction
 from ..logic.truthtable import TruthTable
-from ..netlist.library import CellLibrary
 from ..netlist.netlist import Netlist
 from ..netlist.window import (
     StitchedNetlist,
@@ -64,26 +66,24 @@ DEFAULT_SAT_CHECK_LIMIT = 24
 # Per-window flow
 # ------------------------------------------------------------------ #
 def decoy_functions(
-    reference: BoolFunction, count: int, seed: int, flips: Optional[int] = None
+    reference: BoolFunction, count: int, seed: int
 ) -> List[BoolFunction]:
     """Seeded decoy viable functions shaped like ``reference``.
 
-    Each decoy flips a small number of truth-table entries of the reference
-    (``flips`` rows per output; default scales with the row count), mirroring
-    the paper's workloads where the viable set consists of closely related
-    variants (S-box families).  Staying close to the reference matters for
-    cost, too: the merged multi-function circuit then synthesises to roughly
-    the window plus small correction logic, instead of the near-worst-case
-    area a random function of the same width would force.  Decoys are
-    distinct from the reference and from each other.
+    Each decoy flips two truth-table rows of each output of the reference
+    (one row for a 1-input reference), mirroring the paper's workloads where
+    the viable set consists of closely related variants (S-box families).
+    Staying close to the reference matters for cost, too: the merged
+    multi-function circuit then synthesises to roughly the window plus small
+    correction logic, instead of the near-worst-case area a random function
+    of the same width would force.  Decoys are distinct from the reference
+    and from each other.
     """
     if count < 0:
         raise ValueError("decoy count must be non-negative")
     rng = random.Random(seed)
     rows = 1 << reference.num_inputs
-    if flips is None:
-        flips = 2 if rows > 2 else 1
-    flips = min(flips, rows)
+    flips = 2 if rows > 2 else 1
     seen = {tuple(table.bits for table in reference.outputs)}
     decoys: List[BoolFunction] = []
     attempts = 0
@@ -140,8 +140,6 @@ def obfuscate_window(
     decoys: int = 1,
     seed: int = 1,
     ga_parameters: Optional[GAParameters] = None,
-    library: Optional[CellLibrary] = None,
-    camo_library: Optional[CamouflageLibrary] = None,
     fitness_effort: str = SynthesisEffort.FAST,
     final_effort: str = SynthesisEffort.FAST,
     verify: bool = True,
@@ -168,8 +166,6 @@ def obfuscate_window(
         result = obfuscate(
             viable,
             ga_parameters=parameters,
-            library=library,
-            camo_library=camo_library,
             fitness_effort=fitness_effort,
             final_effort=final_effort,
             verify=verify,
@@ -178,11 +174,7 @@ def obfuscate_window(
     else:
         # A single viable function has no pin assignment to search.
         result = obfuscate_with_assignment(
-            viable,
-            library=library,
-            camo_library=camo_library,
-            effort=final_effort,
-            verify=verify,
+            viable, effort=final_effort, verify=verify
         )
     configuration = result.mapping.configuration_for_select(0)
     true_configuration = dict(configuration.as_cell_functions())
@@ -200,30 +192,6 @@ def obfuscate_window(
         # an empty report whose all_realisable is False by construction.
         verification_ok=result.verification.all_realisable if verify else True,
         telemetry=telemetry,
-    )
-
-
-def _obfuscate_window_task(task: Tuple) -> WindowRecord:
-    """Worker task: obfuscate one window (module-level so it pickles)."""
-    (
-        subnetlist,
-        window,
-        decoys,
-        seed,
-        parameters,
-        fitness_effort,
-        final_effort,
-        verify,
-    ) = task
-    return obfuscate_window(
-        subnetlist,
-        window,
-        decoys=decoys,
-        seed=seed,
-        ga_parameters=parameters,
-        fitness_effort=fitness_effort,
-        final_effort=final_effort,
-        verify=verify,
     )
 
 
@@ -323,10 +291,7 @@ class WindowedObfuscationResult:
 def assemble_windowed_result(
     original: Netlist,
     records: Sequence[WindowRecord],
-    camo_library: Optional[CamouflageLibrary] = None,
     verify: bool = True,
-    verify_patterns: int = 1024,
-    verify_seed: int = 7,
     sat_check: Optional[bool] = None,
 ) -> WindowedObfuscationResult:
     """Stitch per-window records into the parent and verify the result.
@@ -336,12 +301,11 @@ def assemble_windowed_result(
     * per-window designer checks carried by the records (exhaustive);
     * a whole-netlist packed cross-check of original vs stitched under the
       true configuration — exhaustive (complete) for small input counts,
-      seeded random batches otherwise;
+      1,024 seeded random patterns otherwise;
     * a whole-netlist SAT miter check — by default only attempted up to
       :data:`DEFAULT_SAT_CHECK_LIMIT` inputs (``sat_check`` forces it on or
       off explicitly).
     """
-    camo_library = camo_library or default_camouflage_library(original.library)
     records = list(records)
     windows = [record.window for record in records]
     stitched = stitch_windows(
@@ -362,8 +326,8 @@ def assemble_windowed_result(
             original,
             stitched.netlist,
             cell_functions_b=true_configuration,
-            patterns=verify_patterns,
-            seed=verify_seed,
+            patterns=1024,
+            seed=7,
         )
         verification.simulation_ok = not outcome.refuted
         verification.simulation_complete = outcome.complete
@@ -386,7 +350,7 @@ def assemble_windowed_result(
         original=original,
         stitched=stitched,
         records=records,
-        camo_library=camo_library,
+        camo_library=default_camouflage_library(original.library),
         true_configuration=true_configuration,
         verification=verification,
     )
@@ -399,61 +363,38 @@ def obfuscate_netlist(
     decoys_per_window: int = 1,
     ga_parameters: Optional[GAParameters] = None,
     seed: int = 1,
-    fitness_effort: str = SynthesisEffort.FAST,
-    final_effort: str = SynthesisEffort.FAST,
     verify: bool = True,
-    verify_patterns: int = 1024,
     sat_check: Optional[bool] = None,
-    jobs: int = 1,
-    progress: Optional[Callable[[str], None]] = None,
     windowing: Optional[str] = None,
 ) -> WindowedObfuscationResult:
     """Obfuscate a wide netlist window-by-window and stitch the result.
 
     Every window runs the full Phase I–III pipeline with its own seeded GA
-    budget; window jobs fan out over the worker pool (``jobs``), and results
-    are identical for every ``jobs`` value (windows are seeded
-    independently, deterministically).
+    budget (seed ``seed + window.index``), one window after another in this
+    process.  A BLIF circuit on disk can instead run its windows as pooled,
+    resumable jobs through
+    :func:`repro.scenarios.campaign.run_windowed_campaign`, with identical
+    results.
 
     ``windowing`` names the window partition (``greedy`` by default, or
     ``hardness``; see :func:`repro.netlist.window.extract_windows`).  Every
     window gets ``decoys_per_window`` decoy viable functions.
     """
-    from ..parallel import parallel_map
-
-    report = progress or (lambda message: None)
     windows = extract_windows(
         netlist, max_inputs=max_window_inputs, max_instances=max_window_instances,
         strategy=windowing,
     )
-    report(
-        f"windowing {netlist.name}: {len(windows)} windows over "
-        f"{netlist.num_instances()} cells"
-    )
-    tasks = [
-        (
+    records = [
+        obfuscate_window(
             window_subnetlist(netlist, window),
             window,
-            decoys_per_window,
-            seed + window.index,
-            ga_parameters,
-            fitness_effort,
-            final_effort,
-            verify,
+            decoys=decoys_per_window,
+            seed=seed + window.index,
+            ga_parameters=ga_parameters,
+            verify=verify,
         )
         for window in windows
     ]
-    records = parallel_map(_obfuscate_window_task, tasks, jobs=jobs)
-    for record in records:
-        report(
-            f"window {record.window.index}: {record.window.num_inputs} inputs, "
-            f"{record.num_viable} viable, "
-            f"{record.camouflaged_area:.1f} GE camouflaged"
-        )
     return assemble_windowed_result(
-        netlist,
-        records,
-        verify=verify,
-        verify_patterns=verify_patterns,
-        sat_check=sat_check,
+        netlist, records, verify=verify, sat_check=sat_check
     )

@@ -1707,21 +1707,22 @@ def run_campaign(
 
 def run_windowed_campaign(
     path: str,
+    *,
+    spec: CampaignSpec,
     state_dir: Optional[str] = None,
     jobs: Optional[int] = None,
     limit: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
-    spec: Optional[CampaignSpec] = None,
     verify: bool = True,
     sat_check: Optional[bool] = None,
     retry_policy: Optional[RetryPolicy] = None,
     solve_budget: Optional[SolveBudget] = None,
     lease_ttl: Optional[float] = None,
     oversubscribe: bool = False,
-    **window_params,
 ) -> Tuple[CampaignResult, Optional["object"]]:
     """Run the windowed obfuscation of a BLIF circuit as a campaign.
 
+    ``spec`` is the :meth:`CampaignSpec.windowed` spec of ``path``.
     Per-window jobs fan out over the worker pool with resumable per-window
     state (``state_dir``): an interrupted run resumes from the finished
     windows, whose camouflaged netlists and true configurations are
@@ -1734,7 +1735,6 @@ def run_windowed_campaign(
     from ..flow.target import assemble_windowed_result
     from ..netlist.window import extract_windows
 
-    spec = spec if spec is not None else CampaignSpec.windowed(path, **window_params)
     outcome = run_campaign(
         spec,
         state_dir=state_dir,
@@ -1750,24 +1750,27 @@ def run_windowed_campaign(
         return outcome, None
 
     netlist = _read_blif_workload(path)
-    first = spec.jobs[0].params
-    windows = extract_windows(
-        netlist,
-        max_inputs=int(first.get("max_window_inputs", 8)),
-        max_instances=int(first.get("max_window_instances", 48)),
-        strategy=first.get("windowing"),
-    )
+    windows = None
     records = []
     for result in outcome.results:
-        index = int(result.payload["index"]) if "index" in result.payload else None
-        if index is None:
+        if result.value is not None:
+            records.append(result.value)
+            continue
+        # Restored from state: rebuild the record on its re-derived window.
+        if "index" not in result.payload:
             raise CampaignError(
                 f"window job {result.job_id!r} has no window index in its state"
             )
-        if result.value is not None:
-            records.append(result.value)
-        else:
-            records.append(window_record_from_payload(result.payload, windows[index]))
+        if windows is None:
+            first = spec.jobs[0].params
+            windows = extract_windows(
+                netlist,
+                max_inputs=int(first.get("max_window_inputs", 8)),
+                max_instances=int(first.get("max_window_instances", 48)),
+                strategy=first.get("windowing"),
+            )
+        window = windows[int(result.payload["index"])]
+        records.append(window_record_from_payload(result.payload, window))
     records.sort(key=lambda record: record.window.index)
     assembled = assemble_windowed_result(
         netlist,

@@ -9,7 +9,6 @@ from repro.flow.target import (
     obfuscate_window,
 )
 from repro.ga.engine import GAParameters
-from repro.netlist.blif import write_blif
 from repro.netlist.simulate import extract_function
 from repro.netlist.window import extract_windows, window_function, window_subnetlist
 
@@ -99,26 +98,6 @@ class TestObfuscateNetlist:
         assert set(plausible) == set(result.true_configuration)
         for name, family in plausible.items():
             assert result.true_configuration[name] in family
-
-    def test_jobs_deterministic(self, library):
-        """The stitched netlist is byte-identical for jobs in {1, 2, 4}."""
-        netlist = build_random_netlist(13, library, num_cells=20)
-        outputs = []
-        for jobs in (1, 2, 4):
-            result = obfuscate_netlist(
-                netlist, max_window_inputs=6, decoys_per_window=1,
-                ga_parameters=TINY_GA, seed=5, jobs=jobs, verify=False,
-            )
-            outputs.append(
-                (
-                    write_blif(result.netlist),
-                    sorted(
-                        (name, table.bits)
-                        for name, table in result.true_configuration.items()
-                    ),
-                )
-            )
-        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_wide_netlist_never_extracts(self, library):
         """24 inputs: sampled verification, no exhaustive truth table."""

@@ -131,10 +131,8 @@ class TestWindowedCampaign:
         path, original = wide_blif
         outcome, assembled = run_windowed_campaign(
             path,
+            spec=CampaignSpec.windowed(path, max_window_inputs=6, decoys=0, seed=3),
             state_dir=str(tmp_path / "state"),
-            max_window_inputs=6,
-            decoys=0,
-            seed=3,
         )
         assert outcome.all_ok
         assert assembled is not None
@@ -147,16 +145,14 @@ class TestWindowedCampaign:
         state_dir = str(tmp_path / "state")
         spec = CampaignSpec.windowed(path, max_window_inputs=6, decoys=0, seed=3)
         partial, assembled = run_windowed_campaign(
-            path, spec=spec, state_dir=state_dir, limit=2,
-            max_window_inputs=6, decoys=0, seed=3,
+            path, spec=spec, state_dir=state_dir, limit=2
         )
         assert assembled is None
         assert len(partial.executed) == 2
         assert len(partial.pending) == len(spec.jobs) - 2
 
         resumed, assembled = run_windowed_campaign(
-            path, spec=spec, state_dir=state_dir,
-            max_window_inputs=6, decoys=0, seed=3,
+            path, spec=spec, state_dir=state_dir
         )
         assert len(resumed.cached) == 2
         assert assembled is not None
@@ -175,7 +171,8 @@ class TestWindowedCampaign:
         """
         path, _ = wide_blif
         params = dict(
-            state_dir=str(tmp_path / "state"), max_window_inputs=6, decoys=0, seed=3
+            spec=CampaignSpec.windowed(path, max_window_inputs=6, decoys=0, seed=3),
+            state_dir=str(tmp_path / "state"),
         )
         fresh, _ = run_windowed_campaign(path, **params)
         if windowing_env is not None:
@@ -189,7 +186,9 @@ class TestWindowedCampaign:
         path, _ = wide_blif
         state_dir = str(tmp_path / "state")
         outcome, assembled = run_windowed_campaign(
-            path, state_dir=state_dir, max_window_inputs=6, decoys=0, seed=3
+            path,
+            spec=CampaignSpec.windowed(path, max_window_inputs=6, decoys=0, seed=3),
+            state_dir=state_dir,
         )
         result = outcome.results[0]
         record = window_record_from_payload(
@@ -223,16 +222,33 @@ class TestWindowedCampaign:
         assert outcome.failed
         assert "windows" in outcome.failed[0].error
 
-    def test_jobs_deterministic(self, wide_blif, tmp_path):
+    @pytest.mark.parametrize("decoys", [0, 1])
+    def test_jobs_deterministic(self, wide_blif, monkeypatch, decoys):
+        """The stitched netlist and its true configuration are the same
+        for jobs 1 and 2.  Four CPUs are reported so the pool forks on any
+        host."""
+        import repro.parallel as parallel_module
+
+        monkeypatch.setattr(parallel_module, "available_cpus", lambda: 4)
         path, _ = wide_blif
-        stitched = []
+        spec = CampaignSpec.windowed(
+            path, max_window_inputs=6, decoys=decoys, seed=3, generations=1
+        )
+        outputs = []
         for jobs in (1, 2):
             _, assembled = run_windowed_campaign(
-                path, jobs=jobs, max_window_inputs=6, decoys=0, seed=3,
-                verify=False,
+                path, spec=spec, jobs=jobs, verify=False
             )
-            stitched.append(write_blif(assembled.netlist))
-        assert stitched[0] == stitched[1]
+            outputs.append(
+                (
+                    write_blif(assembled.netlist),
+                    sorted(
+                        (name, table.bits)
+                        for name, table in assembled.true_configuration.items()
+                    ),
+                )
+            )
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "param, value, runs",
