@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..ga.pinopt import PinAssignmentProblem, optimize_pin_assignment
+from ..ga.pinopt import optimize_pin_assignment
 from ..ga.random_search import RandomSearchResult, random_pin_search
 from ..parallel import resolve_jobs
 from .workloads import PRESENT_FAMILY, ExperimentProfile, get_profile, workload_functions

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..flow.obfuscate import ObfuscationResult, obfuscate_with_assignment
 from ..flow.report import AreaRow, format_table
-from ..ga.pinopt import PinAssignmentProblem, optimize_pin_assignment
+from ..ga.pinopt import optimize_pin_assignment
 from ..ga.random_search import RandomSearchResult, random_pin_search
 from ..parallel import resolve_jobs
 from .workloads import (
@@ -77,12 +77,11 @@ def run_table1_entry(
     ga_area = optimization.best_area
 
     num_random = profile.random_samples or optimization.evaluations
-    problem = PinAssignmentProblem(functions, effort=profile.fitness_effort)
     random_result = random_pin_search(
         functions,
         num_samples=max(1, num_random),
         seed=seed + 1000,
-        problem=problem,
+        effort=profile.fitness_effort,
         jobs=jobs,
     )
 

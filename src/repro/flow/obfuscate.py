@@ -10,10 +10,10 @@ plausibility report).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..attacks.plausibility import PlausibilityReport, verify_viable_functions
-from ..ga.engine import GAParameters, GenerationStats
+from ..ga.engine import GAParameters
 from ..ga.pinopt import PinOptimizationResult, optimize_pin_assignment
 from ..logic.boolfunc import BoolFunction
 from ..merge.merged import MergedDesign, merge_functions
@@ -123,7 +123,6 @@ def obfuscate(
     final_effort: str = SynthesisEffort.STANDARD,
     max_cover_depth: int = 2,
     verify: bool = True,
-    progress: Optional[Callable[[GenerationStats], None]] = None,
     jobs: int = 1,
 ) -> ObfuscationResult:
     """Run the full three-phase flow (GA pin optimisation included).
@@ -142,7 +141,6 @@ def obfuscate(
         library=library,
         effort=fitness_effort,
         final_effort=final_effort,
-        progress=progress,
         jobs=jobs,
     )
     result = obfuscate_with_assignment(

@@ -146,12 +146,13 @@ def format_cache_stats(
     """Render ``(label, cache_stats)`` pairs as a fitness-cache table.
 
     ``cache_stats`` is what
-    :meth:`repro.ga.pinopt.PinAssignmentProblem.cache_stats` returns:
+    :attr:`repro.ga.pinopt.PinOptimizationResult.cache_stats` holds:
     ``evaluations`` counts actual synthesis runs, ``genotype_hits`` and
     ``signature_hits`` the requests the two cache levels served.  Missing
     counters print as 0, and a row without requests has a 0.0% hit rate.
-    ``jobs`` is the worker count printed on every row; with workers the
-    counters reflect the parent process only.
+    ``jobs`` is the worker count printed on every row.  The counters are
+    kept by the process that runs the GA and are exact at any ``jobs``:
+    workers only synthesise.
     """
     lines: List[str] = []
     if title:

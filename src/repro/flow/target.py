@@ -143,7 +143,6 @@ def obfuscate_window(
     fitness_effort: str = SynthesisEffort.FAST,
     final_effort: str = SynthesisEffort.FAST,
     verify: bool = True,
-    jobs: int = 1,
 ) -> WindowRecord:
     """Run the full Phase I–III flow on one window subnetlist.
 
@@ -153,6 +152,11 @@ def obfuscate_window(
     select word 0 realises the window function exactly, and
     ``true_configuration`` captures that configuration of the camouflaged
     cells.
+
+    The window's GA synthesises its fitness in this process: its search
+    (population 4 and two generations in a windowed spec) is too small to
+    repay starting worker processes, so a windowed campaign parallelises
+    across windows instead.
     """
     from ..sim.engine import NetlistSimulator
     from .obfuscate import obfuscate, obfuscate_with_assignment
@@ -169,7 +173,6 @@ def obfuscate_window(
             fitness_effort=fitness_effort,
             final_effort=final_effort,
             verify=verify,
-            jobs=jobs,
         )
     else:
         # A single viable function has no pin assignment to search.

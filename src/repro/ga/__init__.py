@@ -3,7 +3,6 @@
 from .engine import GAParameters, GAResult, GenerationStats, GeneticAlgorithm
 from .operators import (
     SegmentedPermutationSpace,
-    order_crossover,
     pmx_crossover,
     shuffle_mutation,
     swap_mutation,
@@ -18,7 +17,6 @@ __all__ = [
     "GeneticAlgorithm",
     "SegmentedPermutationSpace",
     "pmx_crossover",
-    "order_crossover",
     "swap_mutation",
     "shuffle_mutation",
     "PinAssignmentProblem",

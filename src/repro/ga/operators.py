@@ -5,7 +5,7 @@ segments (one input permutation and one output permutation per viable
 function).  Crossover and mutation must keep every segment a valid
 permutation, so the operators below work segment-wise:
 
-* partially-matched crossover (PMX) and order crossover (OX) per segment;
+* partially-matched crossover (PMX) per segment;
 * swap and shuffle mutations per segment.
 
 These are the same operator families DEAP provides for permutation encodings.
@@ -19,7 +19,6 @@ from typing import List, Sequence, Tuple
 __all__ = [
     "SegmentedPermutationSpace",
     "pmx_crossover",
-    "order_crossover",
     "swap_mutation",
     "shuffle_mutation",
 ]
@@ -53,36 +52,6 @@ def _pmx_child(base: List[int], donor: List[int], cut1: int, cut2: int) -> List[
             index = donor.index(candidate, cut1, cut2 + 1)
             candidate = base[index]
         child[position] = candidate
-    return child
-
-
-def order_crossover(
-    parent_a: Sequence[int], parent_b: Sequence[int], rng: random.Random
-) -> Tuple[List[int], List[int]]:
-    """Order crossover (OX1) on two same-length permutations."""
-    size = len(parent_a)
-    if size != len(parent_b):
-        raise ValueError("parents must have the same length")
-    if size < 2:
-        return list(parent_a), list(parent_b)
-    cut1, cut2 = sorted(rng.sample(range(size), 2))
-    return (
-        _ox_child(list(parent_a), list(parent_b), cut1, cut2),
-        _ox_child(list(parent_b), list(parent_a), cut1, cut2),
-    )
-
-
-def _ox_child(base: List[int], donor: List[int], cut1: int, cut2: int) -> List[int]:
-    size = len(base)
-    child = [-1] * size
-    child[cut1:cut2 + 1] = base[cut1:cut2 + 1]
-    taken = set(child[cut1:cut2 + 1])
-    fill = [gene for gene in donor if gene not in taken]
-    cursor = 0
-    for position in range(size):
-        if child[position] == -1:
-            child[position] = fill[cursor]
-            cursor += 1
     return child
 
 
@@ -186,20 +155,14 @@ class SegmentedPermutationSpace:
         parent_a: Sequence[int],
         parent_b: Sequence[int],
         rng: random.Random,
-        method: str = "pmx",
     ) -> Tuple[List[int], List[int]]:
-        """Segment-wise crossover of two genotypes."""
+        """Segment-wise PMX crossover of two genotypes."""
         segments_a = self.split(parent_a)
         segments_b = self.split(parent_b)
         children_a = []
         children_b = []
         for segment_a, segment_b in zip(segments_a, segments_b):
-            if method == "pmx":
-                child_a, child_b = pmx_crossover(segment_a, segment_b, rng)
-            elif method == "order":
-                child_a, child_b = order_crossover(segment_a, segment_b, rng)
-            else:
-                raise ValueError(f"unknown crossover method {method!r}")
+            child_a, child_b = pmx_crossover(segment_a, segment_b, rng)
             children_a.append(child_a)
             children_b.append(child_b)
         return self.join(children_a), self.join(children_b)

@@ -5,8 +5,8 @@ circuit after synthesis — exactly the loop the paper runs with DEAP driving
 ABC.  Synthesis is by far the dominant cost, so fitness evaluations are
 cached at two levels:
 
-* by **genotype** (the GA engine also caches, but the problem object keeps
-  its own cache so random search and the GA can share evaluations), and
+* by **genotype**, in the GA engine's memo: a genotype the engine has seen
+  never reaches the problem again, and
 * by **canonical signature** of the merged design: the packed truth tables
   of the merged function.  Pin-assignment symmetries (permutations a viable
   function is invariant under, compositions that cancel out) collapse many
@@ -14,10 +14,16 @@ cached at two levels:
   re-synthesize — the cached area is exact because synthesis is a pure
   function of the merged truth tables.
 
-Hit/miss counters for both levels are exposed via
-:meth:`PinAssignmentProblem.cache_stats`.  ``optimize_pin_assignment``
-accepts ``jobs`` to evaluate each generation's unseen genotypes across
-worker processes; seeded results are bit-identical for every ``jobs`` value.
+:meth:`PinAssignmentProblem.evaluate` is the one place a genotype becomes a
+fitness, and it runs in the calling process: it merges each genotype, looks
+the signature up in memory and then in the persistent store, and sends only
+the merged functions found in neither to synthesis.  With ``jobs > 1`` they
+are synthesised over one worker pool whose task receives a merged function,
+never the problem, and returns the ``synth`` counters it added, which the
+caller adds to its own :func:`~repro.synth.script.synthesis_telemetry`.  So
+caches, counters and store writes stay in one process, and seeded results,
+:meth:`PinAssignmentProblem.cache_stats` and the synthesis counters are the
+same for every ``jobs`` value.
 
 When the ``REPRO_CACHE_DIR`` environment variable names a directory, the
 canonical-signature cache is additionally persisted to an append-only JSONL
@@ -36,15 +42,23 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..faults import corrupt_text, faults_enabled
 from ..logic.boolfunc import BoolFunction
 from ..merge.merged import MergedDesign, merge_functions
 from ..merge.pinassign import PinAssignment
 from ..netlist.library import CellLibrary, standard_cell_library
-from ..parallel import register_worker_warmup
-from ..synth.script import SynthesisEffort, SynthesisResult, synthesize
+from ..parallel import WorkerPool, register_worker_warmup
+from ..synth.script import (
+    SynthesisEffort,
+    SynthesisResult,
+    synthesis_counters,
+    synthesis_counters_since,
+    synthesis_telemetry,
+    synthesize,
+)
 from .engine import GAParameters, GAResult, GenerationStats, GeneticAlgorithm
 from .operators import SegmentedPermutationSpace
 
@@ -312,23 +326,40 @@ def warm_disk_cache() -> Optional[SynthesisDiskCache]:
 register_worker_warmup(warm_disk_cache)
 
 
+def _synthesized_area(
+    function: BoolFunction, library: CellLibrary, effort: str
+) -> Tuple[float, Dict[str, float], int]:
+    """Synthesise one merged function: the fitness task of Phase II.
+
+    Returns the area, the ``synth`` counters this call added to the running
+    process's :func:`synthesis_telemetry`, and that process's pid, so the
+    caller can tell a task that ran in a worker from one that ran inline.
+    """
+    before = synthesis_counters()
+    area = synthesize(function, library=library, effort=effort).area
+    return area, synthesis_counters_since(before), os.getpid()
+
+
 class PinAssignmentProblem:
-    """Fitness machinery shared by the GA and the random-search baseline."""
+    """The Phase II search space and its fitness, owned in one process.
+
+    :meth:`evaluate` is the only way a genotype becomes a fitness.  The GA
+    and the random-search baseline each build their own problem; its caches
+    and counters live in the process that calls :meth:`evaluate`, and worker
+    processes (see :meth:`synthesis_pool`) only ever see merged functions.
+    """
 
     def __init__(
         self,
         functions: Sequence[BoolFunction],
         library: Optional[CellLibrary] = None,
         effort: str = SynthesisEffort.FAST,
-        fix_first_function: bool = True,
-        disk_cache: Optional[SynthesisDiskCache] = None,
     ):
         if not functions:
             raise ValueError("at least one viable function is required")
         self.functions = list(functions)
         self.library = library or standard_cell_library()
         self.effort = effort
-        self.fix_first_function = fix_first_function
         self.num_inputs = functions[0].num_inputs
         self.num_outputs = functions[0].num_outputs
         for function in functions:
@@ -339,17 +370,15 @@ class PinAssignmentProblem:
                 raise ValueError("all viable functions must have the same shape")
         segment_sizes = [self.num_inputs] * len(functions) + [self.num_outputs] * len(functions)
         self.space = SegmentedPermutationSpace(segment_sizes)
-        self._area_cache: Dict[Tuple[int, ...], float] = {}
         self._signature_cache: Dict[Tuple[int, ...], float] = {}
-        #: Optional persistent read-through store (REPRO_CACHE_DIR by default;
-        #: the environment-named store is shared process-wide and pre-warmed
-        #: once per worker by the pool initializer).  Synthesis is a pure
-        #: function of the effort, the library and the merged truth tables,
-        #: which together key every stored area, so areas are safe to reuse
-        #: across runs.
-        self.disk_cache: Optional[SynthesisDiskCache] = (
-            disk_cache if disk_cache is not None else resolve_synthesis_cache()
-        )
+        self._synthesize = partial(_synthesized_area, library=self.library, effort=effort)
+        #: Optional persistent read-through store (``REPRO_CACHE_DIR``, or
+        #: the remote tier under ``REPRO_CACHE_URL``; the environment-named
+        #: store is shared process-wide).  Synthesis is a pure function of
+        #: the effort, the library and the merged truth tables, which
+        #: together key every stored area, so areas are safe to reuse across
+        #: runs.
+        self.disk_cache: Optional[SynthesisDiskCache] = resolve_synthesis_cache()
         self._library_fingerprint = (
             library_fingerprint(self.library) if self.disk_cache is not None else ""
         )
@@ -360,7 +389,6 @@ class PinAssignmentProblem:
         remote_stats = getattr(self.disk_cache, "remote_stats", None)
         self._remote_baseline = dict(remote_stats()) if remote_stats else {}
         self.evaluations = 0
-        self.genotype_hits = 0
         self.signature_hits = 0
 
     # -------------------------------------------------------------- #
@@ -373,11 +401,8 @@ class PinAssignmentProblem:
         )
 
     def random_genotype(self, rng: random.Random) -> List[int]:
-        """Sample a random genotype (function 0 optionally pinned to identity)."""
-        genotype = self.space.random_genotype(rng)
-        if self.fix_first_function:
-            genotype = self._pin_first_function(genotype)
-        return genotype
+        """Sample a random genotype (function 0 pinned to identity)."""
+        return self._pin_first_function(self.space.random_genotype(rng))
 
     def _pin_first_function(self, genotype: List[int]) -> List[int]:
         """Force function 0's permutations to identity (removes symmetry)."""
@@ -415,48 +440,65 @@ class PinAssignmentProblem:
     def _signature_of(function: BoolFunction) -> Tuple[int, ...]:
         return (function.num_inputs,) + tuple(table.bits for table in function.outputs)
 
-    def evaluate(self, genotype: Sequence[int]) -> float:
-        """Synthesised area (GE) of the merged circuit for this genotype."""
-        key = tuple(genotype)
-        cached = self._area_cache.get(key)
-        if cached is not None:
-            self.genotype_hits += 1
-            return cached
-        design = self._merged_design(genotype)
-        signature = self._signature_of(design.function)
-        area = self._signature_cache.get(signature)
-        if area is not None:
-            self.signature_hits += 1
-        else:
+    def synthesis_pool(self, jobs: int) -> WorkerPool:
+        """A pool that synthesises this problem's merged functions.
+
+        Pass it to :meth:`evaluate`.  Its task receives a merged function,
+        never the problem; at ``jobs=1`` it starts no process.
+        """
+        return WorkerPool(self._synthesize, jobs=jobs)
+
+    def evaluate(
+        self, genotypes: Sequence[Sequence[int]], pool: Optional[WorkerPool] = None
+    ) -> List[float]:
+        """Synthesised areas (GE) of the merged circuits, in genotype order.
+
+        Each genotype is merged here and its canonical signature looked up,
+        first in memory, then in the persistent store.  The merged functions
+        found in neither are synthesised once each, in first-occurrence
+        order, over ``pool`` (by default :meth:`synthesis_pool` at
+        ``jobs=1``, which runs them inline).  A signature that repeats within
+        the batch is a signature hit, as if the genotypes had come one by
+        one, so every counter is the same at any worker count.
+        """
+        if pool is None:
+            pool = self.synthesis_pool(1)
+        signatures: List[Tuple[int, ...]] = []
+        pending: Dict[Tuple[int, ...], BoolFunction] = {}
+        for genotype in genotypes:
+            function = self._merged_design(genotype).function
+            signature = self._signature_of(function)
+            signatures.append(signature)
+            if signature in self._signature_cache or signature in pending:
+                self.signature_hits += 1
+                continue
+            area = None
             if self.disk_cache is not None:
                 area = self.disk_cache.get(
                     self.effort, self._library_fingerprint, signature
                 )
             if area is None:
-                result = synthesize(design.function, library=self.library,
-                                    effort=self.effort)
-                area = result.area
-                self.evaluations += 1
-                if self.disk_cache is not None:
-                    self.disk_cache.put(
-                        self.effort, self._library_fingerprint, signature, area
-                    )
+                pending[signature] = function
+            else:
+                self._signature_cache[signature] = area
+        results = pool.map(list(pending.values()))
+        for signature, (area, counters, pid) in zip(pending, results):
+            if pid != os.getpid():
+                # A worker's synthesis counters are not in this process yet.
+                synthesis_telemetry().absorb("synth", counters)
+            self.evaluations += 1
             self._signature_cache[signature] = area
-        self._area_cache[key] = area
-        return area
-
-    def store(self, genotype: Sequence[int], area: float) -> None:
-        """Prime the genotype cache with an externally computed area.
-
-        Used by parallel sweeps to feed results evaluated in worker processes
-        back into the shared cache without re-synthesizing.
-        """
-        self._area_cache[tuple(genotype)] = float(area)
+            if self.disk_cache is not None:
+                self.disk_cache.put(
+                    self.effort, self._library_fingerprint, signature, area
+                )
+        return [self._signature_cache[signature] for signature in signatures]
 
     def cache_stats(self) -> Dict[str, int]:
-        """Hit/miss counters and sizes of the fitness-cache levels.
+        """Synthesis runs, signature-cache hits and size, and store traffic.
 
-        The ``disk_*`` counters are only present when a persistent cache is
+        ``evaluations`` counts synthesis runs, wherever they ran.  The
+        ``disk_*`` counters are only present when a persistent cache is
         attached (``REPRO_CACHE_DIR``).  The environment-named store is
         shared process-wide, so ``disk_hits`` reports the hits observed
         since *this* problem was constructed (``disk_loaded`` and
@@ -464,9 +506,7 @@ class PinAssignmentProblem:
         """
         stats = {
             "evaluations": self.evaluations,
-            "genotype_hits": self.genotype_hits,
             "signature_hits": self.signature_hits,
-            "genotype_entries": len(self._area_cache),
             "signature_entries": len(self._signature_cache),
         }
         if self.disk_cache is not None:
@@ -487,18 +527,12 @@ class PinAssignmentProblem:
         self, parent_a: List[int], parent_b: List[int], rng: random.Random
     ) -> Tuple[List[int], List[int]]:
         """Segment-wise PMX crossover preserving the pinned first function."""
-        child_a, child_b = self.space.crossover(parent_a, parent_b, rng, method="pmx")
-        if self.fix_first_function:
-            child_a = self._pin_first_function(child_a)
-            child_b = self._pin_first_function(child_b)
-        return child_a, child_b
+        child_a, child_b = self.space.crossover(parent_a, parent_b, rng)
+        return self._pin_first_function(child_a), self._pin_first_function(child_b)
 
     def mutate(self, genotype: List[int], rng: random.Random) -> List[int]:
         """Segment-wise swap/shuffle mutation preserving the pinned function."""
-        mutated = self.space.mutate(genotype, rng)
-        if self.fix_first_function:
-            mutated = self._pin_first_function(mutated)
-        return mutated
+        return self._pin_first_function(self.space.mutate(genotype, rng))
 
 
 @dataclass
@@ -511,7 +545,8 @@ class PinOptimizationResult:
     synthesis: SynthesisResult
     ga_result: GAResult
     history: List[GenerationStats] = field(default_factory=list)
-    #: Fitness-cache counters from :meth:`PinAssignmentProblem.cache_stats`.
+    #: Fitness-cache counters: :meth:`PinAssignmentProblem.cache_stats` plus
+    #: ``genotype_hits``, the requests the engine's genotype memo answered.
     cache_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -526,56 +561,31 @@ def optimize_pin_assignment(
     library: Optional[CellLibrary] = None,
     effort: str = SynthesisEffort.FAST,
     final_effort: str = SynthesisEffort.STANDARD,
-    seed_identity: bool = True,
-    progress: Optional[Callable[[GenerationStats], None]] = None,
     jobs: int = 1,
 ) -> PinOptimizationResult:
     """Run the Phase II genetic algorithm and return the best pin assignment.
 
     ``effort`` controls the synthesis effort used inside the fitness loop
     (fast by default, as in an exploration loop); ``final_effort`` is used
-    for the one final synthesis of the winning assignment.  ``jobs`` sets the
-    number of worker processes used for fitness evaluation (1 = serial);
-    seeded results are identical for every ``jobs`` value.
+    for the one final synthesis of the winning assignment.  Generation zero
+    holds the identity assignment.  ``jobs`` sets the number of worker
+    processes that synthesise fitness misses (1 = inline); results and
+    counters are identical for every ``jobs`` value.
     """
     problem = PinAssignmentProblem(functions, library=library, effort=effort)
-    parameters = parameters or GAParameters()
-    engine = GeneticAlgorithm(
-        sample=problem.random_genotype,
-        evaluate=problem.evaluate,
-        crossover=problem.crossover,
-        mutate=problem.mutate,
-        parameters=parameters,
-        jobs=jobs,
-    )
-    initial = [problem.space.identity_genotype()] if seed_identity else None
-    ga_result = engine.run(initial_population=initial, progress=progress)
-
-    if jobs > 1:
-        # Some (possibly all) fitness evaluations ran in worker processes,
-        # invisible to the parent problem object: feed the engine's results
-        # back into the shared cache (restoring GA <-> random-search
-        # sharing).
-        for key, fitness in engine.cached_fitnesses():
-            problem.store(key, fitness)
+    with problem.synthesis_pool(jobs) as pool:
+        engine = GeneticAlgorithm(
+            sample=problem.random_genotype,
+            evaluate=partial(problem.evaluate, pool=pool),
+            crossover=problem.crossover,
+            mutate=problem.mutate,
+            parameters=parameters,
+        )
+        ga_result = engine.run(initial_population=[problem.space.identity_genotype()])
     stats = problem.cache_stats()
-    # Distinct evaluations the parent's counters did not see ran in worker
-    # processes; count them as synthesis runs (worker-local signature hits
-    # are not observable, so this is an upper bound on actual synths).
-    # Evaluations the pool ran inline (clamped workers, single-item batches)
-    # are already in the parent's counters and must not be double-counted —
-    # nor must evaluations answered by the persistent disk cache.
-    worker_evaluations = (
-        engine.evaluations
-        - stats["evaluations"]
-        - stats["signature_hits"]
-        - stats.get("disk_hits", 0)
-    )
-    if worker_evaluations > 0:
-        stats["evaluations"] += worker_evaluations
-    # The engine's genotype cache shields the problem object from duplicate
-    # requests, so the engine-level hits are part of the workload's total.
-    stats["genotype_hits"] += engine.cache_hits
+    # The engine's memo answers repeated genotypes before they reach the
+    # problem, so its hits are the workload's genotype hits.
+    stats["genotype_hits"] = engine.cache_hits
 
     best_assignment = problem.assignment_from_genotype(ga_result.best_genotype)
     merged = merge_functions(functions, best_assignment)

@@ -3,7 +3,9 @@
 The paper compares the genetic algorithm against an equal budget of random
 pin assignments (Table I's "Random avg/best" columns and the horizontal
 lines of Fig. 4b, plus the histogram of Fig. 4a).  This module evaluates a
-batch of random assignments using the same fitness machinery as the GA.
+batch of random assignments with the GA's fitness machinery: a
+:class:`~repro.ga.pinopt.PinAssignmentProblem` of its own, given the whole
+batch in one call.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import List, Optional, Sequence
 from ..logic.boolfunc import BoolFunction
 from ..merge.pinassign import PinAssignment
 from ..netlist.library import CellLibrary
-from ..parallel import parallel_map
 from ..synth.script import SynthesisEffort
 from .pinopt import PinAssignmentProblem
 
@@ -51,51 +52,27 @@ def random_pin_search(
     seed: int = 7,
     library: Optional[CellLibrary] = None,
     effort: str = SynthesisEffort.FAST,
-    problem: Optional[PinAssignmentProblem] = None,
-    include_identity: bool = False,
     jobs: int = 1,
 ) -> RandomSearchResult:
     """Evaluate ``num_samples`` random pin assignments and summarise the areas.
 
-    ``jobs > 1`` spreads the synthesis runs over worker processes; the
-    genotype batch is drawn from the seeded RNG up front, so the result is
-    identical for every ``jobs`` value.
+    The genotype batch is drawn from the seeded RNG up front and evaluated
+    in one call; ``jobs > 1`` synthesises its fitness misses over worker
+    processes, and the result is identical for every ``jobs`` value.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be at least 1")
-    if problem is None:
-        problem = PinAssignmentProblem(functions, library=library, effort=effort)
+    problem = PinAssignmentProblem(functions, library=library, effort=effort)
     rng = random.Random(seed)
-
-    genotypes: List[List[int]] = []
-    if include_identity:
-        genotypes.append(problem.space.identity_genotype())
-    while len(genotypes) < num_samples:
-        genotypes.append(problem.random_genotype(rng))
-
-    if jobs > 1:
-        evaluated = parallel_map(problem.evaluate, genotypes, jobs=jobs)
-        # Feed the worker results back into the shared (parent) cache so a
-        # subsequent GA run on the same problem object still benefits.
-        for genotype, area in zip(genotypes, evaluated):
-            problem.store(genotype, area)
-    else:
-        evaluated = [problem.evaluate(genotype) for genotype in genotypes]
-
-    areas: List[float] = []
-    best_area = float("inf")
-    best_genotype = genotypes[0]
-    for genotype, area in zip(genotypes, evaluated):
-        areas.append(area)
-        if area < best_area:
-            best_area = area
-            best_genotype = genotype
-
+    genotypes = [problem.random_genotype(rng) for _ in range(num_samples)]
+    with problem.synthesis_pool(jobs) as pool:
+        areas = problem.evaluate(genotypes, pool)
+    best = min(range(num_samples), key=areas.__getitem__)
     return RandomSearchResult(
         areas=areas,
-        best_area=best_area,
+        best_area=areas[best],
         average_area=sum(areas) / len(areas),
         worst_area=max(areas),
-        best_assignment=problem.assignment_from_genotype(best_genotype),
+        best_assignment=problem.assignment_from_genotype(genotypes[best]),
         evaluations=len(areas),
     )

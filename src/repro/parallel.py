@@ -23,9 +23,8 @@ callers need:
   instead of an indefinite hang or an all-or-nothing serial fallback.
 
 The worker function is shipped to each worker once (via the pool
-initializer), not once per task, so a fitness callable carrying large
-problem state (S-box truth tables, cell libraries, caches) is pickled
-``jobs`` times per pool rather than once per genotype.
+initializer), not once per task, so a task bound to a cell library is
+pickled ``jobs`` times per pool rather than once per item.
 
 The ``jobs`` count used by the CLI and the benchmark harness defaults to the
 ``REPRO_JOBS`` environment variable (see :func:`resolve_jobs`).
@@ -173,25 +172,23 @@ class WorkerPool:
 
     The pool is lazy: worker processes are only started on the first parallel
     ``map`` call, and only when more than one worker is useful.  The number
-    of worker processes is clamped to the CPUs actually available unless
-    ``oversubscribe`` is set: every process past the core count merely
-    duplicates work (each worker warms its own memo caches), so on a small
-    machine a large ``jobs`` value silently degrades to what the hardware
-    can exploit — results are identical either way.  Use as a context
-    manager or call :meth:`close` explicitly.
+    of worker processes is clamped to the CPUs actually available: every
+    process past the core count merely duplicates work (each worker warms
+    its own memo caches), so on a small machine a large ``jobs`` value
+    silently degrades to what the hardware can exploit — results are
+    identical either way.  Use as a context manager or call :meth:`close`
+    explicitly.
     """
 
     #: Pool respawns allowed per map/imap call before WorkerCrashed is raised.
     MAX_POOL_RESTARTS = 3
 
-    def __init__(
-        self, function: Callable[[T], R], jobs: int = 1, oversubscribe: bool = False
-    ):
+    def __init__(self, function: Callable[[T], R], jobs: int = 1):
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         self._function = function
         self.jobs = jobs
-        self.workers = jobs if oversubscribe else min(jobs, available_cpus())
+        self.workers = min(jobs, available_cpus())
         self._executor = None
         self._broken = False
         #: Cumulative supervision counters (robustness telemetry).
@@ -371,11 +368,8 @@ class WorkerPool:
 
 
 def parallel_map(
-    function: Callable[[T], R],
-    items: Iterable[T],
-    jobs: int = 1,
-    oversubscribe: bool = False,
+    function: Callable[[T], R], items: Iterable[T], jobs: int = 1
 ) -> List[R]:
     """One-shot ordered parallel map (serial when ``jobs == 1``)."""
-    with WorkerPool(function, jobs=jobs, oversubscribe=oversubscribe) as pool:
+    with WorkerPool(function, jobs=jobs) as pool:
         return pool.map(list(items))

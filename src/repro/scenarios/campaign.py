@@ -130,30 +130,11 @@ def _profile_from_dict(data: Dict[str, Any]):
 # ``payload`` the JSON-safe summary written to the state file.
 
 
-def _synth_snapshot() -> Dict[str, float]:
-    """Snapshot the process-wide synthesis telemetry counters."""
-    from ..synth.script import synthesis_telemetry
-
-    return dict(synthesis_telemetry().scopes.get("synth", {}))
-
-
-def _synth_delta(before: Dict[str, float]) -> RunTelemetry:
-    """Telemetry record holding synthesis counters accrued since *before*."""
-    from ..synth.script import synthesis_telemetry
-
-    delta = RunTelemetry()
-    after = synthesis_telemetry().scopes.get("synth", {})
-    for key, value in after.items():
-        diff = value - before.get(key, 0)
-        if diff:
-            delta.count("synth", key, diff)
-    return delta
-
-
 def _run_table1_row(params: Dict[str, Any], task_jobs: int) -> Tuple[Any, dict]:
     from ..evaluation.table1 import run_table1_entry
+    from ..synth.script import synthesis_counters, synthesis_counters_since
 
-    synth_before = _synth_snapshot()
+    synth_before = synthesis_counters()
     entry = run_table1_entry(
         params["family"],
         int(params["count"]),
@@ -166,7 +147,9 @@ def _run_table1_row(params: Dict[str, Any], task_jobs: int) -> Tuple[Any, dict]:
         "row": entry.row.as_dict(),
         "ga_evaluations": entry.ga_evaluations,
         "verification_ok": entry.verification_ok,
-        "telemetry": _synth_delta(synth_before).to_dict(),
+        "telemetry": RunTelemetry()
+        .absorb("synth", synthesis_counters_since(synth_before))
+        .to_dict(),
     }
     return entry, payload
 
@@ -357,7 +340,9 @@ def _run_window_obfuscate(params: Dict[str, Any], task_jobs: int) -> Tuple[Any, 
     the BLIF source, obfuscates its assigned window, and persists a fully
     self-describing payload — the camouflaged window as BLIF text plus the
     serialised true configuration — so a resumed campaign can stitch
-    without re-running finished windows.
+    without re-running finished windows.  ``task_jobs`` is unused: a
+    window's GA runs in the job's process (see
+    :func:`~repro.flow.target.obfuscate_window`).
     """
     from ..flow.target import obfuscate_window
     from ..ga.engine import GAParameters
@@ -403,7 +388,6 @@ def _run_window_obfuscate(params: Dict[str, Any], task_jobs: int) -> Tuple[Any, 
         fitness_effort=params.get("fitness_effort", "fast"),
         final_effort=params.get("final_effort", "fast"),
         verify=bool(params.get("verify", True)),
-        jobs=task_jobs,
     )
     payload = {
         "index": window.index,
@@ -1365,7 +1349,6 @@ class CampaignRunner:
         retry_policy: Optional[RetryPolicy] = None,
         solve_budget: Optional[SolveBudget] = None,
         lease_ttl: Optional[float] = None,
-        oversubscribe: bool = False,
     ):
         self.spec = spec
         self.state_dir = state_dir
@@ -1374,11 +1357,6 @@ class CampaignRunner:
         self._retry_policy = retry_policy
         self._solve_budget = solve_budget
         self._lease_ttl = lease_ttl
-        #: Spawn ``jobs`` worker processes even beyond the CPU count.  Off
-        #: by default (extra workers only duplicate compute); wait-heavy
-        #: sweeps and crash-isolation (a dying worker must not be this
-        #: process) justify turning it on.
-        self.oversubscribe = oversubscribe
 
     # -------------------------------------------------------------- #
     # Tracing
@@ -1474,9 +1452,7 @@ class CampaignRunner:
             store = JobStore(self.state_dir, lease_ttl=self._lease_ttl)
 
         if pending:
-            with WorkerPool(
-                _execute_job_task, jobs=self.jobs, oversubscribe=self.oversubscribe
-            ) as pool:
+            with WorkerPool(_execute_job_task, jobs=self.jobs) as pool:
                 self._run_rounds(book, pending, pool, store, fail_fast=fail_fast)
             book.bump("worker_crashes", pool.worker_crashes)
             book.bump("pool_restarts", pool.pool_restarts)
@@ -1690,7 +1666,6 @@ def run_campaign(
     retry_policy: Optional[RetryPolicy] = None,
     solve_budget: Optional[SolveBudget] = None,
     lease_ttl: Optional[float] = None,
-    oversubscribe: bool = False,
 ) -> CampaignResult:
     """One-shot convenience wrapper around :class:`CampaignRunner`."""
     return CampaignRunner(
@@ -1701,7 +1676,6 @@ def run_campaign(
         retry_policy=retry_policy,
         solve_budget=solve_budget,
         lease_ttl=lease_ttl,
-        oversubscribe=oversubscribe,
     ).run(limit=limit, fail_fast=fail_fast)
 
 
@@ -1718,7 +1692,6 @@ def run_windowed_campaign(
     retry_policy: Optional[RetryPolicy] = None,
     solve_budget: Optional[SolveBudget] = None,
     lease_ttl: Optional[float] = None,
-    oversubscribe: bool = False,
 ) -> Tuple[CampaignResult, Optional["object"]]:
     """Run the windowed obfuscation of a BLIF circuit as a campaign.
 
@@ -1744,7 +1717,6 @@ def run_windowed_campaign(
         retry_policy=retry_policy,
         solve_budget=solve_budget,
         lease_ttl=lease_ttl,
-        oversubscribe=oversubscribe,
     )
     if outcome.failed or outcome.pending:
         return outcome, None

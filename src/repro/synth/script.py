@@ -32,6 +32,8 @@ __all__ = [
     "synthesize",
     "synthesis_telemetry",
     "reset_synthesis_telemetry",
+    "synthesis_counters",
+    "synthesis_counters_since",
 ]
 
 #: Named pass sequences, in increasing effort/runtime order.
@@ -89,6 +91,24 @@ def reset_synthesis_telemetry() -> RunTelemetry:
     """Reset and return the module telemetry (tests and benchmark legs)."""
     _TELEMETRY.scopes.clear()
     return _TELEMETRY
+
+
+def synthesis_counters() -> Dict[str, float]:
+    """A copy of the live ``synth`` counters, to diff against later."""
+    return dict(_TELEMETRY.scopes.get("synth", {}))
+
+
+def synthesis_counters_since(before: Dict[str, float]) -> Dict[str, float]:
+    """How much each ``synth`` counter moved since ``before``.
+
+    ``before`` is a :func:`synthesis_counters` copy; counters that did not
+    move are left out.
+    """
+    return {
+        key: value - before.get(key, 0)
+        for key, value in _TELEMETRY.scopes.get("synth", {}).items()
+        if value != before.get(key, 0)
+    }
 
 
 @dataclass

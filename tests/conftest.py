@@ -96,6 +96,15 @@ def small_obfuscation(two_sboxes):
 
 
 @pytest.fixture
+def four_cpus(monkeypatch):
+    """Report four CPUs, so that ``jobs`` of 2-4 start real worker
+    processes on any host (a killed worker must never be pytest itself)."""
+    import repro.parallel as parallel_module
+
+    monkeypatch.setattr(parallel_module, "available_cpus", lambda: 4)
+
+
+@pytest.fixture
 def rng():
     """A deterministic random generator for tests."""
     return random.Random(12345)

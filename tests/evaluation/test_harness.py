@@ -67,12 +67,9 @@ class TestTable1:
         )
         assert len(entries) == 1
 
-    def test_entry_identical_across_jobs(self, tiny_profile, tiny_entry, monkeypatch):
+    def test_entry_identical_across_jobs(self, tiny_profile, tiny_entry, four_cpus):
         # Force real worker processes even on a single-CPU host so the
         # multiprocess path is what gets compared against the serial entry.
-        import repro.parallel as parallel_module
-
-        monkeypatch.setattr(parallel_module, "available_cpus", lambda: 4)
         parallel = run_table1_entry(
             PRESENT_FAMILY, 2, profile=tiny_profile, seed=1, jobs=2
         )
@@ -87,10 +84,7 @@ class TestTable1:
         )
         assert parallel_opt.ga_result.history == serial_opt.ga_result.history
 
-    def test_sweep_identical_across_jobs(self, tiny_profile, monkeypatch):
-        import repro.parallel as parallel_module
-
-        monkeypatch.setattr(parallel_module, "available_cpus", lambda: 4)
+    def test_sweep_identical_across_jobs(self, tiny_profile, four_cpus):
         families = [(PRESENT_FAMILY, 2), (PRESENT_FAMILY, 3)]
         serial = run_table1(
             profile=tiny_profile, families=families, seed=3, verify=False, jobs=1

@@ -73,15 +73,3 @@ class TestFullFlowWithGa:
         assert result.merged_design.num_selects == 2
         report = verify_viable_functions(result.mapping, result.merged_design)
         assert report.all_realisable
-
-    def test_progress_callback_invoked(self, two_sboxes):
-        seen = []
-        obfuscate(
-            two_sboxes,
-            ga_parameters=GAParameters(population_size=4, generations=1, seed=2),
-            fitness_effort="fast",
-            final_effort="fast",
-            verify=False,
-            progress=seen.append,
-        )
-        assert [stats.generation for stats in seen] == [0, 1]

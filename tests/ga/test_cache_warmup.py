@@ -43,14 +43,14 @@ class TestSharedDiskCache:
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
         first = PinAssignmentProblem(two_sboxes)
         genotype = first.random_genotype(rng)
-        first.evaluate(genotype)
+        first.evaluate([genotype])
         assert first.cache_stats()["disk_hits"] == 0
 
         # A second problem over the SAME shared cache instance hits once —
         # and reports exactly its own hit, not the shared cumulative count.
         second = PinAssignmentProblem(two_sboxes)
         assert second.disk_cache is first.disk_cache
-        second.evaluate(genotype)
+        second.evaluate([genotype])
         assert second.cache_stats()["disk_hits"] == 1
         assert second.cache_stats()["evaluations"] == 0
         # A problem constructed after that traffic starts from zero again.

@@ -115,21 +115,44 @@ class TestSynthesisDiskCache:
 
 
 class TestProblemIntegration:
-    def test_second_problem_reads_through(self, tmp_path, two_sboxes, rng):
-        cache = SynthesisDiskCache(str(tmp_path))
-        problem = PinAssignmentProblem(two_sboxes, disk_cache=cache)
+    def test_second_problem_reads_through(self, tmp_path, two_sboxes, rng, monkeypatch):
+        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
+        monkeypatch.setattr(SynthesisDiskCache, "_SHARED", {})
+        problem = PinAssignmentProblem(two_sboxes)
         genotype = problem.random_genotype(rng)
-        area = problem.evaluate(genotype)
+        area = problem.evaluate([genotype])
         assert problem.cache_stats()["evaluations"] == 1
         assert problem.cache_stats()["disk_hits"] == 0
 
-        fresh = PinAssignmentProblem(
-            two_sboxes, disk_cache=SynthesisDiskCache(str(tmp_path))
-        )
-        assert fresh.evaluate(genotype) == area
+        # A fresh process-wide store, as in a new process: it loads the
+        # entry the first problem appended.
+        monkeypatch.setattr(SynthesisDiskCache, "_SHARED", {})
+        fresh = PinAssignmentProblem(two_sboxes)
+        assert fresh.disk_cache is not problem.disk_cache
+        assert fresh.evaluate([genotype]) == area
         stats = fresh.cache_stats()
         assert stats["evaluations"] == 0
         assert stats["disk_hits"] == 1
+
+    def test_parallel_run_writes_only_the_parent_segment(
+        self, tmp_path, two_sboxes, monkeypatch, four_cpus
+    ):
+        # Four CPUs reported, so jobs=2 synthesises on two worker processes.
+        # Workers only synthesise; the parent alone reads and appends to the
+        # store, so its segment is the only one and holds its appends.
+        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
+        monkeypatch.setattr(SynthesisDiskCache, "_SHARED", {})
+        result = optimize_pin_assignment(
+            two_sboxes,
+            parameters=GAParameters(population_size=4, generations=2, seed=3),
+            jobs=2,
+        )
+        cache = SynthesisDiskCache.from_environment()
+        segments = sorted(tmp_path.glob(SynthesisDiskCache.SEGMENT_PATTERN))
+        assert [str(path) for path in segments] == [cache.segment_path]
+        with open(cache.segment_path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        assert len(lines) == cache.appends == result.cache_stats["evaluations"] > 0
 
     def test_optimize_results_identical_with_cache(self, tmp_path, two_sboxes, monkeypatch):
         parameters = GAParameters(population_size=4, generations=2, seed=3)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.ga import (
     SegmentedPermutationSpace,
-    order_crossover,
     pmx_crossover,
     shuffle_mutation,
     swap_mutation,
@@ -18,7 +17,7 @@ def is_permutation(values):
 
 
 class TestCrossovers:
-    @pytest.mark.parametrize("crossover", [pmx_crossover, order_crossover])
+    @pytest.mark.parametrize("crossover", [pmx_crossover])
     def test_children_are_permutations(self, crossover):
         rng = random.Random(3)
         for _ in range(50):
@@ -31,7 +30,7 @@ class TestCrossovers:
             assert is_permutation(child_a)
             assert is_permutation(child_b)
 
-    @pytest.mark.parametrize("crossover", [pmx_crossover, order_crossover])
+    @pytest.mark.parametrize("crossover", [pmx_crossover])
     def test_identical_parents_give_identical_children(self, crossover):
         rng = random.Random(1)
         parent = [3, 1, 0, 2, 4]
@@ -39,7 +38,7 @@ class TestCrossovers:
         assert child_a == parent
         assert child_b == parent
 
-    @pytest.mark.parametrize("crossover", [pmx_crossover, order_crossover])
+    @pytest.mark.parametrize("crossover", [pmx_crossover])
     def test_length_mismatch_rejected(self, crossover):
         with pytest.raises(ValueError):
             crossover([0, 1], [0, 1, 2], random.Random(0))
@@ -47,7 +46,6 @@ class TestCrossovers:
     def test_single_gene_segments(self):
         rng = random.Random(0)
         assert pmx_crossover([0], [0], rng) == ([0], [0])
-        assert order_crossover([0], [0], rng) == ([0], [0])
 
 
 class TestMutations:
@@ -103,17 +101,11 @@ class TestSegmentedSpace:
         rng = random.Random(11)
         parent_a = space.random_genotype(rng)
         parent_b = space.random_genotype(rng)
-        for method in ("pmx", "order"):
-            child_a, child_b = space.crossover(parent_a, parent_b, rng, method=method)
-            assert space.validate(child_a)
-            assert space.validate(child_b)
+        child_a, child_b = space.crossover(parent_a, parent_b, rng)
+        assert space.validate(child_a)
+        assert space.validate(child_b)
         for _ in range(10):
             assert space.validate(space.mutate(parent_a, rng))
-
-    def test_unknown_crossover_rejected(self):
-        space = SegmentedPermutationSpace([3])
-        with pytest.raises(ValueError):
-            space.crossover([0, 1, 2], [2, 1, 0], random.Random(0), method="uniform")
 
     def test_bad_segment_sizes(self):
         with pytest.raises(ValueError):

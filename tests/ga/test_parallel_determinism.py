@@ -1,22 +1,34 @@
 """Parallel-evaluation determinism: seeded runs must be identical for every
-``jobs`` setting, and the fitness caches must never change a result."""
+``jobs`` setting, and so must the fitness caches' counters and the synthesis
+counters, because workers only synthesise."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.ga.engine import GAParameters, GeneticAlgorithm
-from repro.ga.pinopt import PinAssignmentProblem, optimize_pin_assignment
+from repro.ga.pinopt import optimize_pin_assignment
 from repro.ga.random_search import random_pin_search
 from repro.logic.boolfunc import BoolFunction
 from repro.logic.truthtable import TruthTable
+from repro.synth.script import synthesis_telemetry
 
 
 def _small_functions():
-    """Two tiny same-shape functions (cheap enough to synthesise in tests)."""
-    f_and = BoolFunction([TruthTable(2, 0b1000)], name="and2")
-    f_or = BoolFunction([TruthTable(2, 0b1110)], name="or2")
-    return [f_and, f_or]
+    """Two tiny same-shape functions (cheap enough to synthesise in tests).
+
+    The second is asymmetric in its three inputs, so its six input
+    permutations merge to six distinct circuits and a generation leaves
+    several fitness misses for the workers.
+    """
+
+    def table(rule):
+        rows = [row for row in range(8) if rule(row & 1, row >> 1 & 1, row >> 2 & 1)]
+        return TruthTable(3, sum(1 << row for row in rows))
+
+    f_maj = BoolFunction([table(lambda a, b, c: a + b + c >= 2)], name="maj3")
+    f_mix = BoolFunction([table(lambda a, b, c: (a and not b) != c)], name="mix3")
+    return [f_maj, f_mix]
 
 
 def _run(jobs: int, seed: int = 9):
@@ -30,19 +42,15 @@ def _run(jobs: int, seed: int = 9):
 
 
 class TestSeededDeterminismAcrossJobs:
-    def test_ga_result_identical_for_serial_and_parallel(self, monkeypatch):
+    def test_ga_result_identical_for_serial_and_parallel(self, four_cpus):
         # Force real worker processes even on a single-CPU host so the
         # multiprocess path is what we compare against the serial run.
-        import repro.parallel as parallel_module
-
-        monkeypatch.setattr(parallel_module, "available_cpus", lambda: 4)
         serial = _run(jobs=1)
         parallel = _run(jobs=4)
         assert serial.ga_result.best_genotype == parallel.ga_result.best_genotype
         assert serial.ga_result.best_fitness == parallel.ga_result.best_fitness
         assert serial.ga_result.evaluations == parallel.ga_result.evaluations
         assert serial.ga_result.history == parallel.ga_result.history
-        assert serial.ga_result.hall_of_fame == parallel.ga_result.hall_of_fame
         assert serial.best_area == parallel.best_area
         assert (
             serial.best_assignment.to_genotype()
@@ -74,28 +82,36 @@ class TestSeededDeterminismAcrossJobs:
             == result.ga_result.evaluations
         )
 
-    def test_cache_stats_count_worker_evaluations(self, monkeypatch):
-        import repro.parallel as parallel_module
+    def test_cache_stats_count_worker_evaluations(self, monkeypatch, four_cpus):
+        # Four CPUs reported, so jobs=4 synthesises on real worker processes.
+        # The parent keeps every cache and counter, and adds the workers'
+        # synthesis counters to its own: all of it equals the serial run.
+        import repro.ga.pinopt as pinopt_module
+        synthesize = pinopt_module.synthesize
+        in_process = []
 
-        monkeypatch.setattr(parallel_module, "available_cpus", lambda: 4)
-        result = _run(jobs=4)
-        stats = result.cache_stats
-        # Worker-side evaluations are reported as synthesis runs; together
-        # with parent-side signature hits they cover every distinct genotype.
-        assert (
-            stats["evaluations"] + stats["signature_hits"]
-            == result.ga_result.evaluations
-        )
-        assert stats["evaluations"] > 0
+        def counted(*args, **kwargs):
+            # A worker appends to its own copy of the list, not to ours.
+            in_process.append(1)
+            return synthesize(*args, **kwargs)
 
-    def test_parallel_results_feed_shared_cache(self):
-        functions = _small_functions()
-        problem = PinAssignmentProblem(functions, effort="fast")
-        random_pin_search(
-            functions, num_samples=8, seed=5, problem=problem, jobs=2
-        )
-        stats = problem.cache_stats()
-        assert stats["genotype_entries"] >= 1
+        monkeypatch.setattr(pinopt_module, "synthesize", counted)
+        results, synth_runs, calls = [], [], []
+        for jobs in (1, 4):
+            before = synthesis_telemetry().get("synth", "runs")
+            in_process.clear()
+            results.append(_run(jobs=jobs))
+            synth_runs.append(synthesis_telemetry().get("synth", "runs") - before)
+            calls.append(len(in_process))
+        serial, parallel = results
+        assert parallel.ga_result == serial.ga_result
+        assert parallel.cache_stats == serial.cache_stats
+        assert serial.cache_stats["evaluations"] > 0
+        # The fitness syntheses plus the one final synthesis of the winner,
+        # wherever they ran; at jobs=4 some of them ran in workers.
+        assert synth_runs == [serial.cache_stats["evaluations"] + 1] * 2
+        assert calls[0] == synth_runs[0]
+        assert calls[1] < synth_runs[1]
 
 
 class TestEngineBatchEvaluation:
@@ -112,9 +128,9 @@ class TestEngineBatchEvaluation:
     def test_duplicate_genotypes_counted_as_hits(self):
         calls = []
 
-        def evaluate(genotype):
-            calls.append(tuple(genotype))
-            return float(sum(genotype))
+        def evaluate(genotypes):
+            calls.extend(tuple(genotype) for genotype in genotypes)
+            return [float(sum(genotype)) for genotype in genotypes]
 
         engine = GeneticAlgorithm(
             sample=lambda rng: [rng.randrange(3) for _ in range(4)],
@@ -129,13 +145,3 @@ class TestEngineBatchEvaluation:
         assert result.evaluations == len(calls)
         # ...and the rest of the fitness requests were cache hits.
         assert engine.cache_hits > 0
-
-    def test_engine_rejects_bad_jobs(self):
-        with pytest.raises(ValueError):
-            GeneticAlgorithm(
-                sample=lambda rng: [0],
-                evaluate=lambda g: 0.0,
-                crossover=lambda a, b, rng: (a, b),
-                mutate=lambda g, rng: g,
-                jobs=0,
-            )

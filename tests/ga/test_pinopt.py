@@ -24,7 +24,7 @@ class TestPinAssignmentProblem:
         assert assignment.num_functions == 2
 
     def test_first_function_pinned(self, two_sboxes):
-        problem = PinAssignmentProblem(two_sboxes, fix_first_function=True)
+        problem = PinAssignmentProblem(two_sboxes)
         rng = random.Random(2)
         for _ in range(5):
             genotype = problem.random_genotype(rng)
@@ -34,20 +34,10 @@ class TestPinAssignmentProblem:
             mutated = problem.mutate(genotype, rng)
             assert problem.assignment_from_genotype(mutated).input_perms[0] == tuple(range(4))
 
-    def test_unpinned_mode(self, two_sboxes):
-        problem = PinAssignmentProblem(two_sboxes, fix_first_function=False)
-        rng = random.Random(3)
-        seen_non_identity = any(
-            problem.assignment_from_genotype(problem.random_genotype(rng)).input_perms[0]
-            != tuple(range(4))
-            for _ in range(10)
-        )
-        assert seen_non_identity
-
     def test_evaluate_matches_direct_synthesis(self, two_sboxes, library):
         problem = PinAssignmentProblem(two_sboxes, library=library, effort="fast")
         genotype = problem.space.identity_genotype()
-        area = problem.evaluate(genotype)
+        (area,) = problem.evaluate([genotype])
         design = merge_functions(two_sboxes)
         direct = synthesize(design.function, library=library, effort="fast").area
         assert area == pytest.approx(direct)
@@ -55,8 +45,8 @@ class TestPinAssignmentProblem:
     def test_evaluate_is_cached(self, two_sboxes):
         problem = PinAssignmentProblem(two_sboxes, effort="fast")
         genotype = problem.space.identity_genotype()
-        problem.evaluate(genotype)
-        problem.evaluate(genotype)
+        problem.evaluate([genotype])
+        problem.evaluate([genotype])
         assert problem.evaluations == 1
 
     def test_shape_validation(self, two_sboxes, des_pair):
@@ -74,9 +64,8 @@ class TestOptimizePinAssignment:
             effort="fast",
             final_effort="fast",
         )
-        identity_area = PinAssignmentProblem(two_sboxes, effort="fast").evaluate(
-            PinAssignmentProblem(two_sboxes).space.identity_genotype()
-        )
+        problem = PinAssignmentProblem(two_sboxes, effort="fast")
+        (identity_area,) = problem.evaluate([problem.space.identity_genotype()])
         # The GA seeds the identity assignment, so it can never end up worse.
         assert result.best_area <= identity_area + 1e-9
         assert result.evaluations >= 4
@@ -107,23 +96,6 @@ class TestRandomSearch:
         histogram = result.histogram(bin_width=10.0)
         assert sum(count for _, count in histogram) == 8
 
-    def test_include_identity(self, two_sboxes, library):
-        result = random_pin_search(
-            two_sboxes, num_samples=3, seed=5, effort="fast", include_identity=True
-        )
-        design = merge_functions(two_sboxes)
-        identity_area = synthesize(design.function, library=library, effort="fast").area
-        assert any(abs(area - identity_area) < 1e-9 for area in result.areas)
-
     def test_invalid_sample_count(self, two_sboxes):
         with pytest.raises(ValueError):
             random_pin_search(two_sboxes, num_samples=0)
-
-    def test_shared_problem_reuses_cache(self, two_sboxes):
-        problem = PinAssignmentProblem(two_sboxes, effort="fast")
-        first = random_pin_search(two_sboxes, num_samples=4, seed=6, problem=problem)
-        evaluations_after_first = problem.evaluations
-        random_pin_search(two_sboxes, num_samples=4, seed=6, problem=problem)
-        # Same seed and same problem: every genotype is already cached.
-        assert problem.evaluations == evaluations_after_first
-        assert first.evaluations == 4

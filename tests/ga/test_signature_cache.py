@@ -47,33 +47,30 @@ class TestCanonicalSignature:
         ) != asymmetric.canonical_signature(SWAPPED_F1_INPUTS)
 
     def test_equivalent_genotype_never_resynthesizes(self, problem):
-        first = problem.evaluate(IDENTITY)
+        (first,) = problem.evaluate([IDENTITY])
         assert problem.evaluations == 1
-        second = problem.evaluate(SWAPPED_F1_INPUTS)
+        (second,) = problem.evaluate([SWAPPED_F1_INPUTS])
         assert problem.evaluations == 1, "permuted-equivalent genotype re-synthesized"
         assert problem.signature_hits == 1
         assert first == second
 
     def test_cached_area_matches_fresh_synthesis(self, problem):
-        problem.evaluate(IDENTITY)
-        cached = problem.evaluate(SWAPPED_F1_INPUTS)
+        problem.evaluate([IDENTITY])
+        (cached,) = problem.evaluate([SWAPPED_F1_INPUTS])
         fresh = problem.synthesize_genotype(SWAPPED_F1_INPUTS).area
         assert cached == fresh
 
-    def test_genotype_cache_counts_repeats(self, problem):
-        problem.evaluate(IDENTITY)
-        problem.evaluate(IDENTITY)
+    def test_batch_repeats_synthesise_once(self, problem):
+        # Within one batch a repeated signature (the same genotype, or an
+        # equivalent one) is a signature hit, as if evaluated one by one.
+        areas = problem.evaluate([IDENTITY, IDENTITY, SWAPPED_F1_INPUTS])
+        assert areas == [areas[0]] * 3
         stats = problem.cache_stats()
-        assert stats["genotype_hits"] == 1
         assert stats["evaluations"] == 1
+        assert stats["signature_hits"] == 2
+        assert stats["signature_entries"] == 1
 
     def test_cache_stats_shape(self, problem):
-        problem.evaluate(IDENTITY)
+        problem.evaluate([IDENTITY])
         stats = problem.cache_stats()
-        assert set(stats) == {
-            "evaluations",
-            "genotype_hits",
-            "signature_hits",
-            "genotype_entries",
-            "signature_entries",
-        }
+        assert set(stats) == {"evaluations", "signature_hits", "signature_entries"}

@@ -184,10 +184,9 @@ class TestRunnerMechanics:
         run_campaign(spec, state_dir=str(state))
         assert not (state / "bad.json").exists()
 
-    def test_parallel_results_checkpoint_incrementally(self, echo_kind, tmp_path, monkeypatch):
-        import repro.parallel as parallel_module
-
-        monkeypatch.setattr(parallel_module, "available_cpus", lambda: 4)
+    def test_parallel_results_checkpoint_incrementally(
+        self, echo_kind, tmp_path, monkeypatch, four_cpus
+    ):
         state = tmp_path / "state"
         saves = []
 
@@ -207,10 +206,7 @@ class TestRunnerMechanics:
         assert "echo_1.json" in saves[0][1]
         assert "echo_3.json" not in saves[1][1]
 
-    def test_worker_budget_split(self, echo_kind, monkeypatch):
-        import repro.parallel as parallel_module
-
-        monkeypatch.setattr(parallel_module, "available_cpus", lambda: 4)
+    def test_worker_budget_split(self, echo_kind, four_cpus):
         outcome = run_campaign(_echo_spec([1, 2]), jobs=4)
         # Two concurrent jobs share the 4-worker budget: 2 each.
         assert [result.payload["jobs"] for result in outcome.results] == [2, 2]

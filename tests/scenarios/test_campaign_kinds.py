@@ -1,16 +1,19 @@
 """Tests for the adversary-side and windowed campaign job kinds."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.evaluation.workloads import get_profile
 from repro.netlist.generate import random_netlist as build_random_netlist
 from repro.netlist.blif import write_blif
 from repro.netlist.simulate import extract_function
 from repro.scenarios.campaign import (
     JOB_KINDS,
     CampaignError,
+    CampaignJob,
     CampaignSpec,
     run_campaign,
     run_windowed_campaign,
@@ -19,11 +22,21 @@ from repro.scenarios.campaign import (
 
 WIDE30 = Path(__file__).resolve().parents[2] / "examples" / "circuits" / "wide30.blif"
 
+#: The quick profile cut to one short GA generation over two S-boxes.
+SMALL_PROFILE = dataclasses.replace(
+    get_profile("quick"), ga_population=4, ga_generations=1, figure4_sbox_count=2
+)
+
+
+def _single_job(spec: CampaignSpec, job_id: str) -> CampaignSpec:
+    """The one-job spec holding ``spec``'s job ``job_id``."""
+    return CampaignSpec(name=spec.name, jobs=[job for job in spec.jobs if job.job_id == job_id])
+
 
 def _one_wide30_window(job_id: str) -> CampaignSpec:
     """A single-job spec: one window job of perfbench's wide30 campaign."""
     spec = CampaignSpec.windowed(str(WIDE30), max_window_inputs=6, decoys=1, seed=1)
-    return CampaignSpec(name=spec.name, jobs=[job for job in spec.jobs if job.job_id == job_id])
+    return _single_job(spec, job_id)
 
 
 class TestAdversaryJobKinds:
@@ -78,16 +91,23 @@ class TestAdversaryJobKinds:
             CampaignSpec.attacks([("PRESENT", 2)], population=4, generations=1),
             CampaignSpec.adversary([("PRESENT", 2)], random_camo=False),
             _one_wide30_window("window_001"),
+            CampaignSpec.table1(SMALL_PROFILE, [("PRESENT", 2)]),
+            _single_job(CampaignSpec.figure4(SMALL_PROFILE), "figure4a"),
+            _single_job(CampaignSpec.figure4(SMALL_PROFILE), "figure4b"),
+            CampaignSpec.adversary([("PRESENT", 2)], decamouflage=False),
+            CampaignSpec(name="probe", jobs=[CampaignJob("probe", "probe", {"value": 3})]),
         ],
-        ids=["attack", "decamouflage", "window_obfuscate"],
+        ids=[
+            "attack", "decamouflage", "window_obfuscate", "table1_row",
+            "figure4a", "figure4b", "random_camo", "probe",
+        ],
     )
-    def test_payload_identical_across_jobs(self, monkeypatch, spec):
+    def test_payload_identical_across_jobs(self, four_cpus, spec):
         """A single-job campaign hands its job every worker (task_jobs=2),
-        so the job's GA runs on a real pool; the payload must not change.
-        Four CPUs are reported so the pool forks on any host."""
-        import repro.parallel as parallel_module
-
-        monkeypatch.setattr(parallel_module, "available_cpus", lambda: 4)
+        so the GA and random baseline of a Table I, Figure 4, attack or
+        decamouflage job synthesise on a real pool; the payload, synthesis
+        counters included, must not change.  Four CPUs are reported so the
+        pool forks on any host."""
         payloads = []
         for jobs in (1, 2):
             (result,) = run_campaign(spec, jobs=jobs).results
@@ -222,14 +242,43 @@ class TestWindowedCampaign:
         assert outcome.failed
         assert "windows" in outcome.failed[0].error
 
+    def test_lone_window_job_synthesises_in_process(self, monkeypatch, four_cpus):
+        """A lone window job is handed both workers (task_jobs=2) but runs
+        its GA inline, so every synthesis it counts is a call in this
+        process, as outside-in tracing of a run assumes."""
+        import sys
+
+        import repro.synth.script as script_module
+
+        synthesize = script_module.synthesize
+        in_process = []
+
+        def counted(*args, **kwargs):
+            # A forked worker would append to its own copy of the list.
+            in_process.append(1)
+            return synthesize(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and (
+                getattr(module, "synthesize", None) is synthesize
+            ):
+                monkeypatch.setattr(module, "synthesize", counted)
+        calls, runs = [], []
+        for jobs in (1, 2):
+            in_process.clear()
+            before = script_module.synthesis_counters()
+            (result,) = run_campaign(_one_wide30_window("window_001"), jobs=jobs).results
+            assert result.ok
+            calls.append(len(in_process))
+            runs.append(script_module.synthesis_counters_since(before)["runs"])
+        assert calls[0] > 1
+        assert calls == runs == [calls[0], calls[0]]
+
     @pytest.mark.parametrize("decoys", [0, 1])
-    def test_jobs_deterministic(self, wide_blif, monkeypatch, decoys):
+    def test_jobs_deterministic(self, wide_blif, four_cpus, decoys):
         """The stitched netlist and its true configuration are the same
         for jobs 1 and 2.  Four CPUs are reported so the pool forks on any
         host."""
-        import repro.parallel as parallel_module
-
-        monkeypatch.setattr(parallel_module, "available_cpus", lambda: 4)
         path, _ = wide_blif
         spec = CampaignSpec.windowed(
             path, max_window_inputs=6, decoys=decoys, seed=3, generations=1

@@ -146,23 +146,25 @@ def normalized_csv(outcome):
 # Worker crash recovery
 # ------------------------------------------------------------------ #
 class TestWorkerKill:
-    def test_killed_worker_recovers_transparently(self, tmp_path, monkeypatch):
+    def test_killed_worker_recovers_transparently(
+        self, tmp_path, monkeypatch, four_cpus
+    ):
         """A SIGKILLed worker mid-sweep must not change the artifacts.
 
-        ``oversubscribe`` guarantees real worker processes even on a
-        single-CPU host, so the kill hits a worker (not this process);
-        supervision respawns the pool and resubmits the lost job, and the
-        ``once`` marker directory stops the respawned worker from dying
-        on the same fault again.
+        Four CPUs are reported, so ``jobs=2`` starts real worker processes
+        even on a single-CPU host and the kill hits a worker (not this
+        process); supervision respawns the pool and resubmits the lost job,
+        and the ``once`` marker directory stops the respawned worker from
+        dying on the same fault again.
         """
         spec = probe_spec()
-        clean = run_campaign(spec, jobs=2, oversubscribe=True)
+        clean = run_campaign(spec, jobs=2)
         assert clean.all_ok
 
         monkeypatch.setenv(FAULTS_ENV_VAR, "worker_kill:job=probe_1,once")
         monkeypatch.setenv(FAULTS_DIR_ENV_VAR, str(tmp_path / "faults"))
         reset_fault_state()
-        chaos = run_campaign(spec, jobs=2, oversubscribe=True)
+        chaos = run_campaign(spec, jobs=2)
         assert chaos.all_ok
         assert chaos.robustness.get("worker_crashes", 0) >= 1
         assert normalized_json(chaos) == normalized_json(clean)

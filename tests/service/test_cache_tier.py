@@ -194,14 +194,14 @@ class TestEnvironmentWiring:
         first = PinAssignmentProblem(two_sboxes)
         assert isinstance(first.disk_cache, RemoteCacheTier)
         genotype = first.random_genotype(rng)
-        first.evaluate(genotype)
+        first.evaluate([genotype])
         stats = first.cache_stats()
         assert stats["remote_misses"] >= 1
         first.disk_cache.flush(timeout=10.0)
         assert first.cache_stats()["remote_puts"] >= 1
 
         second = PinAssignmentProblem(two_sboxes)
-        second.evaluate(genotype)
+        second.evaluate([genotype])
         stats = second.cache_stats()
         assert stats["disk_hits"] == 1
         assert stats["remote_misses"] == 0
@@ -215,7 +215,7 @@ class TestEnvironmentWiring:
         monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
         warm = PinAssignmentProblem(two_sboxes)
         genotype = warm.random_genotype(rng)
-        warm.evaluate(genotype)
+        warm.evaluate([genotype])
         warm.disk_cache.flush(timeout=10.0)
 
         # Simulate a different worker process: same URL, empty local store.
@@ -223,7 +223,7 @@ class TestEnvironmentWiring:
         monkeypatch.setitem(RemoteCacheTier._SHARED, service.url, cold_tier)
         problem = PinAssignmentProblem(two_sboxes)
         assert problem.disk_cache is cold_tier
-        problem.evaluate(genotype)
+        problem.evaluate([genotype])
         stats = problem.cache_stats()
         assert stats["remote_hits"] >= 1
         assert stats["remote_misses"] == 0

@@ -100,45 +100,46 @@ class TestWorkerPool:
         assert pool.workers == min(10_000, available_cpus())
         pool.close()
 
-    def test_oversubscribe_keeps_requested_workers(self):
-        pool = WorkerPool(_square, jobs=3, oversubscribe=True)
-        assert pool.workers == 3
-        pool.close()
-
     def test_serial_map_preserves_order(self):
         with WorkerPool(_square, jobs=1) as pool:
             assert pool.map([3, 1, 2]) == [9, 1, 4]
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_parallel_map_matches_serial(self):
         items = list(range(20))
         serial = [_square(item) for item in items]
-        with WorkerPool(_square, jobs=2, oversubscribe=True) as pool:
+        with WorkerPool(_square, jobs=2) as pool:
             assert pool.map(items) == serial
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_parallel_map_single_item_stays_inline(self):
-        with WorkerPool(_square, jobs=4, oversubscribe=True) as pool:
+        with WorkerPool(_square, jobs=4) as pool:
             assert pool.map([5]) == [25]
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_pool_reuse_across_batches(self):
-        with WorkerPool(_square, jobs=2, oversubscribe=True) as pool:
+        with WorkerPool(_square, jobs=2) as pool:
             assert pool.map([1, 2, 3]) == [1, 4, 9]
             assert pool.map([4, 5, 6]) == [16, 25, 36]
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_close_is_idempotent(self):
-        pool = WorkerPool(_square, jobs=2, oversubscribe=True)
+        pool = WorkerPool(_square, jobs=2)
         pool.map([1, 2])
         pool.close()
         pool.close()
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_task_exception_propagates_without_breaking_pool(self):
         # An error raised by the task function surfaces unchanged (no silent
         # serial re-run of the batch), and the pool stays usable.
-        with WorkerPool(_fail_on_three, jobs=2, oversubscribe=True) as pool:
+        with WorkerPool(_fail_on_three, jobs=2) as pool:
             with pytest.raises(ValueError):
                 pool.map([1, 2, 3, 4])
             assert not pool._broken
             assert pool.map([1, 2]) == [1, 2]
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_unpicklable_function_degrades_to_serial(self):
         captured = []
 
@@ -146,13 +147,14 @@ class TestWorkerPool:
             captured.append(value)
             return value + 1
 
-        with WorkerPool(closure, jobs=2, oversubscribe=True) as pool:
+        with WorkerPool(closure, jobs=2) as pool:
             assert pool.map([1, 2, 3]) == [2, 3, 4]
 
 
 class TestWorkerPoolImap:
+    @pytest.mark.usefixtures("four_cpus")
     def test_streams_in_order(self):
-        with WorkerPool(_square, jobs=2, oversubscribe=True) as pool:
+        with WorkerPool(_square, jobs=2) as pool:
             assert list(pool.imap([3, 1, 2])) == [9, 1, 4]
 
     def test_serial_imap_is_lazy(self):
@@ -170,9 +172,10 @@ class TestWorkerPoolImap:
             # between results and abort without executing the tail.
             assert executed == [1]
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_matches_map(self):
         items = list(range(15))
-        with WorkerPool(_square, jobs=2, oversubscribe=True) as pool:
+        with WorkerPool(_square, jobs=2) as pool:
             assert list(pool.imap(items)) == pool.map(items)
 
     def test_task_exception_propagates(self):
@@ -183,22 +186,24 @@ class TestWorkerPoolImap:
             with pytest.raises(ValueError):
                 next(iterator)
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_unpicklable_function_degrades_to_serial(self):
         def closure(value):
             return value + 1
 
-        with WorkerPool(closure, jobs=2, oversubscribe=True) as pool:
+        with WorkerPool(closure, jobs=2) as pool:
             assert list(pool.imap([1, 2, 3])) == [2, 3, 4]
 
 
 class TestWorkerSupervision:
+    @pytest.mark.usefixtures("four_cpus")
     def test_one_off_crash_recovers_transparently(self, tmp_path):
         # A worker SIGKILLed mid-batch must not take the batch down: the
         # pool respawns, the unfinished items are resubmitted, and the
         # caller sees the full in-order result set.
         marker = str(tmp_path / "killed.marker")
         items = [(value, marker) for value in range(6)]
-        with WorkerPool(_kill_worker_once, jobs=2, oversubscribe=True) as pool:
+        with WorkerPool(_kill_worker_once, jobs=2) as pool:
             assert pool.map(items) == [value * value for value in range(6)]
             assert pool.worker_crashes >= 1
             assert pool.pool_restarts >= 1
@@ -208,22 +213,25 @@ class TestWorkerSupervision:
                 pass
             assert pool.map([(7, marker2)] * 2) == [49, 49]
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_one_off_crash_recovers_in_imap(self, tmp_path):
         marker = str(tmp_path / "killed.marker")
         items = [(value, marker) for value in range(6)]
-        with WorkerPool(_kill_worker_once, jobs=2, oversubscribe=True) as pool:
+        with WorkerPool(_kill_worker_once, jobs=2) as pool:
             streamed = list(pool.imap(items))
         assert streamed == [value * value for value in range(6)]
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_persistent_killer_surfaces_worker_crashed(self):
         # An item that kills every worker it touches must surface as
         # WorkerCrashed (with the offending index) instead of an endless
         # respawn loop or a serial re-run that would kill the parent.
-        with WorkerPool(_kill_worker_always, jobs=2, oversubscribe=True) as pool:
+        with WorkerPool(_kill_worker_always, jobs=2) as pool:
             with pytest.raises(WorkerCrashed) as excinfo:
                 pool.map([3, 1, 2, 4])
         assert excinfo.value.item_index is not None
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_broken_first_submission_is_respawned(self, monkeypatch):
         # The second submit of a fresh batch finds the pool broken: the
         # item must be resubmitted to a respawned pool, not leak
@@ -231,11 +239,12 @@ class TestWorkerSupervision:
         monkeypatch.setattr(
             concurrent.futures, "ProcessPoolExecutor", _executor_failing_submit(2)
         )
-        with WorkerPool(_square, jobs=2, oversubscribe=True) as pool:
+        with WorkerPool(_square, jobs=2) as pool:
             assert pool.map([1, 2, 3, 4]) == [1, 4, 9, 16]
             assert pool.worker_crashes == 1
             assert pool.pool_restarts == 1
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_broken_resubmission_follows_the_blame_rule(self, tmp_path, monkeypatch):
         # Six submits fill the first pool, and item 3 kills a worker.  The
         # first resubmission to the respawned pool then finds it broken too:
@@ -246,29 +255,29 @@ class TestWorkerSupervision:
         )
         marker = str(tmp_path / "killed.marker")
         items = [(value, marker) for value in range(6)]
-        with WorkerPool(_kill_worker_once, jobs=2, oversubscribe=True) as pool:
+        with WorkerPool(_kill_worker_once, jobs=2) as pool:
             with pytest.raises(WorkerCrashed) as excinfo:
                 pool.map(items)
             assert pool.worker_crashes == 2
             assert pool.pool_restarts == 1
         assert excinfo.value.item_index in range(4)
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_restart_budget_is_per_batch(self, tmp_path):
         # A recovered crash in one batch must not eat into the budget of
         # the next: each map/imap call gets a fresh restart allowance.
         for batch in range(3):
             marker = str(tmp_path / f"killed.{batch}.marker")
             items = [(value, marker) for value in range(4)]
-            with WorkerPool(_kill_worker_once, jobs=2, oversubscribe=True) as pool:
+            with WorkerPool(_kill_worker_once, jobs=2) as pool:
                 assert pool.map(items) == [value * value for value in range(4)]
 
 
 class TestParallelMap:
+    @pytest.mark.usefixtures("four_cpus")
     def test_serial_and_parallel_agree(self):
         items = list(range(10))
-        assert parallel_map(_square, items, jobs=1) == parallel_map(
-            _square, items, jobs=3, oversubscribe=True
-        )
+        assert parallel_map(_square, items, jobs=1) == parallel_map(_square, items, jobs=3)
 
     def test_empty_input(self):
         assert parallel_map(_square, [], jobs=2) == []
