@@ -26,12 +26,14 @@ caches, counters and store writes stay in one process, and seeded results,
 same for every ``jobs`` value.
 
 When the ``REPRO_CACHE_DIR`` environment variable names a directory, the
-canonical-signature cache is additionally persisted to an append-only JSONL
-file there (:class:`SynthesisDiskCache`): entries are loaded read-through at
-start-up and every fresh synthesis appends one line, so repeated sweeps, CI
-runs, and the ``paper`` profile share synthesis work across processes and
-machines.  The cached area is exact — synthesis is a pure function of the
-merged truth tables — so persistence cannot change any result.
+canonical-signature cache is additionally persisted to append-only JSONL
+files there (:class:`SynthesisDiskCache`).  :func:`resolve_synthesis_cache`
+gives each process one store, loaded on first use, and every fresh
+synthesis appends one line to that process's own segment, so repeated
+sweeps, CI runs, and the ``paper`` profile share synthesis work across
+processes and machines.  The cached area is exact — synthesis is a pure
+function of the merged truth tables — so persistence cannot change any
+result.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from ..logic.boolfunc import BoolFunction
 from ..merge.merged import MergedDesign, merge_functions
 from ..merge.pinassign import PinAssignment
 from ..netlist.library import CellLibrary, standard_cell_library
-from ..parallel import WorkerPool, register_worker_warmup
+from ..parallel import WorkerPool
 from ..synth.script import (
     SynthesisEffort,
     SynthesisResult,
@@ -68,7 +70,6 @@ __all__ = [
     "SynthesisDiskCache",
     "library_fingerprint",
     "optimize_pin_assignment",
-    "warm_disk_cache",
     "compact_cache_dir",
     "resolve_synthesis_cache",
     "CACHE_DIR_ENV_VAR",
@@ -105,23 +106,19 @@ class SynthesisDiskCache:
     **Writes are interleave-safe by construction**: every process appends
     to its *own* segment file (``synthesis_cache.<pid>.jsonl``), so two
     concurrent writers can never interleave bytes inside one line, no
-    matter how the platform buffers appends.  Loading merges the legacy
-    shared file plus every segment; corrupt or alien lines are skipped —
-    a torn final line from a crashed writer must not poison the store.
-    All I/O failures degrade to an in-memory cache rather than failing
-    the experiment.
+    matter how the platform buffers appends.  The segment is named by the
+    constructing process, so a process must not use a store it inherited
+    across ``fork``: :func:`resolve_synthesis_cache` builds one per pid.
+    Loading merges the legacy shared file plus every segment; corrupt or
+    alien lines are skipped — a torn final line from a crashed writer must
+    not poison the store.  All I/O failures degrade to an in-memory cache
+    rather than failing the experiment.
     """
 
     FILENAME = "synthesis_cache.jsonl"
 
     #: Per-process segment files (``<pid>`` keeps one file per writer).
     SEGMENT_PATTERN = "synthesis_cache.*.jsonl"
-
-    #: Process-wide shared instances, keyed by absolute directory.  Loading
-    #: the JSONL store is the expensive part; one load per process serves
-    #: every problem object (and the worker-pool warm-up primes it before
-    #: the first task instead of on the first miss).
-    _SHARED: Dict[str, "SynthesisDiskCache"] = {}
 
     def __init__(self, directory: str):
         self.directory = directory
@@ -136,28 +133,6 @@ class SynthesisDiskCache:
         self.hits = 0
         self.appends = 0
         self._load()
-
-    @classmethod
-    def shared(cls, directory: str) -> "SynthesisDiskCache":
-        """The process-wide cache instance for a directory (loaded once)."""
-        key = os.path.abspath(directory)
-        cache = cls._SHARED.get(key)
-        if cache is None:
-            cache = cls(directory)
-            cls._SHARED[key] = cache
-        return cache
-
-    @classmethod
-    def from_environment(cls) -> Optional["SynthesisDiskCache"]:
-        """The shared cache named by ``REPRO_CACHE_DIR`` (None when unset)."""
-        directory = os.environ.get(CACHE_DIR_ENV_VAR, "").strip()
-        if not directory:
-            return None
-        try:
-            os.makedirs(directory, exist_ok=True)
-        except OSError:
-            return None
-        return cls.shared(directory)
 
     def _store_files(self) -> List[str]:
         """The legacy shared file plus every per-process segment, sorted."""
@@ -294,36 +269,47 @@ def compact_cache_dir(directory: str) -> Dict[str, int]:
     }
 
 
-def resolve_synthesis_cache() -> Optional[SynthesisDiskCache]:
-    """The synthesis cache the environment asks for, remote tier included.
+#: The process's synthesis store for each ``(pid, directory, URL)``.  The pid
+#: is part of the key, so a forked child never reuses its parent's store:
+#: it builds its own, with its own segment and its own upload thread.
+_STORES: Dict[Tuple[int, str, str], SynthesisDiskCache] = {}
 
-    With ``REPRO_CACHE_URL`` set the returned object is a
+
+def resolve_synthesis_cache() -> Optional[SynthesisDiskCache]:
+    """The synthesis store the environment asks for: the only way to get one.
+
+    With ``REPRO_CACHE_URL`` set the store is a
     :class:`repro.service.cache.RemoteCacheTier` — same ``get``/``put``
     surface, backed by the coordinator's shared cache over HTTP with the
-    local ``REPRO_CACHE_DIR`` store (when any) as its read-through front.
-    Otherwise this is plain :meth:`SynthesisDiskCache.from_environment`.
+    ``REPRO_CACHE_DIR`` store (when any) as its read-through front.
+    Otherwise it is the :class:`SynthesisDiskCache` of ``REPRO_CACHE_DIR``,
+    and ``None`` when neither is set or the directory cannot be created.
+    The store is built and loaded on first use, once per process, and later
+    calls in that process under the same variables return the same object.
     """
+    directory = os.environ.get(CACHE_DIR_ENV_VAR, "").strip()
     url = os.environ.get("REPRO_CACHE_URL", "").strip()
+    if not (directory or url):
+        return None
+    if directory:
+        directory = os.path.abspath(directory)
+    key = (os.getpid(), directory, url)
+    store = _STORES.get(key)
+    if store is not None:
+        return store
+    if directory:
+        try:
+            os.makedirs(directory, exist_ok=True)
+            store = SynthesisDiskCache(directory)
+        except OSError:
+            pass  # no disk store
     if url:
         from ..service.cache import RemoteCacheTier
 
-        return RemoteCacheTier.from_environment()
-    return SynthesisDiskCache.from_environment()
-
-
-def warm_disk_cache() -> Optional[SynthesisDiskCache]:
-    """Load the environment-named cache into the process-wide slot.
-
-    Registered as a worker-pool warm-up hook, so every worker process pays
-    the JSONL load exactly once at start-up — before the first task —
-    instead of on the first synthesis-cache miss of its first job.  With
-    ``REPRO_CACHE_URL`` set this also wires up the remote tier.
-    """
-    return resolve_synthesis_cache()
-
-
-# Every worker a pool spawns pre-warms the persistent synthesis cache.
-register_worker_warmup(warm_disk_cache)
+        store = RemoteCacheTier(url, local=store)
+    if store is not None:
+        _STORES[key] = store
+    return store
 
 
 def _synthesized_area(
@@ -373,8 +359,8 @@ class PinAssignmentProblem:
         self._signature_cache: Dict[Tuple[int, ...], float] = {}
         self._synthesize = partial(_synthesized_area, library=self.library, effort=effort)
         #: Optional persistent read-through store (``REPRO_CACHE_DIR``, or
-        #: the remote tier under ``REPRO_CACHE_URL``; the environment-named
-        #: store is shared process-wide).  Synthesis is a pure function of
+        #: the remote tier under ``REPRO_CACHE_URL``; one store per process,
+        #: shared by every problem in it).  Synthesis is a pure function of
         #: the effort, the library and the merged truth tables, which
         #: together key every stored area, so areas are safe to reuse across
         #: runs.
@@ -499,8 +485,8 @@ class PinAssignmentProblem:
 
         ``evaluations`` counts synthesis runs, wherever they ran.  The
         ``disk_*`` counters are only present when a persistent cache is
-        attached (``REPRO_CACHE_DIR``).  The environment-named store is
-        shared process-wide, so ``disk_hits`` reports the hits observed
+        attached (``REPRO_CACHE_DIR``).  The process's store is shared by
+        every problem in it, so ``disk_hits`` reports the hits observed
         since *this* problem was constructed (``disk_loaded`` and
         ``disk_entries`` describe the shared store itself).
         """

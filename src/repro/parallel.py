@@ -24,7 +24,10 @@ callers need:
 
 The worker function is shipped to each worker once (via the pool
 initializer), not once per task, so a task bound to a cell library is
-pickled ``jobs`` times per pool rather than once per item.
+pickled ``jobs`` times per pool rather than once per item.  A worker runs
+nothing else at start-up: per-process state, such as the synthesis store
+of :func:`repro.ga.pinopt.resolve_synthesis_cache`, is built on first use
+in the process that needs it.
 
 The ``jobs`` count used by the CLI and the benchmark harness defaults to the
 ``REPRO_JOBS`` environment variable (see :func:`resolve_jobs`).
@@ -35,16 +38,13 @@ from __future__ import annotations
 import os
 import pickle
 from concurrent.futures import BrokenExecutor, Future
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 __all__ = [
     "WorkerCrashed",
     "WorkerPool",
-    "parallel_map",
     "resolve_jobs",
     "available_cpus",
-    "register_worker_warmup",
-    "worker_warmups",
     "JOBS_ENV_VAR",
 ]
 
@@ -100,39 +100,10 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 # initializer and looked up by every subsequent task.
 _WORKER_FUNCTION: Optional[Callable] = None
 
-# Warm-up callables run once per worker process at pool start-up (after the
-# worker function is installed), before the first task.  Subsystems register
-# cache-priming hooks here — e.g. the persistent synthesis cache loads its
-# JSONL store once per worker instead of on the first task's first miss.
-_WORKER_WARMUPS: List[Callable[[], None]] = []
 
-
-def register_worker_warmup(warmup: Callable[[], None]) -> Callable[[], None]:
-    """Register a per-worker warm-up hook (idempotent; returns the hook).
-
-    The hook must be a picklable module-level callable taking no arguments.
-    It runs once in every worker process a :class:`WorkerPool` spawns (and
-    never in the parent); exceptions are swallowed — a failed warm-up only
-    costs the optimisation it would have provided.
-    """
-    if warmup not in _WORKER_WARMUPS:
-        _WORKER_WARMUPS.append(warmup)
-    return warmup
-
-
-def worker_warmups() -> List[Callable[[], None]]:
-    """The currently registered warm-up hooks (mainly for tests)."""
-    return list(_WORKER_WARMUPS)
-
-
-def _install_worker(function: Callable, warmups: Sequence[Callable[[], None]] = ()) -> None:
+def _install_worker(function: Callable) -> None:
     global _WORKER_FUNCTION
     _WORKER_FUNCTION = function
-    for warmup in warmups:
-        try:
-            warmup()
-        except Exception:
-            pass  # a warm-up is an optimisation, never a failure mode
 
 
 # Marker tagging a task item shipped with the submitter's trace context.
@@ -206,13 +177,7 @@ class WorkerPool:
         supervision: the pool is respawned and unfinished items resubmitted;
         a persistent killer item raises :class:`WorkerCrashed`.
         """
-        items = list(items)
-        if self.workers <= 1 or self._broken or len(items) <= 1:
-            return [self._function(item) for item in items]
-        executor = self._ensure_executor()
-        if executor is None:
-            return [self._function(item) for item in items]
-        return list(self._supervised(items, executor))
+        return list(self.imap(items))
 
     def imap(self, items: Sequence[T]):
         """Lazily yield results in input order as they become available.
@@ -341,7 +306,7 @@ class WorkerPool:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_install_worker,
-                initargs=(self._function, tuple(_WORKER_WARMUPS)),
+                initargs=(self._function,),
             )
         except Exception:
             self._broken = True
@@ -365,11 +330,3 @@ class WorkerPool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def parallel_map(
-    function: Callable[[T], R], items: Iterable[T], jobs: int = 1
-) -> List[R]:
-    """One-shot ordered parallel map (serial when ``jobs == 1``)."""
-    with WorkerPool(function, jobs=jobs) as pool:
-        return pool.map(list(items))

@@ -18,14 +18,14 @@ The tier duck-types the disk cache (``get``/``put``/``hits``/``loaded``/
 ``len``), so :class:`~repro.ga.pinopt.PinAssignmentProblem` uses either
 interchangeably; ``remote_stats()`` adds the tier's own counters, which
 :meth:`~repro.ga.pinopt.PinAssignmentProblem.cache_stats` surfaces as
-``remote_*`` telemetry.  Wired up via ``REPRO_CACHE_URL`` (see
-:func:`repro.ga.pinopt.resolve_synthesis_cache`).
+``remote_*`` telemetry.  Wired up via ``REPRO_CACHE_URL``:
+:func:`repro.ga.pinopt.resolve_synthesis_cache` builds one tier per
+process, so each process has its own upload queue, thread and counters.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 import urllib.error
 import urllib.request
@@ -49,11 +49,6 @@ class RemoteCacheTier:
     optimisation, never a dependency.
     """
 
-    #: Process-wide instances keyed by URL (mirrors the disk cache's
-    #: ``_SHARED`` discipline: one upload queue and one counter set per
-    #: process, visible to telemetry via :meth:`active`).
-    _SHARED: Dict[str, "RemoteCacheTier"] = {}
-
     def __init__(
         self,
         url: str,
@@ -74,31 +69,6 @@ class RemoteCacheTier:
         self.remote_errors = 0
         #: Local-surface counters (duck-typing the disk cache).
         self.hits = 0
-
-    # -------------------------------------------------------------- #
-    # Construction
-    # -------------------------------------------------------------- #
-    @classmethod
-    def shared(cls, url: str, local: Optional[SynthesisDiskCache] = None) -> "RemoteCacheTier":
-        tier = cls._SHARED.get(url)
-        if tier is None:
-            tier = cls(url, local=local)
-            cls._SHARED[url] = tier
-        return tier
-
-    @classmethod
-    def from_environment(cls) -> Optional["RemoteCacheTier"]:
-        """The shared tier named by ``REPRO_CACHE_URL`` (None when unset)."""
-        url = os.environ.get(CACHE_URL_ENV_VAR, "").strip()
-        if not url:
-            return None
-        return cls.shared(url, local=SynthesisDiskCache.from_environment())
-
-    @classmethod
-    def active(cls) -> Optional["RemoteCacheTier"]:
-        """The process's environment-named tier, if one was constructed."""
-        url = os.environ.get(CACHE_URL_ENV_VAR, "").strip()
-        return cls._SHARED.get(url) if url else None
 
     # -------------------------------------------------------------- #
     # Local surface (disk-cache compatible)

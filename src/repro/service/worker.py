@@ -16,8 +16,11 @@ heartbeats the claimed job every TTL/3, and when a heartbeat comes back
 With the remote cache enabled (default) the agent exports
 ``REPRO_CACHE_URL`` pointing at the coordinator before executing jobs, so
 the synthesis cache stack inside :mod:`repro.ga.pinopt` reads through the
-fleet-shared tier; per-job counter deltas ride along with the completion
-upload and surface in the campaign's robustness counters.
+fleet-shared tier.  Before each job the agent resolves the process's store
+(:func:`~repro.ga.pinopt.resolve_synthesis_cache`), so even the first job
+finds the tier; after the job it flushes the tier's uploads, and the job's
+counter deltas ride along with the completion upload and surface in the
+campaign's robustness counters.
 
 Fault injection composes: a ``REPRO_FAULTS=worker_kill:...`` spec SIGKILLs
 the agent process at job start (the task hook runs in-process here), which
@@ -32,6 +35,7 @@ import socket
 import time
 from typing import Dict, Optional
 
+from ..ga.pinopt import resolve_synthesis_cache
 from ..jobstore import LeaseLost
 from ..obs.log import get_logger
 from ..scenarios.campaign import CampaignJob, _execute_job_task, _LeaseKeeper
@@ -179,7 +183,8 @@ class WorkerAgent:
                 # next beat; the lease survives two more misses.
 
         keeper = _LeaseKeeper(beat, lease_ttl / 3.0, {job.job_id: job.job_id})
-        tier = RemoteCacheTier.active()
+        store = resolve_synthesis_cache()
+        tier = store if isinstance(store, RemoteCacheTier) else None
         cache_before = tier.remote_stats() if tier is not None else {}
         with keeper:
             result = _execute_job_task(

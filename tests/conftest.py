@@ -95,6 +95,18 @@ def small_obfuscation(two_sboxes):
     )
 
 
+@pytest.fixture(autouse=True)
+def no_synthesis_store(monkeypatch):
+    """Run every test without the developer's synthesis store.
+
+    A store warmed by earlier runs changes the synthesis counters that
+    payloads record.  Tests that need a store set ``REPRO_CACHE_DIR`` or
+    ``REPRO_CACHE_URL`` themselves.
+    """
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.delenv("REPRO_CACHE_URL", raising=False)
+
+
 @pytest.fixture
 def four_cpus(monkeypatch):
     """Report four CPUs, so that ``jobs`` of 2-4 start real worker

@@ -1,41 +1,30 @@
-"""Tests for the shared synthesis disk cache and the worker-pool warm-up."""
-
-import os
+"""Tests for the process's one synthesis store and its per-problem counters."""
 
 from repro.ga.pinopt import (
     CACHE_DIR_ENV_VAR,
     PinAssignmentProblem,
-    SynthesisDiskCache,
-    warm_disk_cache,
+    resolve_synthesis_cache,
 )
-from repro.parallel import WorkerPool, parallel_map, worker_warmups
 
 
 class TestSharedDiskCache:
-    def test_shared_returns_one_instance_per_directory(self, tmp_path):
-        first = SynthesisDiskCache.shared(str(tmp_path))
-        second = SynthesisDiskCache.shared(str(tmp_path))
+    def test_shared_returns_one_instance_per_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
+        first = resolve_synthesis_cache()
+        second = resolve_synthesis_cache()
         assert first is second
-        other = SynthesisDiskCache.shared(str(tmp_path / "other"))
+        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path / "other"))
+        other = resolve_synthesis_cache()
         assert other is not first
 
     def test_from_environment_is_shared(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
-        first = SynthesisDiskCache.from_environment()
-        second = SynthesisDiskCache.from_environment()
+        # The store is keyed by the absolute directory, however it is named.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(CACHE_DIR_ENV_VAR, "store")
+        first = resolve_synthesis_cache()
+        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path / "store"))
+        second = resolve_synthesis_cache()
         assert first is second
-
-    def test_warm_disk_cache_is_registered(self):
-        assert warm_disk_cache in worker_warmups()
-
-    def test_warm_disk_cache_primes_the_shared_slot(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
-        cache = warm_disk_cache()
-        assert cache is SynthesisDiskCache.from_environment()
-
-    def test_warm_disk_cache_without_env(self, monkeypatch):
-        monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
-        assert warm_disk_cache() is None
 
     def test_per_problem_hit_counters_are_deltas(
         self, tmp_path, two_sboxes, rng, monkeypatch
@@ -56,26 +45,3 @@ class TestSharedDiskCache:
         # A problem constructed after that traffic starts from zero again.
         third = PinAssignmentProblem(two_sboxes)
         assert third.cache_stats()["disk_hits"] == 0
-
-
-def _square(value):
-    return value * value
-
-
-def _boom():
-    raise RuntimeError("warm-up failure must not kill the pool")
-
-
-class TestWarmupHook:
-    def test_warmups_run_in_workers(self, tmp_path, monkeypatch):
-        """A pool spawn primes the cache in every worker without failing."""
-        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
-        results = parallel_map(_square, list(range(8)), jobs=2)
-        assert results == [value * value for value in range(8)]
-
-    def test_failing_warmup_is_swallowed(self, monkeypatch):
-        from repro import parallel
-
-        monkeypatch.setattr(parallel, "_WORKER_WARMUPS", [_boom])
-        with WorkerPool(_square, jobs=2) as pool:
-            assert pool.map([1, 2, 3]) == [1, 4, 9]

@@ -1,9 +1,11 @@
 """Unit tests for the persistent (REPRO_CACHE_DIR) synthesis cache."""
 
+import dataclasses
 import json
+import os
 
-import pytest
-
+from repro.evaluation.workloads import get_profile
+from repro.ga import pinopt
 from repro.ga.engine import GAParameters
 from repro.ga.pinopt import (
     CACHE_DIR_ENV_VAR,
@@ -11,8 +13,9 @@ from repro.ga.pinopt import (
     SynthesisDiskCache,
     library_fingerprint,
     optimize_pin_assignment,
+    resolve_synthesis_cache,
 )
-from repro.sboxes import optimal_sboxes
+from repro.scenarios.campaign import CampaignSpec, run_campaign
 
 LIB = "deadbeefcafe0000"  # an arbitrary library fingerprint
 
@@ -107,17 +110,17 @@ class TestSynthesisDiskCache:
 
     def test_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
-        assert SynthesisDiskCache.from_environment() is None
+        assert resolve_synthesis_cache() is None
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path / "sub"))
-        cache = SynthesisDiskCache.from_environment()
-        assert cache is not None
+        cache = resolve_synthesis_cache()
+        assert isinstance(cache, SynthesisDiskCache)
         assert (tmp_path / "sub").is_dir()
 
 
 class TestProblemIntegration:
     def test_second_problem_reads_through(self, tmp_path, two_sboxes, rng, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
-        monkeypatch.setattr(SynthesisDiskCache, "_SHARED", {})
+        monkeypatch.setattr(pinopt, "_STORES", {})
         problem = PinAssignmentProblem(two_sboxes)
         genotype = problem.random_genotype(rng)
         area = problem.evaluate([genotype])
@@ -126,7 +129,7 @@ class TestProblemIntegration:
 
         # A fresh process-wide store, as in a new process: it loads the
         # entry the first problem appended.
-        monkeypatch.setattr(SynthesisDiskCache, "_SHARED", {})
+        monkeypatch.setattr(pinopt, "_STORES", {})
         fresh = PinAssignmentProblem(two_sboxes)
         assert fresh.disk_cache is not problem.disk_cache
         assert fresh.evaluate([genotype]) == area
@@ -141,18 +144,46 @@ class TestProblemIntegration:
         # Workers only synthesise; the parent alone reads and appends to the
         # store, so its segment is the only one and holds its appends.
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
-        monkeypatch.setattr(SynthesisDiskCache, "_SHARED", {})
+        monkeypatch.setattr(pinopt, "_STORES", {})
         result = optimize_pin_assignment(
             two_sboxes,
             parameters=GAParameters(population_size=4, generations=2, seed=3),
             jobs=2,
         )
-        cache = SynthesisDiskCache.from_environment()
+        cache = resolve_synthesis_cache()
         segments = sorted(tmp_path.glob(SynthesisDiskCache.SEGMENT_PATTERN))
         assert [str(path) for path in segments] == [cache.segment_path]
         with open(cache.segment_path, encoding="utf-8") as handle:
             lines = handle.readlines()
         assert len(lines) == cache.appends == result.cache_stats["evaluations"] > 0
+
+    def test_forked_campaign_workers_write_their_own_segments(
+        self, tmp_path, monkeypatch, four_cpus
+    ):
+        # The parent resolves its store, then forks two campaign workers that
+        # run the Table I rows.  Each worker must build its own store and
+        # append to a segment named by its own pid, never to the parent's.
+        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
+        monkeypatch.setattr(pinopt, "_STORES", {})
+        store = resolve_synthesis_cache()
+        profile = dataclasses.replace(
+            get_profile("quick"), ga_population=4, ga_generations=1
+        )
+        spec = CampaignSpec.table1(profile, [("PRESENT", 2), ("DES", 2)])
+        assert run_campaign(spec, jobs=2).all_ok
+        parent_lines = 0
+        if os.path.exists(store.segment_path):
+            with open(store.segment_path, encoding="utf-8") as handle:
+                parent_lines = len(handle.readlines())
+        assert parent_lines == store.appends
+        segments = tmp_path.glob(SynthesisDiskCache.SEGMENT_PATTERN)
+        worker_pids = {
+            int(path.name.split(".")[1])
+            for path in segments
+            if str(path) != store.segment_path
+        }
+        assert 1 <= len(worker_pids) <= 2
+        assert os.getpid() not in worker_pids
 
     def test_optimize_results_identical_with_cache(self, tmp_path, two_sboxes, monkeypatch):
         parameters = GAParameters(population_size=4, generations=2, seed=3)

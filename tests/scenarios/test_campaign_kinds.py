@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from repro.evaluation.workloads import get_profile
+from repro.ga import pinopt
+from repro.ga.pinopt import CACHE_DIR_ENV_VAR
 from repro.netlist.generate import random_netlist as build_random_netlist
 from repro.netlist.blif import write_blif
 from repro.netlist.simulate import extract_function
@@ -84,6 +86,23 @@ class TestAdversaryJobKinds:
         assert default.job_id == "attack_PRESENT_x2"
         assert default.ok and under_variable.ok
         assert under_variable.payload == default.payload
+
+    def test_warm_store_changes_only_synthesis_counters(self, tmp_path, monkeypatch):
+        """``REPRO_CACHE_DIR`` is not payload-neutral for a Table I row: a
+        warm store answers fitness lookups that a cold run synthesised, and
+        the row records its synthesis counters.  Everything else must stay
+        equal, and a cold store must change nothing at all."""
+        spec = CampaignSpec.table1(SMALL_PROFILE, [("PRESENT", 2)])
+        (default,) = run_campaign(spec).results
+        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
+        (cold,) = run_campaign(spec).results
+        monkeypatch.setattr(pinopt, "_STORES", {})  # a new process's view
+        (warm,) = run_campaign(spec).results
+        assert cold.payload == default.payload
+        default_synth = default.payload["telemetry"]["scopes"].pop("synth")
+        warm_synth = warm.payload["telemetry"]["scopes"].pop("synth")
+        assert warm.payload == default.payload
+        assert warm_synth["runs"] < default_synth["runs"]
 
     @pytest.mark.parametrize(
         "spec",

@@ -1,9 +1,11 @@
 """Tests for the shared cross-worker synthesis-cache tier."""
 
+import os
 import time
 
 import pytest
 
+from repro.ga import pinopt
 from repro.ga.pinopt import (
     CACHE_DIR_ENV_VAR,
     PinAssignmentProblem,
@@ -163,20 +165,23 @@ class TestEnvironmentWiring:
     ):
         monkeypatch.setenv(CACHE_URL_ENV_VAR, service.url)
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path / "near"))
+        monkeypatch.setattr(pinopt, "_STORES", {})
         cache = resolve_synthesis_cache()
         assert isinstance(cache, RemoteCacheTier)
         assert cache.url == service.url
         assert isinstance(cache.local, SynthesisDiskCache)
-        assert RemoteCacheTier.active() is cache
-        assert RemoteCacheTier.from_environment() is cache  # shared per URL
+        key = (os.getpid(), str(tmp_path / "near"), service.url)
+        assert pinopt._STORES == {key: cache}
+        assert resolve_synthesis_cache() is cache  # one store per process
 
     def test_resolve_synthesis_cache_without_url_is_the_disk_cache(
         self, tmp_path, monkeypatch
     ):
         monkeypatch.delenv(CACHE_URL_ENV_VAR, raising=False)
         monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
+        monkeypatch.setattr(pinopt, "_STORES", {})
         assert resolve_synthesis_cache() is None
-        assert RemoteCacheTier.active() is None
+        assert pinopt._STORES == {}
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
         assert isinstance(resolve_synthesis_cache(), SynthesisDiskCache)
 
@@ -219,10 +224,10 @@ class TestEnvironmentWiring:
         warm.disk_cache.flush(timeout=10.0)
 
         # Simulate a different worker process: same URL, empty local store.
-        cold_tier = RemoteCacheTier(service.url)
-        monkeypatch.setitem(RemoteCacheTier._SHARED, service.url, cold_tier)
+        monkeypatch.setattr(pinopt, "_STORES", {})
         problem = PinAssignmentProblem(two_sboxes)
-        assert problem.disk_cache is cold_tier
+        assert isinstance(problem.disk_cache, RemoteCacheTier)
+        assert problem.disk_cache is not warm.disk_cache
         problem.evaluate([genotype])
         stats = problem.cache_stats()
         assert stats["remote_hits"] >= 1

@@ -19,6 +19,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from repro.evaluation.workloads import get_profile
+from repro.ga import pinopt
 from repro.ga.pinopt import CACHE_DIR_ENV_VAR
 from repro.jobstore import JobStore, RetryPolicy
 from repro.sat.solver import BUDGET_ENV_VAR, SolveBudget, SolveBudgetExceeded
@@ -28,7 +29,7 @@ from repro.scenarios.campaign import (
     CampaignSpec,
     run_campaign,
 )
-from repro.service.cache import CACHE_URL_ENV_VAR, RemoteCacheTier
+from repro.service.cache import CACHE_URL_ENV_VAR
 from repro.service.client import ServiceClient
 from repro.service.protocol import (
     ServiceError,
@@ -262,9 +263,7 @@ class TestWorkerExecution:
             client = ServiceClient(service.url)
             for seed in (1, 2):
                 # A new worker process starts with an empty local tier.
-                monkeypatch.setitem(
-                    RemoteCacheTier._SHARED, service.url, RemoteCacheTier(service.url)
-                )
+                monkeypatch.setattr(pinopt, "_STORES", {})
                 spec = CampaignSpec.table1(
                     profile, [("PRESENT", 2)], seed=seed, name=f"cache_{seed}"
                 )
@@ -274,6 +273,31 @@ class TestWorkerExecution:
             hits = robustness.get("remote_cache_hits", 0)
             assert hits > 0, robustness
             assert client.cache_stats()["get_hits"] >= hits
+
+    def test_first_job_counts_its_remote_cache_traffic(self, tmp_path, monkeypatch):
+        """A fresh worker flushes and counts its first job like any other.
+
+        The agent resolves its process's store before each job, so the first
+        job's remote-cache misses and uploads reach the campaign's
+        robustness counters, and they match what the coordinator served.
+        """
+        profile = dataclasses.replace(
+            get_profile("quick"), ga_population=4, ga_generations=1
+        )
+        spec = CampaignSpec.table1(profile, [("PRESENT", 2)], name="first_job")
+        with ServiceThread(root=str(tmp_path), poll=0.02) as service:
+            monkeypatch.setenv(CACHE_URL_ENV_VAR, service.url)
+            # As in a fresh ``python -m repro.service.worker``: no store yet.
+            monkeypatch.setattr(pinopt, "_STORES", {})
+            client = ServiceClient(service.url)
+            campaign_id = client.submit(spec.to_dict())["campaign"]
+            run_worker(service.url, campaign=campaign_id, remote_cache=True)
+            robustness = client.status(campaign_id)["robustness"]
+            served = client.cache_stats()
+        assert robustness.get("remote_cache_misses", 0) > 0, robustness
+        assert robustness.get("remote_cache_puts", 0) > 0, robustness
+        assert robustness["remote_cache_misses"] == served["get_misses"]
+        assert robustness["remote_cache_puts"] == served["puts"]
 
     def test_transient_failure_retries_over_http(self, tmp_path):
         marker = tmp_path / "flaky.marker"

@@ -14,7 +14,6 @@ from repro.parallel import (
     WorkerCrashed,
     WorkerPool,
     available_cpus,
-    parallel_map,
     resolve_jobs,
 )
 
@@ -110,6 +109,10 @@ class TestWorkerPool:
         serial = [_square(item) for item in items]
         with WorkerPool(_square, jobs=2) as pool:
             assert pool.map(items) == serial
+
+    def test_empty_input(self):
+        with WorkerPool(_square, jobs=2) as pool:
+            assert pool.map([]) == []
 
     @pytest.mark.usefixtures("four_cpus")
     def test_parallel_map_single_item_stays_inline(self):
@@ -271,13 +274,3 @@ class TestWorkerSupervision:
             items = [(value, marker) for value in range(4)]
             with WorkerPool(_kill_worker_once, jobs=2) as pool:
                 assert pool.map(items) == [value * value for value in range(4)]
-
-
-class TestParallelMap:
-    @pytest.mark.usefixtures("four_cpus")
-    def test_serial_and_parallel_agree(self):
-        items = list(range(10))
-        assert parallel_map(_square, items, jobs=1) == parallel_map(_square, items, jobs=3)
-
-    def test_empty_input(self):
-        assert parallel_map(_square, [], jobs=2) == []
