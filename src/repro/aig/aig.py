@@ -178,8 +178,12 @@ class Aig:
 
     def and_(self, a: int, b: int) -> int:
         """Return a literal implementing ``a AND b`` (with strashing)."""
-        self._check_literal(a)
-        self._check_literal(b)
+        num_nodes = len(self._fanin0)
+        # The checks of ``_check_literal``, inline on this hot path.
+        if a < 0 or a >> 1 >= num_nodes:
+            raise AigError(f"literal {a} references a non-existent node")
+        if b < 0 or b >> 1 >= num_nodes:
+            raise AigError(f"literal {b} references a non-existent node")
         # Local simplifications.
         if a == FALSE_LIT or b == FALSE_LIT:
             return FALSE_LIT
@@ -189,18 +193,17 @@ class Aig:
             return a
         if a == b:
             return a
-        if a == negate(b):
+        if a == b ^ 1:
             return FALSE_LIT
         key = (a, b) if a <= b else (b, a)
         existing = self._strash.get(key)
         if existing is not None:
-            return lit_of(existing)
-        node = len(self._fanin0)
+            return existing << 1
         self._fanin0.append(key[0])
         self._fanin1.append(key[1])
         self._is_input.append(False)
-        self._strash[key] = node
-        return lit_of(node)
+        self._strash[key] = num_nodes
+        return num_nodes << 1
 
     def or_(self, a: int, b: int) -> int:
         """Return a literal implementing ``a OR b``."""

@@ -118,10 +118,10 @@ def _shannon(
 
 def _choose_split(table: TruthTable) -> int:
     """Pick the highest-index variable in the support (a stable BDD-like order)."""
-    support = table.support()
-    if not support:
-        raise ValueError("constant tables are handled before splitting")
-    return support[-1]
+    for var in range(table.num_vars - 1, -1, -1):
+        if table.depends_on(var):
+            return var
+    raise ValueError("constant tables are handled before splitting")
 
 
 def aig_from_function(function: BoolFunction, name: Optional[str] = None) -> Aig:

@@ -64,10 +64,12 @@ def enumerate_cut_tables(
 
     Cuts are merged as bit masks over node ids, one cut of each fanin at a
     time (fanin0-major).  A merge is rejected when it has too many leaves or
-    when an earlier accepted cut is a subset of it; a rejected mask stays
-    rejected, because the accepted list only grows, so each mask is tried
-    once.  The trivial cut comes first, then the smallest others by
-    ``(size, sorted leaves)``.
+    when an earlier accepted cut is a subset of it.  A mask that comes again
+    meets the same tests, and the accepted list only grows, so a repeat is
+    rejected like its first instance, or as a subset of itself.  An
+    accepted cut's sorted leaves are the union of its two source cuts'.
+    The trivial cut comes first, then the smallest others by ``(size,
+    sorted leaves)``.
 
     A kept cut's table is the AND of the tables of the two fanin cuts that
     first produced it, each re-expressed over the merged leaves and
@@ -96,32 +98,30 @@ def enumerate_cut_tables(
         fanin1 = fanins1[node]
         masks0 = masks[fanin0 >> 1]
         masks1 = masks[fanin1 >> 1]
-        tried = set()
+        cuts0 = cuts[fanin0 >> 1]
+        cuts1 = cuts[fanin1 >> 1]
         accepted: List[int] = []
-        sources: List[Tuple[int, int]] = []
+        # (size, leaves, mask, index0, index1) of every accepted cut; no two
+        # share their leaves, so sorting ranks them by (size, leaves).
+        ranked = []
         for index0, mask0 in enumerate(masks0):
+            leaves0 = cuts0[index0][0]
             for index1, mask1 in enumerate(masks1):
                 merged = mask0 | mask1
-                if merged in tried:
-                    continue
-                tried.add(merged)
-                if merged.bit_count() > max_leaves:
+                size = merged.bit_count()
+                if size > max_leaves:
                     continue
                 for mask in accepted:
                     if mask & merged == mask:
                         break
                 else:
                     accepted.append(merged)
-                    sources.append((index0, index1))
-        ranked = sorted(
-            (mask.bit_count(), _leaves_of(mask), index) for index, mask in enumerate(accepted)
-        )
-        cuts0 = cuts[fanin0 >> 1]
-        cuts1 = cuts[fanin1 >> 1]
+                    leaves = tuple(sorted({*leaves0, *cuts1[index1][0]}))
+                    ranked.append((size, leaves, merged, index0, index1))
+        ranked.sort()
         cones0 = cones[fanin0 >> 1]
         cones1 = cones[fanin1 >> 1]
-        for size, leaves, index in ranked[: max_cuts_per_node - 1]:
-            index0, index1 = sources[index]
+        for size, leaves, merged, index0, index1 in ranked[: max_cuts_per_node - 1]:
             mask0 = masks0[index0]
             mask1 = masks1[index1]
             cone0 = cones0[index0]
@@ -132,7 +132,7 @@ def enumerate_cut_tables(
                 cone = 0
                 for cone_node in values:
                     cone |= 1 << cone_node
-                cone ^= accepted[index]
+                cone ^= merged
             else:
                 positions0 = positions1 = 0
                 for position, leaf in enumerate(leaves):
@@ -156,19 +156,9 @@ def enumerate_cut_tables(
                 bits = bits0 & bits1
                 cone = cone0 | cone1 | trivial
             node_cuts.append((leaves, bits, cone.bit_count()))
-            node_masks.append(accepted[index])
+            node_masks.append(merged)
             node_cones.append(cone)
     return cuts
-
-
-def _leaves_of(mask: int) -> Tuple[int, ...]:
-    """The positions of the set bits of ``mask``, ascending."""
-    leaves = []
-    while mask:
-        lowest = mask & -mask
-        leaves.append(lowest.bit_length() - 1)
-        mask ^= lowest
-    return tuple(leaves)
 
 
 #: (bits, positions, width) -> the table re-expressed over ``width`` leaves.

@@ -50,54 +50,43 @@ def known_passes() -> List[str]:
 
 def balance(aig: Aig) -> Aig:
     """Rebuild maximal AND trees as balanced trees."""
+    fanins0, fanins1, is_input = aig.node_arrays()
     result = Aig(aig.name)
-    mapping: Dict[int, int] = {0: FALSE_LIT}
-    for index in range(aig.num_inputs):
-        node = node_of(aig.input_literal(index))
-        mapping[node] = result.add_input(aig.input_names[index])
-
+    # Old node -> its literal in ``result``; the constant node stays 0.
+    mapping = [FALSE_LIT] * len(fanins0)
+    for index, name in enumerate(aig.input_names):
+        mapping[aig.input_literal(index) >> 1] = result.add_input(name)
     reference = aig.reference_counts()
-    level_cache: Dict[int, int] = {0: 0}
+    new_fanins0, new_fanins1, _ = result.node_arrays()
+    # Logic level of every node of ``result``; it only grows, so each new
+    # node's level is set once, after the tree that added it.
+    levels = [0] * len(new_fanins0)
 
-    def _level_of(literal: int) -> int:
-        """Logic level of a node in the new AIG (memoised; AIG is append-only)."""
-        node = node_of(literal)
-        cached = level_cache.get(node)
-        if cached is not None:
-            return cached
-        if result.is_and_node(node):
-            fanin0, fanin1 = result.fanins(node)
-            value = 1 + max(_level_of(fanin0), _level_of(fanin1))
-        else:
-            value = 0
-        level_cache[node] = value
-        return value
-
-    def _map_literal(literal: int) -> int:
-        mapped = mapping[node_of(literal)]
-        return negate(mapped) if is_complemented(literal) else mapped
-
-    def _collect_tree(literal: int, root: bool) -> List[int]:
-        """Collect the leaves of the maximal single-fanout AND tree under ``literal``."""
-        node = node_of(literal)
-        if (
-            is_complemented(literal)
-            or not aig.is_and_node(node)
-            or (not root and reference.get(node, 0) > 1)
-        ):
-            return [literal]
-        fanin0, fanin1 = aig.fanins(node)
-        return _collect_tree(fanin0, False) + _collect_tree(fanin1, False)
-
-    for node in aig.and_nodes():
-        leaves = _collect_tree(Aig.lit(node), True)
-        mapped_leaves = [_map_literal(leaf) for leaf in leaves]
+    for node in range(1, len(fanins0)):
+        if is_input[node]:
+            continue
+        # The leaves of the maximal single-fanout AND tree under ``node``,
+        # left to right, mapped into ``result``.
+        leaves = []
+        stack = [fanins1[node], fanins0[node]]
+        while stack:
+            literal = stack.pop()
+            child = literal >> 1
+            if literal & 1 or not child or is_input[child] or reference[child] > 1:
+                leaves.append(mapping[child] ^ (literal & 1))
+            else:
+                stack.append(fanins1[child])
+                stack.append(fanins0[child])
         # Sort by level in the new AIG so the tree is balanced by arrival time.
-        mapped_leaves.sort(key=_level_of)
-        mapping[node] = result.and_many(mapped_leaves)
+        leaves.sort(key=lambda literal: levels[literal >> 1])
+        mapping[node] = result.and_many(leaves)
+        for new_node in range(len(levels), len(new_fanins0)):
+            levels.append(
+                1 + max(levels[new_fanins0[new_node] >> 1], levels[new_fanins1[new_node] >> 1])
+            )
 
     for literal, name in zip(aig.outputs, aig.output_names):
-        result.add_output(_map_literal(literal), name)
+        result.add_output(mapping[literal >> 1] ^ (literal & 1), name)
     return result.compact()
 
 

@@ -154,23 +154,13 @@ class Netlist:
 
     def nets(self) -> List[str]:
         """Return every net name referenced in the netlist."""
-        seen: List[str] = []
-        seen_set: Set[str] = set()
-
-        def _add(net: str) -> None:
-            if net not in seen_set:
-                seen_set.add(net)
-                seen.append(net)
-
-        for net in self.primary_inputs:
-            _add(net)
+        names = list(self.primary_inputs)
         for instance in self._instances.values():
-            for net in instance.inputs:
-                _add(net)
-            _add(instance.output)
-        for net in self.primary_outputs:
-            _add(net)
-        return seen
+            names += instance.inputs
+            names.append(instance.output)
+        names += self.primary_outputs
+        # First occurrences, in order.
+        return list(dict.fromkeys(names))
 
     def fanout_counts(self) -> Dict[str, int]:
         """Return the number of sinks of every net (POs count as one sink)."""
@@ -266,7 +256,8 @@ class Netlist:
         self.primary_inputs = [new if net == old else net for net in self.primary_inputs]
         self.primary_outputs = [new if net == old else net for net in self.primary_outputs]
         for instance in self._instances.values():
-            instance.inputs = [new if net == old else net for net in instance.inputs]
+            if old in instance.inputs:
+                instance.inputs = [new if net == old else net for net in instance.inputs]
             if instance.output == old:
                 instance.output = new
         if old in self._driver:

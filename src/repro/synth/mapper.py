@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..netlist.library import CellLibrary, standard_cell_library
 from ..netlist.netlist import CONST0_NET, CONST1_NET, Netlist
-from ..aig.aig import Aig, is_complemented, negate, node_of
+from ..aig.aig import Aig
 
 __all__ = ["map_to_cells", "MappingError"]
 
@@ -55,257 +55,187 @@ class _TreeMapper:
 
     def __init__(self, aig: Aig, library: CellLibrary, name: str):
         self._aig = aig.compact()
-        self._library = library
         self._netlist = Netlist(name, library)
-        self._reference = self._aig.reference_counts()
-        # Fanin literals of every AND node, and whether it is single-fanout
-        # (so it lies inside the tree of whichever root reaches it).
-        self._fanins: Dict[int, Tuple[int, int]] = {
-            node: self._aig.fanins(node) for node in self._aig.and_nodes()
-        }
-        self._tree_internal = {
-            node: self._reference.get(node, 0) <= 1 for node in self._fanins
-        }
         self._inv_area = library["INV"].area
-        # Net carrying each (node, phase); phase True = non-complemented.
-        self._nets: Dict[Tuple[int, bool], str] = {}
-        # Memoised DP cost of producing (literal) inside the current tree.
-        self._cost_cache: Dict[int, float] = {}
-        # Memoised best direct cover (cost, cell, leaves) of (literal) inside
-        # the current tree.
-        self._cover_cache: Dict[int, Tuple[float, str, List[int]]] = {}
-        self._roots: List[int] = []
+        # The direct covers of each gate width, as (cell, area): AND and NOR
+        # give a positive literal, NAND and OR a complemented one.
+        self._gates = [
+            tuple(
+                (cell, library[cell].area)
+                for cell in (f"AND{width}", f"NOR{width}", f"NAND{width}", f"OR{width}")
+            )
+            for width in range(2, _MAX_SIMPLE_GATE_INPUTS + 1)
+        ]
+        fanins0, _, is_input = self._aig.node_arrays()
+        self._reference = self._aig.reference_counts()
+        # Whether each node is a single-fanout AND node, which lies inside the
+        # tree of whichever root reaches it.
+        self._internal = [
+            bool(node) and not is_input[node] and self._reference[node] <= 1
+            for node in range(len(fanins0))
+        ]
+        # Net carrying each literal, once emitted.
+        self._nets: List[Optional[str]] = [None] * (2 * len(fanins0))
+        # The cheapest direct gate cover of each literal of an AND node: its
+        # cost, and the cover as (cell, leaves).
+        self._cover_costs, self._covers = self._choose_covers()
 
     # -------------------------------------------------------------- #
     # Public entry point
     # -------------------------------------------------------------- #
     def run(self) -> Netlist:
         aig = self._aig
-        for index in range(aig.num_inputs):
-            net = aig.input_names[index]
+        for index, net in enumerate(aig.input_names):
             self._netlist.add_input(net)
-            self._nets[(node_of(aig.input_literal(index)), True)] = net
+            self._nets[aig.input_literal(index)] = net
 
-        self._roots = self._find_roots()
-        for root in self._roots:
-            if aig.is_and_node(root):
-                self._emit_root(root)
+        # Roots: multi-fanout AND nodes and output nodes, in topological order.
+        _, _, is_input = aig.node_arrays()
+        output_nodes = {literal >> 1 for literal in aig.outputs}
+        for root in range(1, len(is_input)):
+            if not is_input[root] and (self._reference[root] > 1 or root in output_nodes):
+                self._emit_literal(root << 1, root)
 
         self._connect_outputs()
         return self._netlist
 
     # -------------------------------------------------------------- #
-    # Tree decomposition
-    # -------------------------------------------------------------- #
-    def _find_roots(self) -> List[int]:
-        """Multi-fanout AND nodes and output nodes, in topological order."""
-        aig = self._aig
-        output_nodes = {node_of(lit) for lit in aig.outputs}
-        roots = []
-        for node in aig.and_nodes():
-            if self._reference.get(node, 0) > 1 or node in output_nodes:
-                roots.append(node)
-        return roots
-
-    def _in_tree(self, node: int, root: int) -> bool:
-        """True if ``node`` is an AND node of the tree hanging below ``root``."""
-        return node == root or self._tree_internal.get(node, False)
-
-    # -------------------------------------------------------------- #
     # DP cost model
     # -------------------------------------------------------------- #
-    def _leaf_lists(self, literal: int, root: int, or_tree: bool) -> List[List[int]]:
-        """Greedily flatten the AND (or OR) tree under ``literal``.
+    def _choose_covers(self) -> Tuple[List[float], List[Optional[Tuple[str, List[int]]]]]:
+        """The cheapest direct gate cover of both literals of every AND node.
 
-        Each step expands the first expandable leaf into its two fanins and
-        the result lists the leaves after every step, so entry ``k`` has
-        ``k + 2`` leaves and is the cover of a ``k + 2``-input gate.  The AND
-        tree expands non-complemented leaves; the OR tree reads ``literal``
-        as an OR and expands complemented leaves into complemented fanins.
-        """
-        leaves = [literal]
-        steps: List[List[int]] = []
-        while len(leaves) < _MAX_SIMPLE_GATE_INPUTS:
-            for index, leaf in enumerate(leaves):
-                if is_complemented(leaf) != or_tree or not self._in_tree(node_of(leaf), root):
-                    continue
-                fanin0, fanin1 = self._fanins[node_of(leaf)]
-                if or_tree:
-                    fanin0, fanin1 = negate(fanin0), negate(fanin1)
-                leaves = leaves[:index] + [fanin0, fanin1] + leaves[index + 1:]
-                steps.append(leaves)
-                break
-            else:
-                break
-        return steps
-
-    def _best_cover(self, literal: int, root: int) -> Tuple[float, str, List[int]]:
-        """The cheapest direct gate cover ``(cost, cell, leaves)`` of ``literal``.
-
-        ``literal`` must lie inside the tree of ``root``.  Covers are tried
-        by width: AND then NOR for a positive literal, NAND then OR for a
+        A node's covers flatten the AND tree under its positive literal
+        greedily: each step expands the first non-complemented leaf that lies
+        inside the tree into its two fanins, so step ``k`` has ``k + 2``
+        leaves and is the cover of a ``k + 2``-input AND or NAND.  The OR tree
+        under the complemented literal has the same steps with every leaf
+        complemented, the covers of NOR and OR.  Covers are tried by width,
+        AND then NOR for the positive literal and NAND then OR for the
         complemented one; the first of equally cheap covers wins.
+
+        Nodes are costed in topological order, so each leaf inside a tree
+        already has its DP cost: the cheaper of its direct cover and an
+        inverter on the other literal's.  A tree input costs nothing, or an
+        inverter when complemented.
         """
-        cached = self._cover_cache.get(literal)
-        if cached is not None:
-            return cached
-        if is_complemented(literal):
-            families = (
-                ("NAND", self._leaf_lists(negate(literal), root, False)),
-                ("OR", self._leaf_lists(literal, root, True)),
-            )
-        else:
-            families = (
-                ("AND", self._leaf_lists(literal, root, False)),
-                ("NOR", self._leaf_lists(negate(literal), root, True)),
-            )
-        best: Tuple[float, str, List[int]] = (float("inf"), "", [])
-        for step in range(_MAX_SIMPLE_GATE_INPUTS - 1):
-            for gate, steps in families:
-                if step >= len(steps):
-                    continue
-                leaves = steps[step]
-                cell = f"{gate}{len(leaves)}"
-                cost = self._library[cell].area + sum(
-                    self._leaf_cost(leaf, root) for leaf in leaves
-                )
-                if cost < best[0]:
-                    best = (cost, cell, leaves)
-        self._cover_cache[literal] = best
-        return best
-
-    def _leaf_cost(self, literal: int, root: int) -> float:
-        """Cost of obtaining the signal of ``literal`` (recursive DP)."""
-        if not self._in_tree(node_of(literal), root):
-            # Tree input: the positive phase already exists (PI or other root).
-            return self._inv_area if is_complemented(literal) else 0.0
-        return self._signal_cost(literal, root)
-
-    def _signal_cost(self, literal: int, root: int) -> float:
-        cached = self._cost_cache.get(literal)
-        if cached is not None:
-            return cached
-        # Temporarily seed with infinity to break pathological cycles (none
-        # should exist in a DAG, but the guard keeps recursion safe).
-        self._cost_cache[literal] = float("inf")
-        structural = self._structural_cost(literal, root)
-        opposite = self._structural_cost(negate(literal), root)
-        cost = min(structural, opposite + self._inv_area)
-        self._cost_cache[literal] = cost
-        self._cost_cache.setdefault(negate(literal), min(opposite, structural + self._inv_area))
-        return cost
-
-    def _structural_cost(self, literal: int, root: int) -> float:
-        """Cost of the best direct gate cover for ``literal`` (no leading INV)."""
-        if not self._in_tree(node_of(literal), root):
-            return self._inv_area if is_complemented(literal) else 0.0
-        return self._best_cover(literal, root)[0]
+        fanins0, fanins1, is_input = self._aig.node_arrays()
+        internal = self._internal
+        inv_area = self._inv_area
+        leaf_costs = [0.0, inv_area] * len(fanins0)
+        cover_costs = [0.0] * len(leaf_costs)
+        covers: List[Optional[Tuple[str, List[int]]]] = [None] * len(leaf_costs)
+        for node in range(1, len(fanins0)):
+            if is_input[node]:
+                continue
+            leaves = [fanins0[node], fanins1[node]]
+            steps = [leaves]
+            while len(leaves) < _MAX_SIMPLE_GATE_INPUTS:
+                for index, leaf in enumerate(leaves):
+                    if not leaf & 1 and internal[leaf >> 1]:
+                        fanins = [fanins0[leaf >> 1], fanins1[leaf >> 1]]
+                        leaves = leaves[:index] + fanins + leaves[index + 1:]
+                        steps.append(leaves)
+                        break
+                else:
+                    break
+            positive = negative = (float("inf"), "", [])
+            for leaves, (and_gate, nor_gate, nand_gate, or_gate) in zip(steps, self._gates):
+                direct = sum([leaf_costs[leaf] for leaf in leaves])
+                inverted = sum([leaf_costs[leaf ^ 1] for leaf in leaves])
+                cost = and_gate[1] + direct
+                if cost < positive[0]:
+                    positive = (cost, and_gate[0], leaves)
+                cost = nor_gate[1] + inverted
+                if cost < positive[0]:
+                    positive = (cost, nor_gate[0], [leaf ^ 1 for leaf in leaves])
+                cost = nand_gate[1] + direct
+                if cost < negative[0]:
+                    negative = (cost, nand_gate[0], leaves)
+                cost = or_gate[1] + inverted
+                if cost < negative[0]:
+                    negative = (cost, or_gate[0], [leaf ^ 1 for leaf in leaves])
+            literal = node << 1
+            cover_costs[literal], cover_costs[literal | 1] = positive[0], negative[0]
+            covers[literal], covers[literal | 1] = positive[1:], negative[1:]
+            if internal[node]:
+                leaf_costs[literal] = min(positive[0], negative[0] + inv_area)
+                leaf_costs[literal | 1] = min(negative[0], positive[0] + inv_area)
+        return cover_costs, covers
 
     # -------------------------------------------------------------- #
     # Netlist emission
     # -------------------------------------------------------------- #
-    def _emit_root(self, root: int) -> None:
-        self._cost_cache = {}
-        self._cover_cache = {}
-        self._emit_literal(Aig.lit(root), root)
-
     def _emit_literal(self, literal: int, root: int) -> str:
         """Emit cells to produce the signal of ``literal``; return its net."""
-        node = node_of(literal)
-        phase = not is_complemented(literal)
-        existing = self._nets.get((node, phase))
-        if existing is not None:
-            return existing
-
-        if not self._in_tree(node, root):
+        nets = self._nets
+        net = nets[literal]
+        if net is not None:
+            return net
+        node = literal >> 1
+        if node != root and not self._internal[node]:
             # Tree input: positive net must exist already (PIs seeded, other
             # roots emitted earlier in topological order).
-            positive = self._nets.get((node, True))
+            positive = nets[literal & ~1]
             if positive is None:
-                if node == 0:
-                    positive = CONST0_NET
-                    self._nets[(0, True)] = CONST0_NET
-                    self._nets[(0, False)] = CONST1_NET
-                else:
+                if node:
                     raise MappingError(f"tree input node {node} has no mapped net")
-            if phase:
+                positive = nets[0] = CONST0_NET
+                nets[1] = CONST1_NET
+            if not literal & 1:
                 return positive
             net = self._netlist.add_instance("INV", [positive]).output
-            self._nets[(node, False)] = net
-            return net
-
-        structural = self._structural_cost(literal, root)
-        opposite = self._structural_cost(negate(literal), root)
-        if structural <= opposite + self._inv_area:
-            _, cell, leaves = self._best_cover(literal, root)
-            if not cell:
-                raise MappingError(f"no gate cover found for literal {literal}")
+        elif self._cover_costs[literal] <= self._cover_costs[literal ^ 1] + self._inv_area:
+            cell, leaves = self._covers[literal]
             input_nets = [self._emit_literal(leaf, root) for leaf in leaves]
             net = self._netlist.add_instance(cell, input_nets).output
         else:
-            source = self._emit_literal(negate(literal), root)
+            source = self._emit_literal(literal ^ 1, root)
             net = self._netlist.add_instance("INV", [source]).output
-        self._nets[(node, phase)] = net
+        nets[literal] = net
         return net
 
     def _connect_outputs(self) -> None:
         aig = self._aig
+        netlist = self._netlist
+        # Every net name of the netlist, kept in step with it below.
+        names = set(netlist.nets())
         used_names: Dict[str, int] = {}
         for literal, requested in zip(aig.outputs, aig.output_names):
-            name = self._unique_output_name(requested, used_names)
+            # Pick an output name that collides with no existing net or output.
+            name = requested
+            while name in names:
+                used_names[requested] = used_names.get(requested, 0) + 1
+                name = f"{requested}_{used_names[requested]}"
             net = self._output_source_net(literal)
+            names.add(net)
             can_rename = (
                 net != name
-                and name not in self._netlist.nets()
-                and net not in self._netlist.primary_inputs
-                and net not in self._netlist.primary_outputs
+                and name not in names
+                and net not in netlist.primary_inputs
+                and net not in netlist.primary_outputs
                 and net not in (CONST0_NET, CONST1_NET)
-                and self._netlist.driver_of(net) is not None
+                and netlist.driver_of(net) is not None
             )
             if net == name:
-                self._netlist.add_output(name)
+                netlist.add_output(name)
             elif can_rename:
-                self._netlist.rename_net(net, name)
-                self._rename_cached_net(net, name)
-                self._netlist.add_output(name)
+                netlist.rename_net(net, name)
+                # No other literal's entry holds the renamed net.
+                self._nets[literal] = name
+                names.discard(net)
+                netlist.add_output(name)
             else:
-                self._netlist.add_output(name)
-                self._netlist.add_instance("BUF", [net], output=name)
+                netlist.add_output(name)
+                netlist.add_instance("BUF", [net], output=name)
+            names.add(name)
 
     def _output_source_net(self, literal: int) -> str:
-        node = node_of(literal)
-        aig = self._aig
-        if node == 0:
-            return CONST1_NET if is_complemented(literal) else CONST0_NET
-        if aig.is_and_node(node):
-            net = self._nets.get((node, not is_complemented(literal)))
-            if net is None:
-                # The root was emitted in positive phase; add an inverter.
-                positive = self._nets[(node, True)]
-                net = self._netlist.add_instance("INV", [positive]).output
-                self._nets[(node, False)] = net
-            return net
-        # Primary input.
-        positive = self._nets[(node, True)]
-        if not is_complemented(literal):
-            return positive
-        cached = self._nets.get((node, False))
-        if cached is not None:
-            return cached
-        net = self._netlist.add_instance("INV", [positive]).output
-        self._nets[(node, False)] = net
+        if literal >> 1 == 0:
+            return CONST1_NET if literal & 1 else CONST0_NET
+        net = self._nets[literal]
+        if net is None:
+            # Only the positive phase was emitted; add an inverter.
+            net = self._netlist.add_instance("INV", [self._nets[literal & ~1]]).output
+            self._nets[literal] = net
         return net
-
-    def _unique_output_name(self, requested: str, used: Dict[str, int]) -> str:
-        """Pick an output name that collides with no existing net or output."""
-        existing = set(self._netlist.nets()) | set(self._netlist.primary_outputs)
-        name = requested
-        while name in existing:
-            used[requested] = used.get(requested, 0) + 1
-            name = f"{requested}_{used[requested]}"
-        return name
-
-    def _rename_cached_net(self, old: str, new: str) -> None:
-        for key, net in list(self._nets.items()):
-            if net == old:
-                self._nets[key] = new

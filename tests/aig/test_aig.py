@@ -70,6 +70,11 @@ class TestConstruction:
         a = aig.add_input()
         with pytest.raises(AigError):
             aig.and_(a, 999)
+        # A negative literal's node index is negative, so it needs its own test.
+        with pytest.raises(AigError, match="literal -1 references a non-existent node"):
+            aig.and_(a, -1)
+        with pytest.raises(AigError, match="literal -2 references a non-existent node"):
+            aig.and_(-2, a)
         with pytest.raises(AigError):
             aig.add_output(999)
 

@@ -8,9 +8,10 @@ result.  These tests compare against a committed fixture instead
 * ``synthesize`` at every effort level: area, AND count, pass trace, and
   digests of the optimised AIG's structure and of the netlist's instances;
 * every registered pass applied once to each strashed input;
-* the four areas of the quick-profile PRESENT x2 row of Table I, plus the
-  Phase III choices behind its last area: the camouflaged-cell count and
-  digests of the mapped instances and of their configurations;
+* the four areas of each quick-profile row of Table I (PRESENT x2, x4 and
+  x8, DES x2), plus the Phase III choices behind its last area: the
+  camouflaged-cell count and digests of the mapped instances and of their
+  configurations;
 * every window job of the windowed ``wide30`` campaign that perfbench runs
   (six window inputs, one decoy, seed 1): its camouflaged area and digests
   of its payload's camouflaged BLIF and true configuration.
@@ -45,6 +46,8 @@ from repro.synth.script import _aig_structure_key
 FIXTURE = Path(__file__).with_name("golden_synthesis.jsonl")
 WIDE30_BLIF = Path(__file__).resolve().parents[2] / "examples" / "circuits" / "wide30.blif"
 EFFORTS = ("fast", "standard", "high")
+#: The rows of the quick-profile Table I sweep, in the paper's order.
+TABLE1_ROWS = (("PRESENT", 2), ("PRESENT", 4), ("PRESENT", 8), ("DES", 2))
 
 
 def _digest(value) -> str:
@@ -101,8 +104,8 @@ def pass_records(function: BoolFunction) -> Iterator[dict]:
         }
 
 
-def table1_record() -> dict:
-    entry = run_table1_entry("PRESENT", 2, profile=get_profile("quick"), seed=1, jobs=1)
+def table1_record(family: str = "PRESENT", count: int = 2) -> dict:
+    entry = run_table1_entry(family, count, profile=get_profile("quick"), seed=1, jobs=1)
     row, mapping = entry.row, entry.obfuscation.mapping
     instances = [
         (instance.name, instance.cell, list(instance.inputs), instance.output)
@@ -143,7 +146,8 @@ def golden_lines() -> Iterator[str]:
     for name, function in golden_inputs():
         for record in pass_records(function):
             yield json.dumps({"case": f"pass/{name}", **record})
-    yield json.dumps({"case": "table1/PRESENTx2", **table1_record()})
+    for family, count in TABLE1_ROWS:
+        yield json.dumps({"case": f"table1/{family}x{count}", **table1_record(family, count)})
     for record in window_records():
         yield json.dumps({"case": "window/wide30", **record})
 
@@ -167,7 +171,8 @@ def _function(name: str) -> BoolFunction:
 def test_fixture_covers_every_case():
     expected = {f"synthesize/{name}" for name in INPUT_NAMES}
     expected |= {f"pass/{name}" for name in INPUT_NAMES}
-    expected |= {"table1/PRESENTx2", "window/wide30"}
+    expected |= {f"table1/{family}x{count}" for family, count in TABLE1_ROWS}
+    expected |= {"window/wide30"}
     assert set(_pinned()) == expected
 
 
@@ -183,6 +188,13 @@ def test_each_pass_matches_fixture(name):
 
 def test_table1_present2_row_matches_fixture():
     assert [table1_record()] == _pinned()["table1/PRESENTx2"]
+
+
+@pytest.mark.parametrize(
+    "family,count", TABLE1_ROWS[1:], ids=[f"{family}x{count}" for family, count in TABLE1_ROWS[1:]]
+)
+def test_table1_quick_row_matches_fixture(family, count):
+    assert [table1_record(family, count)] == _pinned()[f"table1/{family}x{count}"]
 
 
 def test_wide30_window_jobs_match_fixture():
