@@ -12,8 +12,9 @@ Expressions (used by the refactor pass and by examples) and mapped netlists
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
+from .._bitops import mask_for, variable_pattern
 from ..logic.boolfunc import BoolFunction
 from ..logic.expr import And, Const, Expression, Not, Or, Var, Xor
 from ..logic.truthtable import TruthTable
@@ -71,57 +72,45 @@ def build_table(
     ``memo`` maps packed table bits to already-built literals; passing the
     same dictionary across calls shares logic between outputs.
     """
-    if table.num_vars != len(input_literals):
+    num_vars = table.num_vars
+    if num_vars != len(input_literals):
         raise ValueError("one literal per table variable is required")
     if memo is None:
         memo = {}
-    return _shannon(aig, table, list(input_literals), memo)
+    mask = mask_for(num_vars)
+    patterns = [variable_pattern(var, num_vars) for var in range(num_vars)]
 
-
-def _shannon(
-    aig: Aig,
-    table: TruthTable,
-    input_literals: List[int],
-    memo: Dict[int, int],
-) -> int:
-    if table.is_constant_zero():
-        return FALSE_LIT
-    if table.is_constant_one():
-        return TRUE_LIT
-    cached = memo.get(table.bits)
-    if cached is not None:
-        return cached
-    # Also reuse the complement when it has been built already.
-    complement_bits = (~table).bits
-    cached = memo.get(complement_bits)
-    if cached is not None:
-        literal = negate(cached)
-        memo[table.bits] = literal
+    def shannon(bits: int) -> int:
+        if not bits:
+            return FALSE_LIT
+        if bits == mask:
+            return TRUE_LIT
+        cached = memo.get(bits)
+        if cached is not None:
+            return cached
+        # Also reuse the complement when it has been built already.
+        cached = memo.get(bits ^ mask)
+        if cached is not None:
+            memo[bits] = cached ^ 1
+            return cached ^ 1
+        # Split on the highest variable whose cofactors differ (a stable
+        # BDD-like order); a non-constant table depends on some variable.
+        var = num_vars
+        positive = negative = bits
+        while positive == negative:
+            var -= 1
+            shift = 1 << var
+            kept = bits & patterns[var]
+            positive = kept | kept >> shift
+            kept = bits ^ kept
+            negative = kept | kept << shift
+        literal_pos = shannon(positive)
+        literal_neg = shannon(negative)
+        literal = aig.mux_(input_literals[var], literal_pos, literal_neg)
+        memo[bits] = literal
         return literal
 
-    split = _choose_split(table)
-    positive = table.cofactor(split, 1)
-    negative = table.cofactor(split, 0)
-    select = input_literals[split]
-
-    if positive == negative:
-        literal = _shannon(aig, positive, input_literals, memo)
-        memo[table.bits] = literal
-        return literal
-
-    literal_pos = _shannon(aig, positive, input_literals, memo)
-    literal_neg = _shannon(aig, negative, input_literals, memo)
-    literal = aig.mux_(select, literal_pos, literal_neg)
-    memo[table.bits] = literal
-    return literal
-
-
-def _choose_split(table: TruthTable) -> int:
-    """Pick the highest-index variable in the support (a stable BDD-like order)."""
-    for var in range(table.num_vars - 1, -1, -1):
-        if table.depends_on(var):
-            return var
-    raise ValueError("constant tables are handled before splitting")
+    return shannon(table.bits)
 
 
 def aig_from_function(function: BoolFunction, name: Optional[str] = None) -> Aig:

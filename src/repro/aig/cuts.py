@@ -260,24 +260,20 @@ def mffc_size(
     the cone.  ``reference_counts`` must be the current fanout counts of the
     AIG (they are not modified).
     """
+    fanins0, fanins1, is_input = aig.node_arrays()
+    if not root or is_input[root]:
+        return 0
     # Remaining reference counts of the nodes the walk has dereferenced.
     remaining: Dict[int, int] = {}
     freed = 0
+    # Only AND nodes outside the cut are pushed, once their count is no
+    # longer positive, so every node popped is freed.
     stack = [root]
-    first = True
     while stack:
         node = stack.pop()
-        if node in cut and not first:
-            continue
-        if not aig.is_and_node(node):
-            continue
-        if not first and remaining.get(node, reference_counts.get(node, 0)) > 0:
-            continue
         freed += 1
-        first = False
-        fanin0, fanin1 = aig.fanins(node)
-        for fanin in (node_of(fanin0), node_of(fanin1)):
-            if fanin in cut or not aig.is_and_node(fanin):
+        for fanin in (fanins0[node] >> 1, fanins1[node] >> 1):
+            if fanin in cut or not fanin or is_input[fanin]:
                 continue
             count = remaining.get(fanin, reference_counts.get(fanin, 0)) - 1
             remaining[fanin] = count

@@ -17,11 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..logic.expr import Expression
-from ..logic.factoring import factor_table
-from ..logic.truthtable import TruthTable
-from .aig import FALSE_LIT, Aig, is_complemented, negate, node_of
-from .build import build_expression
+from ..logic.factoring import AND, FactoredForm, factored_form
+from .aig import FALSE_LIT, TRUE_LIT, Aig
 from .cuts import CutTable, collect_cone_cut, enumerate_cut_tables, mffc_size, simulate_cone
 
 __all__ = ["balance", "rewrite", "refactor", "strash", "apply_pass", "known_passes"]
@@ -90,13 +87,13 @@ def balance(aig: Aig) -> Aig:
     return result.compact()
 
 
-#: (num_vars, bits) -> (factored expression, AND-node cost).  Algebraic
+#: (num_vars, bits) -> (factored form, AND-node cost).  Algebraic
 #: factoring through ISOP is the single most expensive step of the rewrite
 #: and refactor passes, and the same small cut functions recur across every
 #: pass invocation and every Phase II genotype evaluation, so the cache is a
-#: process-wide singleton rather than per-pass state.  Expressions are
-#: immutable, making sharing safe; the bound keeps memory in check.
-_FACTORED_FORM_CACHE: Dict[Tuple[int, int], Tuple[Expression, int]] = {}
+#: process-wide singleton rather than per-pass state.  Forms are immutable,
+#: making sharing safe; the bound keeps memory in check.
+_FACTORED_FORM_CACHE: Dict[Tuple[int, int], Tuple[FactoredForm, int]] = {}
 _FACTORED_FORM_CACHE_LIMIT = 1 << 16
 
 
@@ -110,29 +107,42 @@ def factored_form_cache_size() -> int:
     return len(_FACTORED_FORM_CACHE)
 
 
-class _Resynthesizer:
-    """Shared machinery: resynthesise a cut function and estimate its cost."""
+def _resynthesis(num_vars: int, bits: int) -> Tuple[FactoredForm, int]:
+    """The factored form of a packed cut function and its AND-node cost."""
+    key = (num_vars, bits)
+    cached = _FACTORED_FORM_CACHE.get(key)
+    if cached is not None:
+        return cached
+    form = factored_form(num_vars, bits)
+    # The cost is the number of AND nodes the form builds over fresh inputs
+    # that its output reaches; they follow the inputs in node order.
+    scratch = Aig("scratch")
+    output = _build_form(scratch, form, [scratch.add_input() for _ in range(num_vars)])
+    fanins0, fanins1, _ = scratch.node_arrays()
+    live = [False] * len(fanins0)
+    live[output >> 1] = True
+    cost = 0
+    for node in range(len(fanins0) - 1, num_vars, -1):
+        if live[node]:
+            cost += 1
+            live[fanins0[node] >> 1] = live[fanins1[node] >> 1] = True
+    if len(_FACTORED_FORM_CACHE) >= _FACTORED_FORM_CACHE_LIMIT:
+        _FACTORED_FORM_CACHE.clear()
+    _FACTORED_FORM_CACHE[key] = (form, cost)
+    return form, cost
 
-    def factored_form(self, num_vars: int, bits: int) -> Tuple[Expression, int]:
-        """Return the factored expression of a packed table and its AND-node cost."""
-        key = (num_vars, bits)
-        cached = _FACTORED_FORM_CACHE.get(key)
-        if cached is not None:
-            return cached
-        expression = factor_table(TruthTable(num_vars, bits))
-        cost = self._count_cost(expression, num_vars)
-        if len(_FACTORED_FORM_CACHE) >= _FACTORED_FORM_CACHE_LIMIT:
-            _FACTORED_FORM_CACHE.clear()
-        _FACTORED_FORM_CACHE[key] = (expression, cost)
-        return expression, cost
 
-    @staticmethod
-    def _count_cost(expression: Expression, num_vars: int) -> int:
-        scratch = Aig("scratch")
-        literals = {f"x{index}": scratch.add_input() for index in range(num_vars)}
-        output = build_expression(scratch, expression, literals)
-        scratch.add_output(output)
-        return scratch.num_live_ands()
+def _build_form(aig: Aig, form: FactoredForm, leaves: List[int]) -> int:
+    """Build a factored form in ``aig``; variable ``i`` is the literal ``leaves[i]``."""
+    if form is True:
+        return TRUE_LIT
+    if form is False:
+        return FALSE_LIT
+    if isinstance(form, int):
+        return leaves[form >> 1] ^ (form & 1)
+    tag, operands = form
+    literals = [_build_form(aig, operand, leaves) for operand in operands]
+    return aig.and_many(literals) if tag == AND else aig.or_many(literals)
 
 
 def rewrite(
@@ -184,24 +194,23 @@ def _plan_replacements(
     aig: Aig,
     cuts: Dict[int, List[CutTable]],
     zero_gain: bool,
-) -> Dict[int, Tuple[Expression, Tuple[int, ...]]]:
+) -> Dict[int, Tuple[FactoredForm, Tuple[int, ...]]]:
     """Select, per node, the best resynthesis (if any improves on the MFFC).
 
     Each cut is ``(leaves, bits, cone_ands)`` as
     :func:`~repro.aig.cuts.enumerate_cut_tables` gives it; leaf ``i`` is
-    variable ``i`` of the resynthesised expression.
+    variable ``i`` of the resynthesised form.
     """
-    resynthesizer = _Resynthesizer()
     reference = aig.reference_counts()
-    plans: Dict[int, Tuple[Expression, Tuple[int, ...]]] = {}
+    plans: Dict[int, Tuple[FactoredForm, Tuple[int, ...]]] = {}
     minimum_gain = 0 if zero_gain else 1
     for node in aig.and_nodes():
         best_gain = minimum_gain - 1
-        best_plan: Optional[Tuple[Expression, Tuple[int, ...]]] = None
+        best_plan: Optional[Tuple[FactoredForm, Tuple[int, ...]]] = None
         for leaves, bits, cone_ands in cuts.get(node, []):
             if len(leaves) < 2 or node in leaves:
                 continue
-            expression, cost = resynthesizer.factored_form(len(leaves), bits)
+            form, cost = _resynthesis(len(leaves), bits)
             # The MFFC lies inside the cut-bounded cone, so a cut whose whole
             # cone cannot beat the best gain is skipped before the MFFC walk.
             if cone_ands - cost <= best_gain:
@@ -209,34 +218,34 @@ def _plan_replacements(
             gain = mffc_size(aig, node, leaves, reference) - cost
             if gain > best_gain:
                 best_gain = gain
-                best_plan = (expression, leaves)
+                best_plan = (form, leaves)
         if best_plan is not None:
             plans[node] = best_plan
     return plans
 
 
-def _rebuild(aig: Aig, plans: Dict[int, Tuple[Expression, Tuple[int, ...]]]) -> Aig:
+def _rebuild(aig: Aig, plans: Dict[int, Tuple[FactoredForm, Tuple[int, ...]]]) -> Aig:
     """Rebuild the AIG applying the chosen per-node resyntheses."""
+    fanins0, fanins1, is_input = aig.node_arrays()
     result = Aig(aig.name)
-    mapping: Dict[int, int] = {0: FALSE_LIT}
-    for index in range(aig.num_inputs):
-        node = node_of(aig.input_literal(index))
-        mapping[node] = result.add_input(aig.input_names[index])
-
-    def _map_literal(literal: int) -> int:
-        mapped = mapping[node_of(literal)]
-        return negate(mapped) if is_complemented(literal) else mapped
-
-    for node in aig.and_nodes():
+    # Old node -> its literal in ``result``; the constant node stays 0.
+    mapping = [FALSE_LIT] * len(fanins0)
+    for index, name in enumerate(aig.input_names):
+        mapping[aig.input_literal(index) >> 1] = result.add_input(name)
+    for node in range(1, len(fanins0)):
+        if is_input[node]:
+            continue
         plan = plans.get(node)
         if plan is None:
-            fanin0, fanin1 = aig.fanins(node)
-            mapping[node] = result.and_(_map_literal(fanin0), _map_literal(fanin1))
-            continue
-        expression, leaves = plan
-        literals = {f"x{index}": mapping[leaf] for index, leaf in enumerate(leaves)}
-        mapping[node] = build_expression(result, expression, literals)
+            fanin0 = fanins0[node]
+            fanin1 = fanins1[node]
+            mapping[node] = result.and_(
+                mapping[fanin0 >> 1] ^ (fanin0 & 1), mapping[fanin1 >> 1] ^ (fanin1 & 1)
+            )
+        else:
+            form, leaves = plan
+            mapping[node] = _build_form(result, form, [mapping[leaf] for leaf in leaves])
 
     for literal, name in zip(aig.outputs, aig.output_names):
-        result.add_output(_map_literal(literal), name)
+        result.add_output(mapping[literal >> 1] ^ (literal & 1), name)
     return result.compact()

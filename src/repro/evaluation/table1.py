@@ -2,10 +2,10 @@
 
 For every (family, number of merged S-boxes) configuration the harness
 
-1. runs the Phase II genetic algorithm (fitness = synthesised area),
+1. runs the Phase II genetic algorithm (fitness = synthesised area) and
+   applies Phase III camouflage technology mapping to the GA winner's final
+   synthesis, validating that every viable function remains realisable,
 2. evaluates an equal budget of random pin assignments (the baseline),
-3. re-synthesises the GA winner and applies Phase III camouflage technology
-   mapping, validating that every viable function remains realisable,
 
 and reports the four areas plus the improvement of GA+TM over the best
 random assignment — the same columns as the paper's Table I.
@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..flow.obfuscate import ObfuscationResult, obfuscate_with_assignment
+from ..flow.obfuscate import ObfuscationResult, obfuscate
 from ..flow.report import AreaRow, format_table
-from ..ga.pinopt import optimize_pin_assignment
 from ..ga.random_search import RandomSearchResult, random_pin_search
 from ..parallel import resolve_jobs
 from .workloads import (
@@ -67,13 +66,15 @@ def run_table1_entry(
     jobs = resolve_jobs(jobs)
     functions = workload_functions(family, count)
 
-    optimization = optimize_pin_assignment(
+    obfuscation = obfuscate(
         functions,
-        parameters=profile.ga_parameters(seed=seed),
-        effort=profile.fitness_effort,
+        ga_parameters=profile.ga_parameters(seed=seed),
+        fitness_effort=profile.fitness_effort,
         final_effort=profile.final_effort,
+        verify=verify,
         jobs=jobs,
     )
+    optimization = obfuscation.pin_optimization
     ga_area = optimization.best_area
 
     num_random = profile.random_samples or optimization.evaluations
@@ -84,14 +85,6 @@ def run_table1_entry(
         effort=profile.fitness_effort,
         jobs=jobs,
     )
-
-    obfuscation = obfuscate_with_assignment(
-        functions,
-        assignment=optimization.best_assignment,
-        effort=profile.final_effort,
-        verify=verify,
-    )
-    obfuscation.pin_optimization = optimization
 
     row = AreaRow(
         circuit=family,

@@ -95,6 +95,18 @@ def obfuscate_with_assignment(
 
     design = merge_functions(functions, assignment)
     synthesis = synthesize(design.function, library=library, effort=effort)
+    return _camouflage(functions, design, synthesis, camo_library, max_cover_depth, verify)
+
+
+def _camouflage(
+    functions: Sequence[BoolFunction],
+    design: MergedDesign,
+    synthesis: SynthesisResult,
+    camo_library: CamouflageLibrary,
+    max_cover_depth: int,
+    verify: bool,
+) -> ObfuscationResult:
+    """Phase III and validation of a synthesised merged design."""
     select_nets = [f"sel[{k}]" for k in range(design.num_selects)]
     mapping = camouflage_map(
         synthesis.netlist, select_nets, camo_library=camo_library,
@@ -127,8 +139,10 @@ def obfuscate(
 ) -> ObfuscationResult:
     """Run the full three-phase flow (GA pin optimisation included).
 
-    ``jobs`` parallelises the Phase II fitness evaluations across worker
-    processes (1 = serial); seeded results are identical for every value.
+    Phase III maps Phase II's synthesis of the winning assignment, made at
+    ``final_effort``.  ``jobs`` parallelises the Phase II fitness
+    evaluations across worker processes (1 = serial); seeded results are
+    identical for every value.
     """
     if not functions:
         raise ValueError("at least one viable function is required")
@@ -143,14 +157,13 @@ def obfuscate(
         final_effort=final_effort,
         jobs=jobs,
     )
-    result = obfuscate_with_assignment(
+    result = _camouflage(
         functions,
-        assignment=optimization.best_assignment,
-        library=library,
-        camo_library=camo_library,
-        effort=final_effort,
-        max_cover_depth=max_cover_depth,
-        verify=verify,
+        optimization.merged_design,
+        optimization.synthesis,
+        camo_library,
+        max_cover_depth,
+        verify,
     )
     result.pin_optimization = optimization
     return result
