@@ -110,7 +110,10 @@ def build_table(
         memo[bits] = literal
         return literal
 
-    return shannon(table.bits)
+    literal = shannon(table.bits)
+    # Free the self-referring closure now, not at the next cyclic collection.
+    del shannon
+    return literal
 
 
 def aig_from_function(function: BoolFunction, name: Optional[str] = None) -> Aig:

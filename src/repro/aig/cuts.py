@@ -10,13 +10,15 @@ The enumerator computes each kept cut's function and cone size bottom-up,
 from the two fanin cuts it was merged from, as priority-cut mappers do
 (Mishchenko et al., ICCAD'07).  The few cuts for which that would differ
 from a walk of the cone bounded by the leaves take the walk instead, which
-:func:`simulate_cone` also runs for a single cut.
+:func:`simulate_cone` also runs for a single cut.  :func:`sweep_cuts` hands
+out each node's cuts as they are made, so the rewrite pass plans a node in
+the same traversal (DAG-aware rewriting, Mishchenko et al., DAC'06).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Collection, Dict, FrozenSet, List, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from .._bitops import mask_for, variable_pattern
 from ..logic.truthtable import TruthTable
@@ -25,6 +27,8 @@ from .aig import Aig, node_of
 __all__ = [
     "enumerate_cuts",
     "enumerate_cut_tables",
+    "sweep_cuts",
+    "walked_cut",
     "simulate_cone",
     "cut_function",
     "mffc_size",
@@ -38,6 +42,11 @@ Cut = FrozenSet[int]
 #: ``i``) and the number of AND nodes in the cone they bound.
 CutTable = Tuple[Tuple[int, ...], int, int]
 
+#: A cut as the sweep keeps it: ``(mask, leaves, bits, cone)``, the leaf ids
+#: as a bit mask and as a sorted tuple, the packed truth table of the node
+#: over the leaves, and the AND nodes of the cone they bound as a bit mask.
+CutRecord = Tuple[int, Tuple[int, ...], int, int]
+
 
 def enumerate_cuts(
     aig: Aig, max_leaves: int = 4, max_cuts_per_node: int = 8
@@ -49,8 +58,8 @@ def enumerate_cuts(
     always the first element.
     """
     return {
-        node: [frozenset(leaves) for leaves, _, _ in node_cuts]
-        for node, node_cuts in enumerate_cut_tables(aig, max_leaves, max_cuts_per_node).items()
+        node: [frozenset(leaves) for _, leaves, _, _ in records]
+        for node, records in sweep_cuts(aig, max_leaves, max_cuts_per_node)
     }
 
 
@@ -61,15 +70,27 @@ def enumerate_cut_tables(
 
     Every cut is a :data:`CutTable`, equal to ``(leaves,) +
     simulate_cone(aig, node, leaves)``.
+    """
+    return {
+        node: [(leaves, bits, cone.bit_count()) for _, leaves, bits, cone in records]
+        for node, records in sweep_cuts(aig, max_leaves, max_cuts_per_node)
+    }
 
-    Cuts are merged as bit masks over node ids, one cut of each fanin at a
-    time (fanin0-major).  A merge is rejected when it has too many leaves or
-    when an earlier accepted cut is a subset of it.  A mask that comes again
-    meets the same tests, and the accepted list only grows, so a repeat is
-    rejected like its first instance, or as a subset of itself.  An
-    accepted cut's sorted leaves are the union of its two source cuts'.
-    The trivial cut comes first, then the smallest others by ``(size,
-    sorted leaves)``.
+
+def sweep_cuts(
+    aig: Aig, max_leaves: int = 4, max_cuts_per_node: int = 8
+) -> Iterator[Tuple[int, List[CutRecord]]]:
+    """Yield every node, bottom-up, with the records of its cuts.
+
+    A node's cuts exist once it is yielded, so a caller can act on them
+    before the sweep moves on.  Cuts are merged as bit masks over node ids,
+    one cut of each fanin at a time (fanin0-major).  A merge is rejected
+    when it has too many leaves or when an earlier accepted cut is a subset
+    of it.  A mask that comes again meets the same tests, and the accepted
+    list only grows, so a repeat is rejected like its first instance, or as
+    a subset of itself.  An accepted cut's sorted leaves are the union of
+    its two source cuts'.  The trivial cut comes first, then the smallest
+    others by ``(size, sorted leaves)``.
 
     A kept cut's table is the AND of the tables of the two fanin cuts that
     first produced it, each re-expressed over the merged leaves and
@@ -79,35 +100,28 @@ def enumerate_cut_tables(
     """
     fanins0, fanins1, is_input = aig.node_arrays()
     stretched_tables = _STRETCHED_TABLES
-    cuts: Dict[int, List[CutTable]] = {}
-    masks: Dict[int, List[int]] = {}
-    # The AND nodes of each cut's cone, as a bit mask over node ids.
-    cones: Dict[int, List[int]] = {}
+    # Node id -> its cut records; the constant node has none.
+    records: List[List[CutRecord]] = [[]]
     for node in range(1, aig.num_nodes):
         trivial = 1 << node
         # The trivial cut: the projection of the node itself, with no cone.
-        node_cuts: List[CutTable] = [((node,), 0b10, 0)]
-        node_masks = [trivial]
-        node_cones = [0]
-        cuts[node] = node_cuts
-        masks[node] = node_masks
-        cones[node] = node_cones
+        node_records: List[CutRecord] = [(trivial, (node,), 0b10, 0)]
+        records.append(node_records)
         if is_input[node]:
+            yield node, node_records
             continue
         fanin0 = fanins0[node]
         fanin1 = fanins1[node]
-        masks0 = masks[fanin0 >> 1]
-        masks1 = masks[fanin1 >> 1]
-        cuts0 = cuts[fanin0 >> 1]
-        cuts1 = cuts[fanin1 >> 1]
+        records1 = records[fanin1 >> 1]
         accepted: List[int] = []
-        # (size, leaves, mask, index0, index1) of every accepted cut; no two
-        # share their leaves, so sorting ranks them by (size, leaves).
+        # (size, leaves, mask, record0, record1) of every accepted cut; no
+        # two share their leaves, so sorting ranks them by (size, leaves).
         ranked = []
-        for index0, mask0 in enumerate(masks0):
-            leaves0 = cuts0[index0][0]
-            for index1, mask1 in enumerate(masks1):
-                merged = mask0 | mask1
+        for record0 in records[fanin0 >> 1]:
+            mask0 = record0[0]
+            leaves0 = record0[1]
+            for record1 in records1:
+                merged = mask0 | record1[0]
                 size = merged.bit_count()
                 if size > max_leaves:
                     continue
@@ -116,49 +130,51 @@ def enumerate_cut_tables(
                         break
                 else:
                     accepted.append(merged)
-                    leaves = tuple(sorted({*leaves0, *cuts1[index1][0]}))
-                    ranked.append((size, leaves, merged, index0, index1))
+                    # About half the leaf tuple pairs do not interleave: join those in order.
+                    leaves1 = record1[1]
+                    if leaves0[-1] < leaves1[0]:
+                        leaves = leaves0 + leaves1
+                    elif leaves1[-1] < leaves0[0]:
+                        leaves = leaves1 + leaves0
+                    else:
+                        leaves = tuple(sorted({*leaves0, *leaves1}))
+                    ranked.append((size, leaves, merged, record0, record1))
         ranked.sort()
-        cones0 = cones[fanin0 >> 1]
-        cones1 = cones[fanin1 >> 1]
-        for size, leaves, merged, index0, index1 in ranked[: max_cuts_per_node - 1]:
-            mask0 = masks0[index0]
-            mask1 = masks1[index1]
-            cone0 = cones0[index0]
-            cone1 = cones1[index1]
+        for size, leaves, merged, record0, record1 in ranked[: max_cuts_per_node - 1]:
+            mask0, leaves0, bits0, cone0 = record0
+            mask1, leaves1, bits1, cone1 = record1
             if cone0 & mask1 or cone1 & mask0:
-                values = _cone_values(aig, node, leaves)
-                bits = values[node]
-                cone = 0
-                for cone_node in values:
-                    cone |= 1 << cone_node
-                cone ^= merged
-            else:
-                positions0 = positions1 = 0
-                for position, leaf in enumerate(leaves):
-                    if mask0 >> leaf & 1:
-                        positions0 |= 1 << position
-                    if mask1 >> leaf & 1:
-                        positions1 |= 1 << position
-                key0 = (cuts0[index0][1], positions0, size)
-                bits0 = stretched_tables.get(key0)
-                if bits0 is None:
-                    bits0 = _stretch_table(*key0)
-                key1 = (cuts1[index1][1], positions1, size)
-                bits1 = stretched_tables.get(key1)
-                if bits1 is None:
-                    bits1 = _stretch_table(*key1)
-                full = (1 << (1 << size)) - 1
-                if fanin0 & 1:
-                    bits0 ^= full
-                if fanin1 & 1:
-                    bits1 ^= full
-                bits = bits0 & bits1
-                cone = cone0 | cone1 | trivial
-            node_cuts.append((leaves, bits, cone.bit_count()))
-            node_masks.append(merged)
-            node_cones.append(cone)
-    return cuts
+                node_records.append(walked_cut(aig, node, leaves))
+                continue
+            positions0 = positions1 = 0
+            for position, leaf in enumerate(leaves):
+                if leaf in leaves0:
+                    positions0 |= 1 << position
+                if leaf in leaves1:
+                    positions1 |= 1 << position
+            key0 = (bits0, positions0, size)
+            bits0 = stretched_tables.get(key0)
+            if bits0 is None:
+                bits0 = _stretch_table(*key0)
+            key1 = (bits1, positions1, size)
+            bits1 = stretched_tables.get(key1)
+            if bits1 is None:
+                bits1 = _stretch_table(*key1)
+            full = (1 << (1 << size)) - 1
+            if fanin0 & 1:
+                bits0 ^= full
+            if fanin1 & 1:
+                bits1 ^= full
+            node_records.append((merged, leaves, bits0 & bits1, cone0 | cone1 | trivial))
+        yield node, node_records
+
+
+def walked_cut(aig: Aig, root: int, cut: Collection[int]) -> CutRecord:
+    """The record of the cut ``cut`` of ``root``, from a walk of its cone."""
+    leaves = tuple(sorted(cut))
+    values = _cone_values(aig, root, leaves)
+    mask = sum(1 << leaf for leaf in leaves)
+    return (mask, leaves, values[root], sum(1 << node for node in values) ^ mask)
 
 
 #: (bits, positions, width) -> the table re-expressed over ``width`` leaves.

@@ -15,11 +15,11 @@ and returns a new, compacted AIG.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..logic.factoring import AND, FactoredForm, factored_form
 from .aig import FALSE_LIT, TRUE_LIT, Aig
-from .cuts import CutTable, collect_cone_cut, enumerate_cut_tables, mffc_size, simulate_cone
+from .cuts import CutRecord, collect_cone_cut, mffc_size, sweep_cuts, walked_cut
 
 __all__ = ["balance", "rewrite", "refactor", "strash", "apply_pass", "known_passes"]
 
@@ -152,9 +152,8 @@ def rewrite(
     zero_gain: bool = False,
 ) -> Aig:
     """Cut-based resynthesis (the ABC ``rewrite`` analogue)."""
-    cuts = enumerate_cut_tables(aig, max_leaves=max_leaves, max_cuts_per_node=max_cuts_per_node)
-    plans = _plan_replacements(aig, cuts, zero_gain)
-    return _rebuild(aig, plans)
+    cuts = sweep_cuts(aig, max_leaves=max_leaves, max_cuts_per_node=max_cuts_per_node)
+    return _rebuild(aig, _plan_replacements(aig, cuts, zero_gain))
 
 
 def refactor(
@@ -163,12 +162,11 @@ def refactor(
     zero_gain: bool = False,
 ) -> Aig:
     """Cone-based resynthesis (the ABC ``refactor`` analogue)."""
-    cone_cuts: Dict[int, List[CutTable]] = {}
-    for node in aig.and_nodes():
-        leaves = tuple(sorted(collect_cone_cut(aig, node, max_leaves)))
-        cone_cuts[node] = [(leaves,) + simulate_cone(aig, node, leaves)]
-    plans = _plan_replacements(aig, cone_cuts, zero_gain)
-    return _rebuild(aig, plans)
+    cone_cuts = (
+        (node, [walked_cut(aig, node, collect_cone_cut(aig, node, max_leaves))])
+        for node in aig.and_nodes()
+    )
+    return _rebuild(aig, _plan_replacements(aig, cone_cuts, zero_gain))
 
 
 def _rewrite_z(aig: Aig) -> Aig:
@@ -192,28 +190,29 @@ _PASS_REGISTRY = {
 
 def _plan_replacements(
     aig: Aig,
-    cuts: Dict[int, List[CutTable]],
+    cuts: Iterable[Tuple[int, List[CutRecord]]],
     zero_gain: bool,
 ) -> Dict[int, Tuple[FactoredForm, Tuple[int, ...]]]:
     """Select, per node, the best resynthesis (if any improves on the MFFC).
 
-    Each cut is ``(leaves, bits, cone_ands)`` as
-    :func:`~repro.aig.cuts.enumerate_cut_tables` gives it; leaf ``i`` is
-    variable ``i`` of the resynthesised form.
+    ``cuts`` gives nodes in order, each with its cut records as
+    :func:`~repro.aig.cuts.sweep_cuts` yields them; leaf ``i`` is variable
+    ``i`` of the resynthesised form.  A node is planned as soon as it comes,
+    against the reference counts of the unchanged AIG.
     """
     reference = aig.reference_counts()
     plans: Dict[int, Tuple[FactoredForm, Tuple[int, ...]]] = {}
     minimum_gain = 0 if zero_gain else 1
-    for node in aig.and_nodes():
+    for node, records in cuts:
         best_gain = minimum_gain - 1
         best_plan: Optional[Tuple[FactoredForm, Tuple[int, ...]]] = None
-        for leaves, bits, cone_ands in cuts.get(node, []):
+        for _, leaves, bits, cone in records:
             if len(leaves) < 2 or node in leaves:
                 continue
             form, cost = _resynthesis(len(leaves), bits)
             # The MFFC lies inside the cut-bounded cone, so a cut whose whole
             # cone cannot beat the best gain is skipped before the MFFC walk.
-            if cone_ands - cost <= best_gain:
+            if cone.bit_count() - cost <= best_gain:
                 continue
             gain = mffc_size(aig, node, leaves, reference) - cost
             if gain > best_gain:

@@ -171,4 +171,7 @@ def _isop_bits(lower: int, upper: int, num_vars: int) -> _Cubes:
         memo[key] = result
         return result
 
-    return recurse(lower, upper, 0)[0]
+    cubes = recurse(lower, upper, 0)[0]
+    # Free the self-referring closure now, not at the next cyclic collection.
+    del recurse
+    return cubes

@@ -231,6 +231,8 @@ class Netlist:
             cone.append(driver)
 
         _visit(net)
+        # Free the self-referring closure now, not at the next cyclic collection.
+        del _visit
         return cone
 
     def area(self) -> float:

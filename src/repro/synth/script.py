@@ -154,11 +154,14 @@ def _aig_structure_key(aig: Aig) -> Tuple:
 
     Two AIGs with the same key have identical inputs, AND fanins and output
     literals, so every (deterministic, structure-driven) optimisation pass
-    provably produces the same result on both.
+    provably produces the same result on both.  The AND fanin pairs come in
+    node order; node 0, the constant, is neither an input nor an AND node.
     """
+    fanins0, fanins1, is_input = aig.node_arrays()
+    pairs = zip(fanins0[1:], fanins1[1:], is_input[1:])
     return (
         aig.num_inputs,
-        tuple(aig.fanins(node) for node in aig.and_nodes()),
+        tuple((fanin0, fanin1) for fanin0, fanin1, input_ in pairs if not input_),
         tuple(aig.outputs),
     )
 

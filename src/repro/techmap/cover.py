@@ -154,9 +154,11 @@ def _enumerate_subtrees(
             subtrees.append(tuple(included))
         return subtrees
 
+    subtrees = _expand(root, max_depth)
+    # Free the self-referring closure now, not at the next cyclic collection.
+    del _expand
     # Prefer larger subtrees first so equal-cost ties go to covers that absorb
     # more select logic.
-    subtrees = _expand(root, max_depth)
     subtrees.sort(key=len, reverse=True)
     return subtrees
 

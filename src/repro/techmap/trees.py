@@ -99,6 +99,8 @@ def _build_tree(netlist: Netlist, root_net: str, root_set: Set[str]) -> Tree:
         collected.append(driver)
 
     _visit(root_net, True)
+    # Free the self-referring closure now, not at the next cyclic collection.
+    del _visit
     tree.instances = collected  # already in topological (post-order) order
     tree.leaf_nets = leaf_order
     return tree

@@ -7,6 +7,10 @@ through the new AIG's ``fanins``.  ``balance`` must give the same structure
 and output names on the generated AIGs of the ``compact`` differential test,
 which have dead nodes, constant and complemented outputs, and inputs added
 after AND nodes.
+
+The comparison rests on ``_aig_structure_key``, which reads the fanin pairs
+off the node arrays; on the same AIGs it must equal the old key, built
+through ``and_nodes`` and ``fanins``.
 """
 
 from __future__ import annotations
@@ -95,3 +99,13 @@ def test_tree_over_a_late_input():
     aig.add_output(y, "y")
     aig.add_output(negate(aig.and_(x, negate(d))), "z")
     assert _balanced_state(balance(aig)) == _balanced_state(reference_balance(aig))
+
+
+@given(aigs())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_structure_key_matches_the_fanins_walk(aig):
+    assert _aig_structure_key(aig) == (
+        aig.num_inputs,
+        tuple(aig.fanins(node) for node in aig.and_nodes()),
+        tuple(aig.outputs),
+    )
