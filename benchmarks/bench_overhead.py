@@ -10,8 +10,9 @@ CDCL search:
 
 Neither disabled cost can be isolated directly, so each is bounded from
 above.  The attack with the mechanism fully *on* (a huge, never-binding
-budget, which runs the whole per-conflict check; ``REPRO_TRACE=1``, which
-takes every gated branch and keeps the trace sink live) must stay within
+``REPRO_SOLVE_BUDGET``, which the attack reads when it is built and which
+runs the whole per-conflict check; ``REPRO_TRACE=1``, which takes every
+gated branch and keeps the trace sink live) must stay within
 2% plus 10 ms of timer noise of the run with it off.  Both runs must
 produce the same transcript, so each comparison times the same search.
 
@@ -53,13 +54,11 @@ def default_search(monkeypatch):
     monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
 
 
-def _attack(result, budget=None):
+def _attack(result):
     # The span is a shared no-op while REPRO_TRACE is unset, so a disabled
     # arm times exactly the code a production run executes.
     with span("overhead_guard"):
-        return attack_mapping(
-            result.mapping, true_select=1, max_queries=64, presample=0, budget=budget
-        )
+        return attack_mapping(result.mapping, true_select=1, max_queries=64, presample=0)
 
 
 def _timed(call):
@@ -110,14 +109,18 @@ def assert_free_when_off(arm, mechanism):
     )
 
 
-def test_solve_budget_overhead(obfuscated_pair):
+def test_solve_budget_overhead(obfuscated_pair, monkeypatch):
     huge = SolveBudget(
         max_conflicts=10 ** 9, max_propagations=10 ** 12, max_seconds=3600.0
     )
+    assert SolveBudget.from_spec(huge.to_spec()) == huge
 
     def arm(bounded):
-        budget = huge if bounded else None
-        return lambda: _attack(obfuscated_pair, budget)
+        if bounded:
+            monkeypatch.setenv(BUDGET_ENV_VAR, huge.to_spec())
+        else:
+            monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+        return lambda: _attack(obfuscated_pair)
 
     assert_free_when_off(arm, "solve budget")
 

@@ -1,11 +1,6 @@
 """Adversary model: plausibility verification and decamouflaging analyses."""
 
-from .decamouflage import (
-    DecamouflageResult,
-    PlausibleFunctionOracle,
-    is_function_plausible,
-    plausible_viable_functions,
-)
+from .decamouflage import DecamouflageResult, PlausibleFunctionOracle
 from .oracle_guided import OracleGuidedAttack, OracleGuidedResult, attack_mapping
 from .plausibility import PlausibilityReport, verify_viable_functions
 from .random_camo import (
@@ -23,8 +18,6 @@ __all__ = [
     "verify_viable_functions",
     "DecamouflageResult",
     "PlausibleFunctionOracle",
-    "is_function_plausible",
-    "plausible_viable_functions",
     "RandomCamouflagedCircuit",
     "RandomCamouflageResult",
     "randomly_camouflage",

@@ -59,12 +59,7 @@ from ..sim.patterns import PatternBatch
 from ..sim.prefilter import PossibilityAnalysis
 from ..techmap.mapper import CamouflagedMapping
 
-__all__ = [
-    "DecamouflageResult",
-    "PlausibleFunctionOracle",
-    "is_function_plausible",
-    "plausible_viable_functions",
-]
+__all__ = ["DecamouflageResult", "PlausibleFunctionOracle"]
 
 
 @dataclass
@@ -87,7 +82,8 @@ class PlausibleFunctionOracle:
     unrolled over all input words with the per-instance configuration
     variables shared across the unrolled copies.  The encoding lives in one
     persistent incremental solver, and each query merely assumes the output
-    literals of every word to match the candidate function.
+    literals of every word to match the candidate function.  Every solve
+    runs under ``REPRO_SOLVE_BUDGET``, read once here.
     """
 
     def __init__(
@@ -95,10 +91,9 @@ class PlausibleFunctionOracle:
         netlist: Netlist,
         instance_plausible: Mapping[str, Sequence[TruthTable]],
         prefilter: bool = True,
-        budget: Optional[SolveBudget] = None,
     ):
         self._netlist = netlist
-        self._budget = budget
+        self._budget = SolveBudget.from_environment()
         self._plausible = {
             name: list(dict.fromkeys(functions))
             for name, functions in instance_plausible.items()
@@ -129,17 +124,14 @@ class PlausibleFunctionOracle:
 
     @classmethod
     def from_mapping(
-        cls,
-        mapping: CamouflagedMapping,
-        prefilter: bool = True,
-        budget: Optional[SolveBudget] = None,
+        cls, mapping: CamouflagedMapping, prefilter: bool = True
     ) -> "PlausibleFunctionOracle":
         """Build the oracle an adversary would build from a mapped design."""
         plausible = {
             name: list(mapping.plausible_functions_of(name))
             for name in mapping.camouflaged_instances()
         }
-        return cls(mapping.netlist, plausible, prefilter=prefilter, budget=budget)
+        return cls(mapping.netlist, plausible, prefilter=prefilter)
 
     def _solve(self, assumptions: Sequence[int]) -> SatResult:
         """Budgeted solve; a plausibility verdict must never be guessed, so
@@ -408,32 +400,3 @@ class PlausibleFunctionOracle:
             .absorb("prefilter", self.prefilter_stats())
             .absorb("solver", self.solver_stats())
         )
-
-
-def is_function_plausible(
-    mapping: CamouflagedMapping,
-    candidate: BoolFunction,
-    prefilter: bool = True,
-) -> DecamouflageResult:
-    """Convenience wrapper: adversary query against a Phase III mapping."""
-    oracle = PlausibleFunctionOracle.from_mapping(mapping, prefilter=prefilter)
-    return oracle.is_plausible(candidate)
-
-
-def plausible_viable_functions(
-    mapping: CamouflagedMapping,
-    viable_functions: Sequence[BoolFunction],
-    assignment_views: Optional[Sequence[BoolFunction]] = None,
-    prefilter: bool = True,
-) -> List[bool]:
-    """Evaluate the adversary's checklist: which viable functions are plausible?
-
-    ``assignment_views`` optionally provides the pin-permuted view of each
-    viable function (what the designer actually embedded); when omitted the
-    functions are checked under the identity interpretation.  Every check
-    reuses the same persistent solver (and, with ``prefilter``, the same
-    packed simulator).
-    """
-    oracle = PlausibleFunctionOracle.from_mapping(mapping, prefilter=prefilter)
-    views = assignment_views if assignment_views is not None else viable_functions
-    return [bool(oracle.is_plausible(view)) for view in views]

@@ -81,7 +81,7 @@ from ..logic.truthtable import TruthTable
 from ..netlist.netlist import CONST0_NET, CONST1_NET, Netlist
 from ..sat.cnf import Cnf
 from ..sat.equivalence import add_difference_miter
-from ..sat.solver import SatSolver, SolveBudget
+from ..sat.solver import SatSolver, SolveBudget, SolveBudgetExceeded
 from ..sat.tseitin import add_exactly_one, encode_camouflaged_copy
 from ..sim.patterns import RandomPatternSource, ReplayBuffer
 from ..techmap.mapper import CamouflagedMapping
@@ -133,6 +133,18 @@ class OracleGuidedResult:
         """All oracle calls: presample observations plus DIPs."""
         return len(self.presample_queries) + len(self.queries)
 
+    def raise_if_timed_out(self) -> None:
+        """Raise :class:`SolveBudgetExceeded` when a solve budget ran out.
+
+        A partial transcript is no verdict on the design, so a caller that
+        reports or persists one raises instead.
+        """
+        if self.timed_out:
+            raise SolveBudgetExceeded(
+                f"oracle-guided attack exhausted its solve budget after "
+                f"{self.num_queries} DIP queries"
+            )
+
 
 class OracleGuidedAttack:
     """DIP-based SAT attack on a camouflaged netlist (one incremental solver).
@@ -143,15 +155,24 @@ class OracleGuidedAttack:
     the recovered configuration is checked against the oracle exhaustively
     (and ``recovered_function`` is the full lookup table, exactly as
     before); beyond it the audit is a seeded random packed cross-check of
-    ``verify_samples`` words plus every word already shown to the oracle,
-    and ``recovered_function`` stays empty (a ``2**n``-entry table would be
-    exponential).  The SAT-attack guarantee — miter UNSAT means every
-    surviving configuration agrees with the oracle everywhere — is what
-    carries the wide case; the sampled audit is a defence-in-depth check.
+    :data:`VERIFY_SAMPLES` words plus every word already shown to the
+    oracle, and ``recovered_function`` stays empty (a ``2**n``-entry table
+    would be exponential).  The SAT-attack guarantee — miter UNSAT means
+    every surviving configuration agrees with the oracle everywhere — is
+    what carries the wide case; the sampled audit is a defence-in-depth
+    check.
+
+    Every solve runs under ``REPRO_SOLVE_BUDGET``, read once here; an
+    exhausted budget ends the run with ``timed_out`` set.
     """
 
     #: Input counts up to this bound get the exhaustive recovery audit.
     EXACT_RECOVERY_LIMIT = 16
+    #: Seed of the presample words.
+    PRESAMPLE_SEED = 101
+    #: Seed and count of the random words of the wide-circuit audit.
+    VERIFY_SEED = 131
+    VERIFY_SAMPLES = 256
 
     def __init__(
         self,
@@ -159,13 +180,9 @@ class OracleGuidedAttack:
         instance_plausible: Mapping[str, Sequence[TruthTable]],
         max_queries: int = 256,
         presample: int = 0,
-        presample_seed: int = 101,
-        verify_samples: int = 256,
-        verify_seed: int = 131,
-        budget: Optional[SolveBudget] = None,
     ):
         self._netlist = netlist
-        self._budget = budget
+        self._budget = SolveBudget.from_environment()
         self._plausible = {
             name: list(dict.fromkeys(functions))
             for name, functions in instance_plausible.items()
@@ -175,9 +192,6 @@ class OracleGuidedAttack:
                 raise ValueError(f"instance {name!r} has an empty plausible set")
         self._max_queries = max_queries
         self._presample = presample
-        self._presample_seed = presample_seed
-        self._verify_samples = verify_samples
-        self._verify_seed = verify_seed
         #: Every word shown to the oracle (presample + DIPs), for replay.
         self.replay = ReplayBuffer()
         self._num_inputs = len(netlist.primary_inputs)
@@ -354,15 +368,12 @@ class OracleGuidedAttack:
         from ..sim.engine import NetlistSimulator
 
         words = list(self.replay.words())
-        if self._verify_samples > 0:
-            source = RandomPatternSource(self._verify_seed)
-            seen = set(words)
-            for word in source.words(self._num_inputs, self._verify_samples):
-                if word not in seen:
-                    seen.add(word)
-                    words.append(word)
-        if not words:
-            return True
+        seen = set(words)
+        source = RandomPatternSource(self.VERIFY_SEED)
+        for word in source.words(self._num_inputs, self.VERIFY_SAMPLES):
+            if word not in seen:
+                seen.add(word)
+                words.append(word)
         recovered = NetlistSimulator(
             self._netlist, cell_functions=configuration
         ).simulate_words(words)
@@ -385,7 +396,7 @@ class OracleGuidedAttack:
         """
         if self._presample <= 0:
             return []
-        source = RandomPatternSource(self._presample_seed)
+        source = RandomPatternSource(self.PRESAMPLE_SEED)
         words = source.words(self._num_inputs, self._presample, distinct=True)
         if oracle_batch is not None and words:
             responses = list(oracle_batch(words))
@@ -459,7 +470,6 @@ def attack_mapping(
     true_select: int,
     max_queries: int = 256,
     presample: Optional[int] = None,
-    budget: Optional[SolveBudget] = None,
 ) -> OracleGuidedResult:
     """Run the oracle-guided attack against a Phase III mapping.
 
@@ -481,15 +491,12 @@ def attack_mapping(
 
     if presample is None:
         presample = DEFAULT_PRESAMPLE
-    if budget is None:
-        budget = SolveBudget.from_environment()
     plausible = {
         name: list(mapping.plausible_functions_of(name))
         for name in mapping.camouflaged_instances()
     }
     attack = OracleGuidedAttack(
-        mapping.netlist, plausible, max_queries=max_queries, presample=presample,
-        budget=budget,
+        mapping.netlist, plausible, max_queries=max_queries, presample=presample
     )
     return attack.run(lambda word: truth[word])
 
@@ -500,8 +507,6 @@ def attack_netlist(
     true_configuration: Mapping[str, TruthTable],
     max_queries: int = 256,
     presample: Optional[int] = None,
-    verify_samples: int = 256,
-    budget: Optional[SolveBudget] = None,
 ) -> OracleGuidedResult:
     """Oracle-guided attack on an arbitrary-width camouflaged netlist.
 
@@ -525,15 +530,8 @@ def attack_netlist(
 
     if presample is None:
         presample = DEFAULT_PRESAMPLE
-    if budget is None:
-        budget = SolveBudget.from_environment()
     attack = OracleGuidedAttack(
-        netlist,
-        instance_plausible,
-        max_queries=max_queries,
-        presample=presample,
-        verify_samples=verify_samples,
-        budget=budget,
+        netlist, instance_plausible, max_queries=max_queries, presample=presample
     )
     return attack.run(oracle, oracle_batch=oracle_batch)
 
@@ -542,8 +540,6 @@ def attack_windowed(
     result,
     max_queries: int = 256,
     presample: Optional[int] = None,
-    verify_samples: int = 256,
-    budget: Optional[SolveBudget] = None,
 ) -> OracleGuidedResult:
     """Attack a stitched windowed obfuscation end-to-end.
 
@@ -558,6 +554,4 @@ def attack_windowed(
         result.true_configuration,
         max_queries=max_queries,
         presample=presample,
-        verify_samples=verify_samples,
-        budget=budget,
     )

@@ -11,19 +11,15 @@ The exhaustive comparison runs on the packed word-parallel engine: the
 whole select space is swept in **one** simulation pass over the combined
 (data inputs × select word) pattern space
 (:meth:`~repro.techmap.mapper.CamouflagedMapping.realised_lookup_tables`),
-instead of re-simulating the netlist once per configuration.  A SAT-based
-variant using the miter equivalence checker is also provided; with
-``prefilter`` enabled it fuzz-tests each configuration before falling back
-to the solver (fuzz-before-SAT), which never changes a verdict.
+instead of re-simulating the netlist once per configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..merge.merged import MergedDesign
-from ..sat.equivalence import check_netlist_function
 from ..techmap.mapper import CamouflagedMapping
 
 __all__ = ["PlausibilityReport", "verify_viable_functions"]
@@ -53,41 +49,20 @@ class PlausibilityReport:
 
 
 def verify_viable_functions(
-    mapping: CamouflagedMapping,
-    design: MergedDesign,
-    use_sat: bool = False,
-    prefilter: bool = True,
+    mapping: CamouflagedMapping, design: MergedDesign
 ) -> PlausibilityReport:
     """Check that the camouflaged circuit can realise every viable function.
 
-    ``use_sat=False`` (default) compares exhaustively simulated truth tables
-    — all select configurations swept packed; ``use_sat=True``
-    runs a miter-based equivalence check instead, which exercises the SAT
-    substrate and scales to wider circuits (``prefilter`` adds the
-    fuzz-before-SAT fast path there).
+    Compares exhaustively simulated truth tables, all select configurations
+    swept packed in one pass.
     """
     report = PlausibilityReport(total=len(design.viable_functions))
-    realised_tables: Optional[List[List[int]]] = None
-    if not use_sat:
-        realised_tables = mapping.realised_lookup_tables()
+    realised_tables = mapping.realised_lookup_tables()
     for select_value in range(len(design.viable_functions)):
-        expected = design.function_for_select(select_value)
-        if use_sat:
-            configuration = mapping.configuration_for_select(select_value)
-            outcome = check_netlist_function(
-                mapping.netlist,
-                expected,
-                cell_functions=configuration.as_cell_functions(),
-                prefilter=prefilter,
-            )
-            matches = bool(outcome)
-            detail = "" if matches else f"counterexample {outcome.counterexample}"
-        else:
-            matches = realised_tables[select_value] == expected.lookup_table()
-            detail = "" if matches else "truth tables differ"
-        if matches:
+        expected = design.function_for_select(select_value).lookup_table()
+        if realised_tables[select_value] == expected:
             report.realised.append(select_value)
         else:
             report.failed.append(select_value)
-            report.details[select_value] = detail
+            report.details[select_value] = "truth tables differ"
     return report

@@ -65,6 +65,7 @@ from .parallel import resolve_jobs
 from .netlist.verilog import write_verilog
 from .netlist.blif import write_blif
 from .netlist.window import WINDOWING_NAMES
+from .sat.solver import SolveBudgetExceeded
 from .synth.area import area_report
 
 __all__ = ["main", "build_parser"]
@@ -493,6 +494,7 @@ def _command_obfuscate_windowed(args: argparse.Namespace) -> int:
         outcome = attack_windowed(
             result, max_queries=args.attack_queries, presample=presample
         )
+        outcome.raise_if_timed_out()
         print(
             f"oracle-guided attack: success={outcome.success} "
             f"dips={outcome.num_queries} "
@@ -1105,7 +1107,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "doctor": _command_doctor,
         "trace": _command_trace,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except SolveBudgetExceeded as exc:
+        raise SystemExit(f"SolveBudgetExceeded: {exc}") from exc
 
 
 if __name__ == "__main__":

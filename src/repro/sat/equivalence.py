@@ -51,9 +51,10 @@ __all__ = [
 
 # An equivalence verdict feeds verification decisions that are *persisted*
 # (stitched-netlist checks, campaign artifacts), so an UNKNOWN solver result
-# must never be coerced into "not equivalent".  Budgeted checks raise
-# SolveBudgetExceeded instead; callers either escalate the budget or let the
-# campaign layer classify the failure as transient and retry.
+# must never be coerced into "not equivalent".  Every check solves under
+# REPRO_SOLVE_BUDGET and raises SolveBudgetExceeded when it runs out; callers
+# either escalate the budget or let the campaign layer classify the failure
+# as transient and retry.
 
 
 def _raise_budget_exceeded(context: str) -> None:
@@ -113,6 +114,7 @@ class EquivalenceChecker:
     outputs plus an activation-guarded miter, solves under the activation
     assumption, and then permanently disables that miter — the circuit
     encoding and everything learned about it are shared across checks.
+    The solve budget is ``REPRO_SOLVE_BUDGET``, read once here.
     """
 
     def __init__(
@@ -120,16 +122,11 @@ class EquivalenceChecker:
         netlist: Netlist,
         cell_functions: Optional[Mapping[str, TruthTable]] = None,
         prefilter: bool = True,
-        fuzz_patterns: int = 64,
-        fuzz_seed: int = 1,
-        budget: Optional[SolveBudget] = None,
     ):
         self._netlist = netlist
         self._cell_functions = dict(cell_functions) if cell_functions else None
-        self._budget = budget
+        self._budget = SolveBudget.from_environment()
         self._prefilter = prefilter
-        self._fuzz_patterns = fuzz_patterns
-        self._fuzz_seed = fuzz_seed
         self._replay = ReplayBuffer()
         self._simulator = None
         #: Cached exhaustive output lanes (candidate-independent, small n).
@@ -174,8 +171,7 @@ class EquivalenceChecker:
         return fuzz_netlist_vs_function(
             self._netlist,
             function,
-            patterns=self._fuzz_patterns,
-            seed=self._fuzz_seed + self._checks,
+            seed=1 + self._checks,
             replay=self._replay,
             simulator=self._simulator,
             exhaustive_lanes=self._exhaustive_lanes,
@@ -258,8 +254,6 @@ def check_netlist_equivalence(
     cell_functions_a: Optional[Mapping[str, TruthTable]] = None,
     cell_functions_b: Optional[Mapping[str, TruthTable]] = None,
     prefilter: bool = True,
-    fuzz_patterns: Optional[int] = None,
-    budget: Optional[SolveBudget] = None,
 ) -> EquivalenceResult:
     """Check that two netlists implement the same function.
 
@@ -267,8 +261,8 @@ def check_netlist_equivalence(
     netlists must have the same interface sizes.  With the fuzz pre-filter
     enabled, a packed simulation pass over a shared pattern batch refutes
     (or, for small input counts, fully decides) the check before any CNF is
-    built; ``fuzz_patterns`` widens that batch for wide (e.g. stitched
-    windowed) netlists.
+    built.  The miter solves under ``REPRO_SOLVE_BUDGET`` and raises
+    :class:`SolveBudgetExceeded` when the budget runs out.
     """
     if len(netlist_a.primary_inputs) != len(netlist_b.primary_inputs):
         raise ValueError("netlists have different numbers of primary inputs")
@@ -276,11 +270,8 @@ def check_netlist_equivalence(
         raise ValueError("netlists have different numbers of primary outputs")
 
     if prefilter:
-        from ..sim.prefilter import DEFAULT_FUZZ_PATTERNS
-
         outcome = fuzz_netlist_vs_netlist(
-            netlist_a, netlist_b, cell_functions_a, cell_functions_b,
-            patterns=fuzz_patterns or DEFAULT_FUZZ_PATTERNS,
+            netlist_a, netlist_b, cell_functions_a, cell_functions_b
         )
         if outcome.refuted:
             return EquivalenceResult(
@@ -307,7 +298,7 @@ def check_netlist_equivalence(
     ]
     add_difference_miter(cnf, pairs)
 
-    result = SatSolver(cnf).solve(budget=budget)
+    result = SatSolver(cnf).solve(budget=SolveBudget.from_environment())
     if result.unknown:
         _raise_budget_exceeded("equivalence check (netlist vs netlist)")
     if not result.satisfiable:
@@ -324,16 +315,15 @@ def check_netlist_function(
     function: BoolFunction,
     cell_functions: Optional[Mapping[str, TruthTable]] = None,
     prefilter: bool = True,
-    budget: Optional[SolveBudget] = None,
 ) -> EquivalenceResult:
     """Check that a netlist implements a given multi-output function.
 
     Netlist primary input ``k`` corresponds to function variable ``k`` and
     primary output ``k`` to function output ``k``.  One-shot wrapper around
     :class:`EquivalenceChecker`; ``prefilter`` enables the fuzz-before-SAT
-    fast path.  A budgeted check raises :class:`SolveBudgetExceeded` when
-    the verdict cannot be reached within the budget.
+    fast path.  It raises :class:`SolveBudgetExceeded` when the verdict
+    cannot be reached within ``REPRO_SOLVE_BUDGET``.
     """
     return EquivalenceChecker(
-        netlist, cell_functions=cell_functions, prefilter=prefilter, budget=budget
+        netlist, cell_functions=cell_functions, prefilter=prefilter
     ).check_function(function)

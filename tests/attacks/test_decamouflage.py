@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.attacks import PlausibleFunctionOracle, is_function_plausible
+from repro.attacks import PlausibleFunctionOracle
 from repro.camo import camouflage_cell
 from repro.logic import BoolFunction, TruthTable
 from repro.netlist import Netlist, standard_cell_library
@@ -140,14 +140,11 @@ class TestOracleOnObfuscatedDesign:
         # The witness configuration must cover every camouflaged instance.
         assert set(outcome.witness) == set(mapping.camouflaged_instances())
 
-    def test_wrapper_function(self, small_obfuscation):
-        views = small_obfuscation.assignment.apply(small_obfuscation.viable_functions)
-        assert is_function_plausible(small_obfuscation.mapping, views[0])
-
     def test_unrelated_function_not_plausible(self, small_obfuscation):
         # A third S-box that was never merged should (virtually always) be
         # implausible under the designer's pin view.
         other = optimal_sboxes(3)[2]
         view = other  # identity interpretation
-        result = is_function_plausible(small_obfuscation.mapping, view)
+        oracle = PlausibleFunctionOracle.from_mapping(small_obfuscation.mapping)
+        result = oracle.is_plausible(view)
         assert not result.plausible

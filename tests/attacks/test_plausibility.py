@@ -15,10 +15,6 @@ class TestVerifyViableFunctions:
         assert report.failed == []
         assert "OK" in report.summary()
 
-    def test_mapping_passes_sat_check(self, camo_mapping_two, merged_two):
-        report = verify_viable_functions(camo_mapping_two, merged_two, use_sat=True)
-        assert report.all_realisable
-
     def test_corrupted_configuration_is_detected(self, camo_mapping_two, merged_two):
         # Sabotage one instance's configuration table and check the report
         # notices that some select value no longer realises its function.

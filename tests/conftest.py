@@ -96,15 +96,18 @@ def small_obfuscation(two_sboxes):
 
 
 @pytest.fixture(autouse=True)
-def no_synthesis_store(monkeypatch):
-    """Run every test without the developer's synthesis store.
+def no_store_or_budget(monkeypatch):
+    """Run every test without the developer's synthesis store or solve budget.
 
     A store warmed by earlier runs changes the synthesis counters that
-    payloads record.  Tests that need a store set ``REPRO_CACHE_DIR`` or
-    ``REPRO_CACHE_URL`` themselves.
+    payloads record, and a solve budget can make an oracle, equivalence
+    check or attack stop short.  Tests that need either set
+    ``REPRO_CACHE_DIR``, ``REPRO_CACHE_URL`` or ``REPRO_SOLVE_BUDGET``
+    themselves.
     """
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     monkeypatch.delenv("REPRO_CACHE_URL", raising=False)
+    monkeypatch.delenv("REPRO_SOLVE_BUDGET", raising=False)
 
 
 @pytest.fixture

@@ -211,3 +211,26 @@ class TestClientContracts:
         finally:
             monkeypatch.delenv(FAULTS_ENV_VAR)
             reset_fault_state()
+
+    def test_equivalence_checks_read_the_environment_budget(self, monkeypatch):
+        from repro.logic import BoolFunction
+        from repro.sat.equivalence import (
+            check_netlist_equivalence,
+            check_netlist_function,
+        )
+        from repro.synth import synthesize
+
+        # No caller passes a budget: each check reads REPRO_SOLVE_BUDGET
+        # when it is built.  Both miters need a dozen conflicts or more.
+        function = BoolFunction.from_lookup(
+            [x ^ ((x << 1) & 0xF) ^ 1 for x in range(16)], 4, 4
+        )
+        netlist = synthesize(function, effort="fast").netlist
+        monkeypatch.setenv(BUDGET_ENV_VAR, "conflicts=1")
+        with pytest.raises(SolveBudgetExceeded):
+            check_netlist_function(netlist, function, prefilter=False)
+        with pytest.raises(SolveBudgetExceeded):
+            check_netlist_equivalence(netlist, netlist, prefilter=False)
+        monkeypatch.setenv(BUDGET_ENV_VAR, "conflicts=1000000")
+        assert check_netlist_function(netlist, function, prefilter=False)
+        assert check_netlist_equivalence(netlist, netlist, prefilter=False)

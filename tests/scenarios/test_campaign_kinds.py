@@ -9,9 +9,11 @@ import pytest
 from repro.evaluation.workloads import get_profile
 from repro.ga import pinopt
 from repro.ga.pinopt import CACHE_DIR_ENV_VAR
+from repro.jobstore import RetryPolicy
 from repro.netlist.generate import random_netlist as build_random_netlist
 from repro.netlist.blif import write_blif
 from repro.netlist.simulate import extract_function
+from repro.sat.solver import SolveBudget
 from repro.scenarios.campaign import (
     JOB_KINDS,
     CampaignError,
@@ -39,6 +41,41 @@ def _one_wide30_window(job_id: str) -> CampaignSpec:
     """A single-job spec: one window job of perfbench's wide30 campaign."""
     spec = CampaignSpec.windowed(str(WIDE30), max_window_inputs=6, decoys=1, seed=1)
     return _single_job(spec, job_id)
+
+
+#: Every job kind as a single-job campaign at its smallest size.
+SINGLE_JOB_SPECS = [
+    pytest.param(
+        CampaignSpec.attacks([("PRESENT", 2)], population=4, generations=1),
+        id="attack",
+    ),
+    pytest.param(
+        CampaignSpec.adversary([("PRESENT", 2)], random_camo=False), id="decamouflage"
+    ),
+    pytest.param(_one_wide30_window("window_001"), id="window_obfuscate"),
+    pytest.param(CampaignSpec.table1(SMALL_PROFILE, [("PRESENT", 2)]), id="table1_row"),
+    pytest.param(
+        _single_job(CampaignSpec.figure4(SMALL_PROFILE), "figure4a"), id="figure4a"
+    ),
+    pytest.param(
+        _single_job(CampaignSpec.figure4(SMALL_PROFILE), "figure4b"), id="figure4b"
+    ),
+    pytest.param(
+        CampaignSpec.adversary([("PRESENT", 2)], decamouflage=False), id="random_camo"
+    ),
+    pytest.param(
+        CampaignSpec(name="probe", jobs=[CampaignJob("probe", "probe", {"value": 3})]),
+        id="probe",
+    ),
+]
+
+#: The job kinds whose payload rests on SAT solves.
+SOLVING_KINDS = {"attack", "decamouflage", "random_camo"}
+
+#: A solve budget no job of these specs comes near.
+NEVER_BINDING = SolveBudget(
+    max_conflicts=10 ** 9, max_propagations=10 ** 12, max_seconds=3600.0
+)
 
 
 class TestAdversaryJobKinds:
@@ -104,23 +141,7 @@ class TestAdversaryJobKinds:
         assert warm.payload == default.payload
         assert warm_synth["runs"] < default_synth["runs"]
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            CampaignSpec.attacks([("PRESENT", 2)], population=4, generations=1),
-            CampaignSpec.adversary([("PRESENT", 2)], random_camo=False),
-            _one_wide30_window("window_001"),
-            CampaignSpec.table1(SMALL_PROFILE, [("PRESENT", 2)]),
-            _single_job(CampaignSpec.figure4(SMALL_PROFILE), "figure4a"),
-            _single_job(CampaignSpec.figure4(SMALL_PROFILE), "figure4b"),
-            CampaignSpec.adversary([("PRESENT", 2)], decamouflage=False),
-            CampaignSpec(name="probe", jobs=[CampaignJob("probe", "probe", {"value": 3})]),
-        ],
-        ids=[
-            "attack", "decamouflage", "window_obfuscate", "table1_row",
-            "figure4a", "figure4b", "random_camo", "probe",
-        ],
-    )
+    @pytest.mark.parametrize("spec", SINGLE_JOB_SPECS)
     def test_payload_identical_across_jobs(self, four_cpus, spec):
         """A single-job campaign hands its job every worker (task_jobs=2),
         so the GA and random baseline of a Table I, Figure 4, attack or
@@ -133,6 +154,31 @@ class TestAdversaryJobKinds:
             assert result.ok
             payloads.append(json.dumps(result.payload, sort_keys=True))
         assert payloads[1] == payloads[0]
+
+    @pytest.mark.parametrize("spec", SINGLE_JOB_SPECS)
+    def test_solve_budget_never_changes_an_ok_payload(self, spec):
+        """A solve budget may turn ``ok`` into ``timed_out``, never change an
+        ``ok`` payload.  A budget that never binds leaves every payload as
+        it is; one conflict a solve times out exactly the kinds that solve
+        (the attack, the plausibility oracle of the decamouflage and
+        random-camouflage jobs) and leaves the others at the default."""
+        (default,) = run_campaign(spec).results
+        (generous,) = run_campaign(spec, solve_budget=NEVER_BINDING).results
+        (starved,) = run_campaign(
+            spec,
+            solve_budget=SolveBudget(max_conflicts=1),
+            retry_policy=RetryPolicy(max_attempts=2),
+        ).results
+        assert default.ok and generous.ok
+        expected = json.dumps(default.payload, sort_keys=True)
+        assert json.dumps(generous.payload, sort_keys=True) == expected
+        if default.kind in SOLVING_KINDS:
+            assert starved.status == "timed_out"
+            assert starved.attempts == 2
+            assert starved.error.startswith("SolveBudgetExceeded: ")
+        else:
+            assert starved.ok
+            assert json.dumps(starved.payload, sort_keys=True) == expected
 
     def test_random_camo_job_runs(self):
         spec = CampaignSpec.adversary(

@@ -120,6 +120,40 @@ class TestCommands:
         assert exit_code == 0
         assert "plausible=True" in captured.out
 
+    def test_attack_exhausted_budget_is_clean_error(self, monkeypatch, capsys):
+        # The plausibility oracle obeys REPRO_SOLVE_BUDGET and must not
+        # guess; the command stops with one line instead of a traceback.
+        monkeypatch.setenv("REPRO_SOLVE_BUDGET", "conflicts=1")
+        with pytest.raises(SystemExit) as info:
+            main(["attack", "--count", "2", "--population", "4", "--generations", "1"])
+        assert str(info.value) == (
+            "SolveBudgetExceeded: plausibility query exhausted its solve "
+            "budget before reaching a verdict"
+        )
+        assert "plausible=" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        ("flag", "message"),
+        [
+            ("--sat-check", "equivalence check (netlist vs netlist) exhausted "
+                            "its solve budget before reaching a verdict"),
+            ("--attack", "oracle-guided attack exhausted its solve budget "
+                         "after 0 DIP queries"),
+        ],
+        ids=["sat_miter", "attack"],
+    )
+    def test_windowed_exhausted_budget_is_clean_error(
+        self, monkeypatch, capsys, flag, message
+    ):
+        # The stitched design's SAT miter raises; a timed-out attack is no
+        # verdict on the design, so it must not print one.
+        monkeypatch.setenv("REPRO_SOLVE_BUDGET", "conflicts=1")
+        with pytest.raises(SystemExit) as info:
+            main(["obfuscate", "--blif-in", WIDE30, "--max-window-inputs", "6",
+                  "--decoys", "0", "--population", "4", "--generations", "1", flag])
+        assert str(info.value) == f"SolveBudgetExceeded: {message}"
+        assert "success=" not in capsys.readouterr().out
+
     def test_campaign_duplicate_workload_is_clean_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["campaign", "--workload", "PRESENT:2", "--workload", "PRESENT:2"])
