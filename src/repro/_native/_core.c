@@ -7,12 +7,14 @@
  * budgets, and LBD clause forgetting).  It runs the same search as
  * ``repro/sat/solver.py`` step for step, though not on the same data
  * layout: the pure side, for one, leaves a satisfied clause's watched pair
- * unswapped and pushes a variable onto its order heap only when the heap
- * holds no current entry for it.  The watcher-list append and swap-remove
- * order, the IEEE-double activity keys and the literal orders in learned
- * clauses are the same, so decisions, conflicts, propagation counts,
- * models, and UNSAT verdicts are identical to the pure backend on every
- * input.  The differential harness in ``tests/native/`` enforces this.
+ * unswapped, packs each order-heap entry into one int, and pushes a
+ * variable onto its order heap only when the heap holds no current entry
+ * for it.  The watcher-list append and swap-remove order, the order of
+ * heap entries (by IEEE-double activity, then variable) and the literal
+ * orders in learned clauses are the same, so decisions, conflicts,
+ * propagation counts, models, and UNSAT verdicts are identical to the
+ * pure backend on every input.  The differential harness in
+ * ``tests/native/`` enforces this.
  *
  * The module is optional: the build is declared ``optional=True`` in
  * setup.py and the pure implementations remain the always-available
@@ -60,11 +62,13 @@ typedef struct {
 } NClause;
 
 /* ------------------------------------------------------------------ */
-/* Order heap: entries (key=-activity, var), min-heap under the same   */
-/* (key, var) lexicographic comparison Python applies to its tuples.   */
-/* Only the set of distinct entries is observable (the pure backend's  */
-/* heapq layout differs, but every pop removes the same minimum), so a */
-/* standard binary heap reproduces the pure decision sequence exactly. */
+/* Order heap: entries (key=-activity, var), a min-heap under the     */
+/* (key, var) lexicographic order.  The pure backend packs the same   */
+/* pair into one int, (2**64 - 1 - bits(activity)) << 32 | var, which */
+/* orders the same way.  Only the set of distinct entries is          */
+/* observable (the pure backend's heapq layout differs, but every pop */
+/* removes the same minimum), so a standard binary heap reproduces    */
+/* the pure decision sequence exactly.                                */
 /* ------------------------------------------------------------------ */
 typedef struct {
     double key;

@@ -22,7 +22,7 @@ from typing import Collection, Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from .._bitops import mask_for, variable_pattern
 from ..logic.truthtable import TruthTable
-from .aig import Aig, node_of
+from .aig import Aig
 
 __all__ = [
     "enumerate_cuts",
@@ -301,28 +301,26 @@ def mffc_size(
 def collect_cone_cut(aig: Aig, root: int, max_leaves: int) -> Cut:
     """Greedily grow a cut for ``root`` by expanding AND leaves until the limit.
 
-    Used by the refactor pass, which resynthesises one larger cone per node
-    instead of many small cuts.
+    Each step replaces the highest-numbered AND leaf whose two fanin nodes
+    still fit within ``max_leaves`` by those nodes; the cut is done when no
+    AND leaf fits.  Used by the refactor pass, which resynthesises one
+    larger cone per node instead of many small cuts.
     """
+    fanins0, fanins1, is_input = aig.node_arrays()
     leaves = {root}
     while True:
-        expandable = [
-            leaf
-            for leaf in leaves
-            if aig.is_and_node(leaf)
-        ]
-        if not expandable:
-            break
-        progressed = False
-        # Expand the highest-id leaf whose expansion stays within the limit.
-        expandable.sort(key=lambda leaf: leaf, reverse=True)
-        for leaf in expandable:
-            fanin0, fanin1 = aig.fanins(leaf)
-            new_leaves = (leaves - {leaf}) | {node_of(fanin0), node_of(fanin1)}
-            if len(new_leaves) <= max_leaves:
-                leaves = new_leaves
-                progressed = True
+        # The cut's size without the leaf being expanded; an AND node's two
+        # fanin nodes differ, and neither is the node itself.
+        rest = len(leaves) - 1
+        for leaf in sorted(leaves, reverse=True):
+            if not leaf or is_input[leaf]:
+                continue
+            node0 = fanins0[leaf] >> 1
+            node1 = fanins1[leaf] >> 1
+            if rest + (node0 not in leaves) + (node1 not in leaves) <= max_leaves:
+                leaves.remove(leaf)
+                leaves.add(node0)
+                leaves.add(node1)
                 break
-        if not progressed:
-            break
-    return frozenset(leaves)
+        else:
+            return frozenset(leaves)

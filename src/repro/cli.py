@@ -251,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="per-solve-call budget spec, e.g. "
                                       "'conflicts=20000,seconds=2.5' (default "
                                       "REPRO_SOLVE_BUDGET); doubled on every retry, "
-                                      "jobs still over budget finish as timed_out")
+                                      "jobs still over budget finish as timed_out; "
+                                      "with --blif it also caps the stitched "
+                                      "design's SAT miter")
     campaign_parser.add_argument("--submit", type=str, default="",
                                  metavar="URL",
                                  help="submit the campaign to a coordinator "

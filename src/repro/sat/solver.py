@@ -52,6 +52,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
+import struct
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -92,6 +93,28 @@ def _resolve_clause_forget(value) -> int:
         return DEFAULT_FORGET_LIMIT
     limit = int(value)
     return limit if limit > 0 else 0
+
+
+#: The low 32 bits of an order-heap entry hold its variable.
+_VARIABLE_MASK = (1 << 32) - 1
+_ENTRY_TOP = (1 << 64) - 1
+_pack_double = struct.Struct("<d").pack
+
+
+def _order_entry(activity: float, variable: int) -> int:
+    """The pure solver's order-heap entry of ``variable`` at ``activity``.
+
+    One int, ``(2**64 - 1 - bits(activity)) << 32 | variable``, where
+    ``bits`` is the IEEE-754 pattern of the activity.  The patterns of
+    non-negative doubles order as the doubles do, so entries order
+    exactly as the tuples ``(-activity, variable)``: the highest activity
+    first, the lowest index on ties.  ``_backtrack`` computes the same
+    expression inline.
+    """
+    if not 0 <= variable <= _VARIABLE_MASK:
+        raise ValueError(f"variable {variable} does not fit an order-heap entry")
+    bits = int.from_bytes(_pack_double(activity), "little")
+    return (_ENTRY_TOP - bits) << 32 | variable
 
 
 def _code(literal: int) -> int:
@@ -300,15 +323,17 @@ class SatSolver:
         self._seen: List[bool] = [False]
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
-        # Lazy max-heap of branching candidates as (-activity, variable)
-        # entries; stale entries (assigned variables, outdated activities)
-        # are discarded on pop.  Picks the same variable as a linear scan —
-        # highest activity, lowest index on ties — in O(log n).  _heap_key
-        # holds the activity of a variable's one entry that may still be
-        # current, or -1.0 when it has none, so an unassigned variable is
-        # pushed only when it lacks an entry with its current activity.
-        self._order_heap: List[Tuple[float, int]] = []
-        self._heap_key: List[float] = [-1.0]
+        # Lazy min-heap of branching candidates, one packed int per entry
+        # (_order_entry): it orders as (-activity, variable), so the top is
+        # what a linear scan picks, the highest activity and the lowest
+        # index on ties, in O(log n).  _heap_key holds each variable's
+        # current entry, the one with its current activity, or -1 when it
+        # has none: _analyze clears it on every bump, and a pop of the
+        # current entry clears it too.  Every other entry is stale and is
+        # discarded when it reaches the top; an unassigned variable is
+        # pushed only when it has no current entry.
+        self._order_heap: List[int] = []
+        self._heap_key: List[int] = [-1]
         self._queue_head = 0
         self._activity_increment = 1.0
         self._activity_decay = 0.95
@@ -366,6 +391,9 @@ class SatSolver:
         grow = num_vars - self._num_vars
         if grow <= 0:
             return
+        entries = [
+            _order_entry(0.0, variable) for variable in range(self._num_vars + 1, num_vars + 1)
+        ]
         first_code = 2 * self._num_vars + 2
         end_code = 2 * num_vars + 2
         self._codes.extend(range(first_code, end_code))
@@ -376,9 +404,9 @@ class SatSolver:
         self._activity.extend([0.0] * grow)
         self._phase.extend(range(first_code + 1, end_code, 2))
         self._seen.extend([False] * grow)
-        self._heap_key.extend([0.0] * grow)
-        for variable in range(self._num_vars + 1, num_vars + 1):
-            heapq.heappush(self._order_heap, (-0.0, variable))
+        self._heap_key.extend(entries)
+        for entry in entries:
+            heapq.heappush(self._order_heap, entry)
         self._num_vars = num_vars
 
     def new_var(self) -> int:
@@ -532,8 +560,11 @@ class SatSolver:
                     if value == TRUE:
                         index += 1
                         continue
-                # Look for a new literal to watch.
-                for position in range(2, len(clause)):
+                # Look for a new literal to watch (an index loop: no range
+                # object per scan).
+                position = 2
+                size = len(clause)
+                while position < size:
                     candidate = clause[position]
                     if values[candidate] != FALSE:
                         clause[1], clause[position] = candidate, clause[1]
@@ -542,6 +573,7 @@ class SatSolver:
                         watchers[index] = watchers[end]
                         watchers.pop()
                         break
+                    position += 1
                 else:
                     # Clause is unit or conflicting.
                     if value == FALSE:
@@ -568,6 +600,7 @@ class SatSolver:
         level = self._level
         reason = self._reason
         activity = self._activity
+        heap_key = self._heap_key
         increment = self._activity_increment
         learned: List[int] = [0]  # placeholder for the asserting literal
         seen = self._seen
@@ -592,6 +625,10 @@ class SatSolver:
                 seen[variable] = True
                 bumped = activity[variable] + increment
                 activity[variable] = bumped
+                # The bump always changes the activity (the increment is at
+                # least a twentieth of every activity), so the variable's
+                # entry, if any, is stale now.
+                heap_key[variable] = -1
                 if bumped > 1e100:
                     self._rescale_activities()
                     increment = self._activity_increment
@@ -653,10 +690,11 @@ class SatSolver:
         heap = []
         for variable in range(1, self._num_vars + 1):
             if values[2 * variable] == _UNASSIGNED:
-                heap.append((-activity[variable], variable))
-                heap_key[variable] = activity[variable]
+                entry = _order_entry(activity[variable], variable)
+                heap.append(entry)
+                heap_key[variable] = entry
             else:
-                heap_key[variable] = -1.0
+                heap_key[variable] = -1
         heapq.heapify(heap)
         self._order_heap = heap
 
@@ -673,14 +711,19 @@ class SatSolver:
         heap = self._order_heap
         heap_key = self._heap_key
         push = heapq.heappush
+        pack = _pack_double
+        from_bytes = int.from_bytes
+        top = _ENTRY_TOP
         boundary = trail_lim[level]
         for literal in trail[boundary:]:
             values[literal] = values[literal ^ 1] = _UNASSIGNED
             variable = literal >> 1
-            key = activity[variable]
-            if heap_key[variable] != key:
-                heap_key[variable] = key
-                push(heap, (-key, variable))
+            if heap_key[variable] == -1:
+                # _order_entry, inline; every variable was checked against
+                # the entry's range when it was reserved.
+                entry = (top - from_bytes(pack(activity[variable]), "little")) << 32 | variable
+                heap_key[variable] = entry
+                push(heap, entry)
         del trail[boundary:]
         del trail_lim[level:]
         self._queue_head = boundary
@@ -807,22 +850,25 @@ class SatSolver:
     # -------------------------------------------------------------- #
     def _pick_branch_variable(self) -> Optional[int]:
         # Stale entries are discarded lazily at the top, so on long-lived
-        # solvers the heap can accumulate one tuple per unassignment;
+        # solvers the heap can accumulate one entry per unassignment;
         # compact it once it clearly outgrows the variable range.
         if len(self._order_heap) > 64 + 4 * self._num_vars:
             self._rebuild_order_heap()
         heap = self._order_heap
         values = self._value
-        activity = self._activity
         heap_key = self._heap_key
         pop = heapq.heappop
+        mask = _VARIABLE_MASK
         while heap:
-            negated_activity, variable = heap[0]
-            if values[2 * variable] == _UNASSIGNED and -negated_activity == activity[variable]:
-                return variable
+            entry = heap[0]
+            variable = entry & mask
+            if heap_key[variable] == entry:
+                # The current entry: pick its variable if unassigned, or
+                # drop it, and a later backtrack pushes the variable again.
+                if values[2 * variable] == _UNASSIGNED:
+                    return variable
+                heap_key[variable] = -1
             pop(heap)
-            if heap_key[variable] == -negated_activity:
-                heap_key[variable] = -1.0
         return None
 
     # -------------------------------------------------------------- #

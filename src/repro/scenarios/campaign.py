@@ -30,6 +30,7 @@ interleaving of cached and fresh jobs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -40,7 +41,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..faults import corrupt_text, faults_enabled, fired_counts, maybe_kill_process
 from ..jobstore import JobStore, Lease, LeaseLost, RetryPolicy, classify_failure
@@ -977,6 +978,28 @@ def _portable_exception(exc: BaseException) -> Optional[BaseException]:
         return None
 
 
+@contextlib.contextmanager
+def _solve_budget_installed(budget_spec: str) -> Iterator[None]:
+    """Install ``budget_spec`` as ``REPRO_SOLVE_BUDGET`` for the block.
+
+    ``budget_spec`` is a :meth:`~repro.sat.solver.SolveBudget.to_spec`
+    spec, or ``""`` to leave the environment as it is.  The previous value,
+    or its absence, comes back on exit.
+    """
+    if not budget_spec:
+        yield
+        return
+    previous = os.environ.get(BUDGET_ENV_VAR)
+    os.environ[BUDGET_ENV_VAR] = budget_spec
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(BUDGET_ENV_VAR, None)
+        else:
+            os.environ[BUDGET_ENV_VAR] = previous
+
+
 def _execute_job_task(task: Tuple) -> JobResult:
     """Worker task: run one campaign job (module-level so it pickles).
 
@@ -1009,11 +1032,8 @@ def _execute_job_task(task: Tuple) -> JobResult:
                 # process right here, at job start — the hard-crash case
                 # supervision, leases, and resumable state exist for.
                 maybe_kill_process(job.job_id)
-            previous_budget = os.environ.get(BUDGET_ENV_VAR)
-            if budget_spec:
-                os.environ[BUDGET_ENV_VAR] = budget_spec
-            start = time.perf_counter()
-            try:
+            with _solve_budget_installed(budget_spec):
+                start = time.perf_counter()
                 try:
                     value, payload = JOB_KINDS[job.kind](job.params, task_jobs)
                 except Exception as exc:
@@ -1035,12 +1055,6 @@ def _execute_job_task(task: Tuple) -> JobResult:
                     payload=payload,
                     value=value,
                 )
-            finally:
-                if budget_spec:
-                    if previous_budget is None:
-                        os.environ.pop(BUDGET_ENV_VAR, None)
-                    else:
-                        os.environ[BUDGET_ENV_VAR] = previous_budget
 
 
 class _LeaseKeeper:
@@ -1698,7 +1712,9 @@ def run_windowed_campaign(
     the windows are stitched back into the parent and verified (packed sim
     plus SAT miter, width permitting); the second element of the returned
     pair is the :class:`~repro.flow.target.WindowedObfuscationResult`, or
-    ``None`` while windows are still pending or failed.
+    ``None`` while windows are still pending or failed.  ``solve_budget``
+    caps the miter too, at its base value: it runs once, in this process,
+    with no retry.
     """
     from ..flow.target import assemble_windowed_result
     from ..netlist.window import extract_windows
@@ -1739,10 +1755,11 @@ def run_windowed_campaign(
         window = windows[int(result.payload["index"])]
         records.append(window_record_from_payload(result.payload, window))
     records.sort(key=lambda record: record.window.index)
-    assembled = assemble_windowed_result(
-        netlist,
-        records,
-        verify=verify,
-        sat_check=sat_check,
-    )
+    with _solve_budget_installed(solve_budget.to_spec() if solve_budget is not None else ""):
+        assembled = assemble_windowed_result(
+            netlist,
+            records,
+            verify=verify,
+            sat_check=sat_check,
+        )
     return outcome, assembled

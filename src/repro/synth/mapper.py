@@ -34,7 +34,13 @@ def map_to_cells(
     library: Optional[CellLibrary] = None,
     name: Optional[str] = None,
 ) -> Netlist:
-    """Map an AIG onto simple gates, returning a netlist."""
+    """Map an AIG onto simple gates, returning a netlist.
+
+    The AIG is mapped as :meth:`Aig.compact` leaves it, so logic that no
+    output reaches costs no area.  An AIG that compaction would not change
+    (``optimize_aig``'s result, which ``synthesize`` maps) is mapped
+    without a copy.
+    """
     library = library or standard_cell_library()
     _require_cells(library)
     mapper = _TreeMapper(aig, library, name or aig.name)
@@ -50,11 +56,29 @@ def _require_cells(library: CellLibrary) -> None:
         raise MappingError(f"library is missing required cells: {missing}")
 
 
+def _is_compact(aig: Aig, reference: Dict[int, int]) -> bool:
+    """Whether ``aig.compact()`` would copy ``aig`` node for node.
+
+    It would when every input precedes every AND node and every AND node
+    has a fanout (``reference`` holds the fanout counts): the
+    highest-numbered dead AND node, if there is one, has none.
+    """
+    _, _, is_input = aig.node_arrays()
+    first_and = aig.num_inputs + 1
+    return all(is_input[1:first_and]) and all(
+        reference[node] for node in range(first_and, len(is_input))
+    )
+
+
 class _TreeMapper:
     """Implements the tree-by-tree covering."""
 
     def __init__(self, aig: Aig, library: CellLibrary, name: str):
-        self._aig = aig.compact()
+        self._reference = aig.reference_counts()
+        if not _is_compact(aig, self._reference):
+            aig = aig.compact()
+            self._reference = aig.reference_counts()
+        self._aig = aig
         self._netlist = Netlist(name, library)
         self._inv_area = library["INV"].area
         # The direct covers of each gate width, as (cell, area): AND and NOR
@@ -67,7 +91,6 @@ class _TreeMapper:
             for width in range(2, _MAX_SIMPLE_GATE_INPUTS + 1)
         ]
         fanins0, _, is_input = self._aig.node_arrays()
-        self._reference = self._aig.reference_counts()
         # Whether each node is a single-fanout AND node, which lies inside the
         # tree of whichever root reaches it.
         self._internal = [

@@ -8,16 +8,26 @@ incremental formulas solved under assumptions.  A tiny activity decay
 makes the activities pass their rescale threshold every five conflicts, so
 the heap rebuild that follows a rescale is checked too.  Variables that no
 conflict has touched tie at zero activity, where the lowest index must win.
+
+A heap entry is one packed int (``_order_entry``), which must order
+exactly as the tuple ``(-activity, variable)`` it stands for; a second
+property test checks that on drawn activities (zero, subnormals, adjacent
+doubles, values around the rescale threshold, exact ties) and variables up
+to the 32-bit limit of the entry, beyond which packing raises.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import random
+import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sat.solver import _UNASSIGNED, SatSolver
+from repro.sat.solver import _UNASSIGNED, SatSolver, _order_entry
 
 
 class ScanCheckedSolver(SatSolver):
@@ -39,7 +49,10 @@ class ScanCheckedSolver(SatSolver):
         # (stale entries may sit beside it); one without could be skipped
         # by a later pick.
         entries = set(self._order_heap)
-        assert all((-self._activity[variable], variable) in entries for variable in unassigned)
+        assert all(
+            _order_entry(self._activity[variable], variable) in entries
+            for variable in unassigned
+        )
         picked = super()._pick_branch_variable()
         best = None
         for variable in unassigned:
@@ -102,3 +115,77 @@ def test_heap_picks_match_a_linear_scan():
     assert totals["picks"] > 0
     # At least one rescale happened, so a rebuilt heap was checked too.
     assert totals["rescales"] > 0
+
+
+#: The largest variable an entry holds, and the activity past which the
+#: solver rescales.
+MAX_VARIABLE = 2**32 - 1
+RESCALE_THRESHOLD = 1e100
+
+
+def _step(activity: float, steps: int) -> float:
+    """``activity`` moved ``steps`` doubles up or down, never below zero."""
+    for _ in range(abs(steps)):
+        activity = math.nextafter(activity, math.inf if steps > 0 else 0.0)
+    return activity
+
+
+#: Non-negative activities (the solver's are never negative).
+activities = st.one_of(
+    st.sampled_from([0.0, 5e-324, sys.float_info.min, 1e-100, 1.0, RESCALE_THRESHOLD]),
+    st.floats(min_value=0.0, max_value=sys.float_info.min),
+    st.floats(min_value=0.0, max_value=1e3),
+    st.floats(min_value=RESCALE_THRESHOLD / 2, max_value=RESCALE_THRESHOLD * 2),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
+
+variables = st.one_of(
+    st.sampled_from([1, 2, 2**31 - 1, 2**31, MAX_VARIABLE - 1, MAX_VARIABLE]),
+    st.integers(min_value=1, max_value=MAX_VARIABLE),
+)
+
+
+@st.composite
+def heap_pairs(draw):
+    """``(activity, variable)`` pairs drawn from small pools, so ties occur.
+
+    The activity pool holds a drawn activity's neighbours, up to two
+    doubles either side, and a few more activities.
+    """
+    base = draw(activities)
+    steps = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=4))
+    activity_pool = [_step(base, count) for count in steps]
+    activity_pool += draw(st.lists(activities, max_size=3))
+    variable_pool = draw(st.lists(variables, min_size=1, max_size=6))
+    return draw(
+        st.lists(
+            st.tuples(st.sampled_from(activity_pool), st.sampled_from(variable_pool)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+
+
+@given(heap_pairs())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_packed_entries_order_like_tuples(pairs):
+    tuples = [(-activity, variable) for activity, variable in pairs]
+    entries = [_order_entry(activity, variable) for activity, variable in pairs]
+    for entry, (_, variable) in zip(entries, pairs):
+        assert entry & MAX_VARIABLE == variable
+    for left_tuple, left_entry in zip(tuples, entries):
+        for right_tuple, right_entry in zip(tuples, entries):
+            assert (left_entry < right_entry) == (left_tuple < right_tuple)
+            assert (left_entry == right_entry) == (left_tuple == right_tuple)
+    # So a heap of either pops the variables in one order.
+    heapq.heapify(tuples)
+    heapq.heapify(entries)
+    popped_tuples = [heapq.heappop(tuples)[1] for _ in range(len(pairs))]
+    popped_entries = [heapq.heappop(entries) & MAX_VARIABLE for _ in range(len(pairs))]
+    assert popped_entries == popped_tuples
+
+
+@pytest.mark.parametrize("variable", [-1, MAX_VARIABLE + 1, 2**40])
+def test_variable_beyond_the_entry_raises(variable):
+    with pytest.raises(ValueError, match="does not fit"):
+        _order_entry(1.0, variable)

@@ -7,7 +7,7 @@ import pytest
 from repro.aig import Aig, aig_from_function, aig_from_tables
 from repro.logic import BoolFunction, TruthTable
 from repro.netlist import CellLibrary, extract_function, standard_cell_library, validate_netlist
-from repro.synth import MappingError, map_to_cells
+from repro.synth import MappingError, map_to_cells, optimize_aig
 
 
 class TestMapping:
@@ -96,3 +96,38 @@ class TestMapping:
     def test_requested_output_names_kept(self, present):
         netlist = map_to_cells(aig_from_function(present))
         assert netlist.primary_outputs == list(present.output_names)
+
+
+class TestCompaction:
+    """``map_to_cells`` maps an AIG as ``Aig.compact`` leaves it, copying it
+    only when compaction changes it (the mapper differential test's
+    ``dead_fanout`` case pins a dead node)."""
+
+    def test_optimized_aig_is_mapped_without_a_copy(self, present, monkeypatch):
+        aig = optimize_aig(aig_from_function(present))
+
+        def no_copy(self, name=None):
+            raise AssertionError("a compact AIG was copied")
+
+        monkeypatch.setattr(Aig, "compact", no_copy)
+        netlist = map_to_cells(aig)
+        assert list(extract_function(netlist).outputs) == list(present.outputs)
+
+    def test_late_input_is_compacted(self, monkeypatch):
+        aig = Aig()
+        a = aig.add_input("a")
+        b = aig.add_input("b")
+        x = aig.and_(a, b)
+        c = aig.add_input("c")
+        aig.add_output(aig.and_(x, c), "y")
+        copied = []
+        compact = Aig.compact
+
+        def counting(self, name=None):
+            copied.append(self)
+            return compact(self, name)
+
+        monkeypatch.setattr(Aig, "compact", counting)
+        netlist = map_to_cells(aig)
+        assert copied == [aig]
+        assert extract_function(netlist).lookup_table() == [0] * 7 + [1]

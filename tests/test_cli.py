@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,43 @@ class TestCommands:
                   "--decoys", "0", "--population", "4", "--generations", "1", flag])
         assert str(info.value) == f"SolveBudgetExceeded: {message}"
         assert "success=" not in capsys.readouterr().out
+
+    @pytest.fixture
+    def random20_blif(self, tmp_path):
+        """A 20-input random circuit: 18 windows of at most 6 inputs, and a
+        stitched design whose SAT miter (on by default up to 24 inputs)
+        needs more than one conflict."""
+        from repro.netlist.blif import write_blif
+        from repro.netlist.generate import random_netlist
+
+        path = tmp_path / "random20.blif"
+        netlist = random_netlist(23, num_inputs=20, num_cells=60, num_outputs=4, depth_bias=20)
+        path.write_text(write_blif(netlist))
+        return str(path)
+
+    def _campaign_blif(self, path, *budget):
+        return main(["campaign", "--blif", path, "--max-window-inputs", "6", "--decoys", "0",
+                     "--population", "4", "--generations", "1", "--jobs", "1", *budget])
+
+    def test_campaign_blif_budget_covers_the_sat_miter(self, random20_blif, capsys):
+        # The window jobs finish under this budget; the miter, which runs in
+        # this process after them, must obey it too.
+        with pytest.raises(SystemExit) as info:
+            self._campaign_blif(random20_blif, "--solve-budget", "conflicts=1")
+        assert str(info.value) == (
+            "SolveBudgetExceeded: equivalence check (netlist vs netlist) exhausted "
+            "its solve budget before reaching a verdict"
+        )
+        assert "SAT miter ok" not in capsys.readouterr().out
+
+    def test_campaign_blif_never_binding_budget_changes_nothing(self, random20_blif, capsys):
+        def run(*budget):
+            assert self._campaign_blif(random20_blif, *budget) == 0
+            return re.sub(r"\d+\.\ds\b", "<t>s", capsys.readouterr().out)
+
+        unbudgeted = run()
+        assert "SAT miter ok" in unbudgeted
+        assert run("--solve-budget", "conflicts=1000000000") == unbudgeted
 
     def test_campaign_duplicate_workload_is_clean_error(self, capsys):
         with pytest.raises(SystemExit) as info:
